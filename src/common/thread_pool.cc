@@ -23,6 +23,8 @@ ThreadPool::ThreadPool(std::size_t num_threads) {
   for (std::size_t i = 0; i < n; ++i) {
     threads_.emplace_back([this, i] { WorkerLoop(i); });
   }
+  std::unique_lock<std::mutex> lock(mu_);
+  done_cv_.wait(lock, [this, n] { return started_ == n; });
 }
 
 ThreadPool::~ThreadPool() {
@@ -128,6 +130,11 @@ void ThreadPool::WorkerLoop(std::size_t slot) {
     std::snprintf(name, sizeof(name), "pool worker %zu", slot);
     trace::SetCurrentThreadName(name);
   }
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    ++started_;
+  }
+  done_cv_.notify_all();
   for (;;) {
     if (HelpRun()) {
       continue;

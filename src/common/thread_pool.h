@@ -52,7 +52,10 @@ class ThreadPool {
   // A plain-function work body: executes indices [begin, end) against `ctx`.
   using RunFn = void (*)(void* ctx, std::size_t begin, std::size_t end);
 
-  // Creates `num_threads` workers (>=1). Workers are joined on destruction.
+  // Creates `num_threads` workers (>=1) and returns once every worker has
+  // finished its one-time setup (tracer registration, which allocates), so
+  // no setup work lands inside a caller's later allocation-free window.
+  // Workers are joined on destruction.
   explicit ThreadPool(std::size_t num_threads);
   ~ThreadPool();
 
@@ -114,6 +117,7 @@ class ThreadPool {
   std::vector<std::function<void()>> queue_;
   std::size_t next_ = 0;  // index of next task to run in queue_
   std::size_t in_flight_ = 0;
+  std::size_t started_ = 0;  // workers past their setup
   bool stop_ = false;
 
   // ParallelRun slot; see the protocol note at the top of the file.

@@ -57,6 +57,12 @@ struct HybridEngine::DecodeBuffers {
   std::vector<std::unique_ptr<MoeRequest>> imm_requests;
   std::vector<std::unique_ptr<MoeRequest>> def_requests;
 
+  // Working memory of the vGPU kernels (one forward's kernels run one after
+  // another, so one set serves every layer and pipeline stage).
+  AttentionScratch attn_scratch;
+  GatingScratch gating_scratch;
+  FfnScratch ffn_scratch;
+
   // First attention failure of the in-flight step (KV overflow surfaced as a
   // Status instead of an abort). Kernels on different pipeline streams may
   // race to record; checked and cleared after SyncAllStreams, before any
@@ -165,6 +171,10 @@ HybridEngine::HybridEngine(MoeModelConfig config, std::shared_ptr<const ModelWei
     streams_.push_back(std::make_unique<VStream>(devices_.back().get()));
   }
   pool_ = std::make_unique<ThreadPool>(static_cast<std::size_t>(options_.cpu_threads));
+  // The vGPU plane's weights, packed once for the registry's f32 kernel; the
+  // kernels run every projection over all live rows in one GEMM.
+  packed_ = std::make_unique<const PackedModelWeights>(config_, *weights_,
+                                                       ResolveProjectionVariant());
   BuildCpuExperts();
   service_ = std::make_unique<AsyncMoeService>(numa_moe_);
   // Pre-size the MoE forward workspaces at the decode shape so the steady
@@ -273,8 +283,8 @@ void HybridEngine::EnqueueForward(DecodeBuffers* bufs, std::int64_t m, bool allo
   stream->Launch(KernelDesc{
       "embed",
       [this, bufs, live] {
-        const std::int64_t m = live();
-        for (std::int64_t t = 0; t < m; ++t) {
+        const std::int64_t rows = live();
+        for (std::int64_t t = 0; t < rows; ++t) {
           std::memcpy(bufs->x.f32() + t * config_.hidden,
                       weights_->embedding.f32() +
                           static_cast<std::int64_t>(bufs->token_ids[static_cast<std::size_t>(t)]) *
@@ -286,6 +296,7 @@ void HybridEngine::EnqueueForward(DecodeBuffers* bufs, std::int64_t m, bool allo
 
   for (int l = 0; l < config_.num_layers; ++l) {
     const LayerWeights* lw = &weights_->layers[static_cast<std::size_t>(l)];
+    const PackedModelWeights::Layer* pw = &packed_->layer(l);
     const bool moe_layer = config_.is_moe_layer(l);
     const int p = moe_layer ? (l - first_moe) % 2 : 0;
     VStream* layer_stream = StreamOf(l);
@@ -297,8 +308,8 @@ void HybridEngine::EnqueueForward(DecodeBuffers* bufs, std::int64_t m, bool allo
     stream->Launch(KernelDesc{
         "attn_norm",
         [this, bufs, lw, live] {
-          const std::int64_t m = live();
-          for (std::int64_t t = 0; t < m; ++t) {
+          const std::int64_t rows = live();
+          for (std::int64_t t = 0; t < rows; ++t) {
             RmsNorm(bufs->x.f32() + t * config_.hidden, lw->attn_norm.f32(),
                     bufs->normed.f32() + t * config_.hidden, config_.hidden);
           }
@@ -306,21 +317,22 @@ void HybridEngine::EnqueueForward(DecodeBuffers* bufs, std::int64_t m, bool allo
         0.0, 0.0, options_.gpu_micro_per_op});
     stream->Launch(KernelDesc{
         "attention",
-        [this, bufs, lw, l, live, batched] {
-          const std::int64_t m = live();
+        [this, bufs, pw, l, live, batched] {
+          const std::int64_t rows = live();
           Status status;
           if (batched) {
             // Each row is an independent single-token stream against its own
             // KV cache — exactly the sequential m=1 math per row. The layer
             // views (block-table indirection included) are built inside the
             // call, at exec time, so a growing table never recaptures.
-            status = AttentionDecodeBatch(config_, lw->attn, bufs->normed.f32(), m,
+            status = AttentionDecodeBatch(config_, pw->attn, bufs->normed.f32(), rows,
                                           bufs->row_pos.data(), bufs->row_caches.data(), l,
-                                          bufs->attn_out.f32());
+                                          &bufs->attn_scratch, bufs->attn_out.f32());
           } else {
             const std::int64_t pos = bufs->pos0.load(std::memory_order_relaxed);
-            status = AttentionForward(config_, lw->attn, bufs->normed.f32(), m, pos,
-                                      active_cache_->layer(l), bufs->attn_out.f32());
+            status = AttentionForward(config_, pw->attn, bufs->normed.f32(), rows, pos,
+                                      active_cache_->layer(l), &bufs->attn_scratch,
+                                      bufs->attn_out.f32());
           }
           if (!status.ok()) {
             // KV overflow is recoverable: record it for the post-sync check
@@ -328,7 +340,7 @@ void HybridEngine::EnqueueForward(DecodeBuffers* bufs, std::int64_t m, bool allo
             bufs->RecordAttnFailure(status);
             return;
           }
-          AddInPlace(bufs->x.f32(), bufs->attn_out.f32(), m * config_.hidden);
+          AddInPlace(bufs->x.f32(), bufs->attn_out.f32(), rows * config_.hidden);
         },
         0.0, 0.0, options_.gpu_micro_per_op});
 
@@ -337,8 +349,8 @@ void HybridEngine::EnqueueForward(DecodeBuffers* bufs, std::int64_t m, bool allo
     stream->Launch(KernelDesc{
         "ffn_norm",
         [this, bufs, lw, ffn_in, live] {
-          const std::int64_t m = live();
-          for (std::int64_t t = 0; t < m; ++t) {
+          const std::int64_t rows = live();
+          for (std::int64_t t = 0; t < rows; ++t) {
             RmsNorm(bufs->x.f32() + t * config_.hidden, lw->ffn_norm.f32(),
                     ffn_in + t * config_.hidden, config_.hidden);
           }
@@ -348,9 +360,9 @@ void HybridEngine::EnqueueForward(DecodeBuffers* bufs, std::int64_t m, bool allo
     if (!moe_layer) {
       stream->Launch(KernelDesc{
           "dense_ffn",
-          [this, bufs, lw, ffn_in, live] {
-            DenseFfnAdd(lw->dense_gate, lw->dense_up, lw->dense_down, ffn_in, live(),
-                        config_.hidden, bufs->x.f32());
+          [this, bufs, pw, ffn_in, live] {
+            DenseFfnAdd(pw->ffn_gate, pw->ffn_up, pw->ffn_down, ffn_in, live(), config_.hidden,
+                        &bufs->ffn_scratch, bufs->x.f32());
           },
           0.0, 0.0, options_.gpu_micro_per_op});
       continue;
@@ -363,9 +375,9 @@ void HybridEngine::EnqueueForward(DecodeBuffers* bufs, std::int64_t m, bool allo
 
     stream->Launch(KernelDesc{
         "gating",
-        [this, bufs, lw, p, ffn_in, live] {
-          bufs->routing[p] =
-              ComputeRouting(config_, lw->router, lw->router_bias, ffn_in, live());
+        [this, bufs, lw, pw, p, ffn_in, live] {
+          ComputeRouting(config_, pw->router, lw->router_bias, ffn_in, live(),
+                         &bufs->gating_scratch, &bufs->routing[p]);
         },
         0.0, 0.0, options_.gpu_micro_per_op});
 
@@ -376,7 +388,7 @@ void HybridEngine::EnqueueForward(DecodeBuffers* bufs, std::int64_t m, bool allo
     MoeRequest* def = bufs->def_requests[static_cast<std::size_t>(l)].get();
     stream->LaunchHostFunc([this, bufs, p, l, ffn_in, imm, def, immediate_end,
                              expert_base, hidden, live, batched] {
-      const std::int64_t m = live();
+      const std::int64_t rows = live();
       // Routing ids are per-layer; offset them into the packed global table.
       // Routing is recomputed by the gating kernel on every (re)play, so the
       // per-layer ids are always fresh in [0, num_experts) here.
@@ -398,12 +410,12 @@ void HybridEngine::EnqueueForward(DecodeBuffers* bufs, std::int64_t m, bool allo
         placement_->Record(routing);
         if (batched) {
           std::memset(bufs->hot_served[p].data(), 0,
-                      static_cast<std::size_t>(m * routing.top_k));
-          placement_->ServeHot(ffn_in, m, routing, 0, immediate_end,
+                      static_cast<std::size_t>(rows * routing.top_k));
+          placement_->ServeHot(ffn_in, rows, routing, 0, immediate_end,
                                bufs->hot_served[p].data(), bufs->hot_rows[p].data(),
                                bufs->hot_view[p].shard_stride);
           if (immediate_end < config_.top_k) {
-            placement_->ServeHot(ffn_in, m, routing, immediate_end, config_.top_k,
+            placement_->ServeHot(ffn_in, rows, routing, immediate_end, config_.top_k,
                                  bufs->hot_served[p].data(), bufs->hot_rows[p].data(),
                                  bufs->hot_view[p].shard_stride);
           }
@@ -411,10 +423,10 @@ void HybridEngine::EnqueueForward(DecodeBuffers* bufs, std::int64_t m, bool allo
         }
       }
       std::memset(bufs->moe_cpu_out[p].f32(), 0,
-                  static_cast<std::size_t>(m * hidden) * sizeof(float));
+                  static_cast<std::size_t>(rows * hidden) * sizeof(float));
       imm->Reset();
       imm->x = ffn_in;
-      imm->tokens = m;
+      imm->tokens = rows;
       imm->routing = &routing;
       imm->slot_begin = 0;
       imm->slot_end = immediate_end;
@@ -424,10 +436,10 @@ void HybridEngine::EnqueueForward(DecodeBuffers* bufs, std::int64_t m, bool allo
       ++counters_.moe_requests;
       if (immediate_end < config_.top_k) {
         std::memset(bufs->defer_out[p].f32(), 0,
-                    static_cast<std::size_t>(m * hidden) * sizeof(float));
+                    static_cast<std::size_t>(rows * hidden) * sizeof(float));
         def->Reset();
         def->x = ffn_in;
-        def->tokens = m;
+        def->tokens = rows;
         def->routing = &routing;
         def->slot_begin = immediate_end;
         def->slot_end = config_.top_k;
@@ -447,13 +459,13 @@ void HybridEngine::EnqueueForward(DecodeBuffers* bufs, std::int64_t m, bool allo
     // Shared experts run on the GPU, overlapping the CPU's immediate batch.
     stream->Launch(KernelDesc{
         "shared_experts",
-        [this, bufs, lw, ffn_in, live] {
-          const std::int64_t m = live();
+        [this, bufs, pw, ffn_in, live] {
+          const std::int64_t rows = live();
           std::memset(bufs->moe_gpu_out.f32(), 0,
-                      static_cast<std::size_t>(m * config_.hidden) * sizeof(float));
+                      static_cast<std::size_t>(rows * config_.hidden) * sizeof(float));
           if (config_.n_shared_experts > 0) {
-            DenseFfnAdd(lw->shared_gate, lw->shared_up, lw->shared_down, ffn_in, m,
-                        config_.hidden, bufs->moe_gpu_out.f32());
+            DenseFfnAdd(pw->ffn_gate, pw->ffn_up, pw->ffn_down, ffn_in, rows, config_.hidden,
+                        &bufs->ffn_scratch, bufs->moe_gpu_out.f32());
           }
         },
         0.0, 0.0, options_.gpu_micro_per_op});
@@ -469,11 +481,11 @@ void HybridEngine::EnqueueForward(DecodeBuffers* bufs, std::int64_t m, bool allo
     stream->Launch(KernelDesc{
         "merge",
         [this, bufs, p, has_prev_def, live] {
-          const std::int64_t m = live();
-          AddInPlace(bufs->x.f32(), bufs->moe_gpu_out.f32(), m * config_.hidden);
-          AddInPlace(bufs->x.f32(), bufs->moe_cpu_out[p].f32(), m * config_.hidden);
+          const std::int64_t rows = live();
+          AddInPlace(bufs->x.f32(), bufs->moe_gpu_out.f32(), rows * config_.hidden);
+          AddInPlace(bufs->x.f32(), bufs->moe_cpu_out[p].f32(), rows * config_.hidden);
           if (has_prev_def) {
-            AddInPlace(bufs->x.f32(), bufs->defer_out[1 - p].f32(), m * config_.hidden);
+            AddInPlace(bufs->x.f32(), bufs->defer_out[1 - p].f32(), rows * config_.hidden);
           }
         },
         0.0, 0.0, options_.gpu_micro_per_op});
@@ -482,13 +494,13 @@ void HybridEngine::EnqueueForward(DecodeBuffers* bufs, std::int64_t m, bool allo
   stream->Launch(KernelDesc{
       "final_norm_lm_head",
       [this, bufs, live] {
-        const std::int64_t m = live();
-        for (std::int64_t t = 0; t < m; ++t) {
+        const std::int64_t rows = live();
+        for (std::int64_t t = 0; t < rows; ++t) {
           RmsNorm(bufs->x.f32() + t * config_.hidden, weights_->final_norm.f32(),
                   bufs->normed.f32() + t * config_.hidden, config_.hidden);
         }
-        RefGemm(bufs->normed.f32(), m, config_.hidden, weights_->lm_head, bufs->logits.f32(),
-                config_.vocab);
+        packed_->lm_head().Apply(bufs->normed.f32(), rows, config_.hidden, bufs->logits.f32(),
+                                 config_.vocab);
       },
       0.0, 0.0, options_.gpu_micro_per_op});
 }
@@ -571,6 +583,9 @@ void HybridEngine::EnsureDecodeCapacity(std::int64_t rows) {
   }
   decode_bufs_ = std::make_unique<DecodeBuffers>(
       config_, capacity, placement_ != nullptr ? placement_->planes() : 0);
+  // Decode windows grow every step; reserving the longest one keeps the
+  // attention kernel allocation-free for the session's whole life.
+  decode_bufs_->attn_scratch.Reserve(config_, capacity, config_.max_seq);
 }
 
 Tensor HybridEngine::DecodeBatch(const std::vector<SessionToken>& batch) {

@@ -3,7 +3,10 @@
 // Placement follows Fig. 1b: attention, norms, gating, dense FFNs and the
 // shared experts execute as GPU kernels on the vcuda stream; routed experts
 // execute on the CPU through the NUMA-aware fused MoE operator, fed by the
-// asynchronous submit/sync host functions of async_service.h.
+// asynchronous submit/sync host functions of async_service.h. The GPU-side
+// weights are packed once, at construction, into f32 tiles the engine owns
+// (packed_weights.h); every GPU GEMM runs the kernel registry's f32 variant
+// over all live rows in one call.
 //
 // Decode path (§3.3): the entire per-token layer stack — including the
 // submit/sync host callbacks — is captured into ONE vcuda graph on the first
@@ -48,6 +51,7 @@
 #include "src/cpu/kernel_calibrate.h"
 #include "src/gpu/vcuda.h"
 #include "src/model/gating.h"
+#include "src/model/packed_weights.h"
 #include "src/model/reference_model.h"
 
 namespace ktx {
@@ -396,6 +400,10 @@ class HybridEngine {
 
   MoeModelConfig config_;
   std::shared_ptr<const ModelWeights> weights_;
+  // f32-packed copies of the vGPU plane's weights (attention, router,
+  // shared-expert / dense FFN, lm_head), built at construction and owned
+  // here: the kernels' projection handles point into it.
+  std::unique_ptr<const PackedModelWeights> packed_;
   EngineOptions options_;
   // Calibrated dispatch table; options_.moe.dispatch points at
   // calibration_.table when calibrate_kernels is on (stable address — the

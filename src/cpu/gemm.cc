@@ -181,16 +181,45 @@ void RefGemm(const float* x, std::int64_t m, std::int64_t ldx, const Tensor& w, 
   const std::int64_t n = w.dim(0);
   const std::int64_t k = w.dim(1);
   const float* wp = w.f32();
+  // Each output is one serial double sum over ascending k (a float product
+  // is exact in double, so fusing it or not changes nothing). Four outputs
+  // run side by side — independent chains in registers, same per-output
+  // order — which hides the add latency without changing a bit.
   for (std::int64_t i = 0; i < m; ++i) {
-    for (std::int64_t j = 0; j < n; ++j) {
-      double acc = 0.0;
-      const float* xr = x + i * ldx;
+    const float* xr = x + i * ldx;
+    float* yr = y + i * ldy;
+    auto store = [&](std::int64_t j, double acc) {
+      yr[j] = accumulate ? yr[j] + static_cast<float>(acc) : static_cast<float>(acc);
+    };
+    std::int64_t j = 0;
+    for (; j + 4 <= n; j += 4) {
+      const float* w0 = wp + j * k;
+      const float* w1 = w0 + k;
+      const float* w2 = w1 + k;
+      const float* w3 = w2 + k;
+      double a0 = 0.0;
+      double a1 = 0.0;
+      double a2 = 0.0;
+      double a3 = 0.0;
+      for (std::int64_t c = 0; c < k; ++c) {
+        const double xv = xr[c];
+        a0 += xv * w0[c];
+        a1 += xv * w1[c];
+        a2 += xv * w2[c];
+        a3 += xv * w3[c];
+      }
+      store(j, a0);
+      store(j + 1, a1);
+      store(j + 2, a2);
+      store(j + 3, a3);
+    }
+    for (; j < n; ++j) {
       const float* wr = wp + j * k;
+      double acc = 0.0;
       for (std::int64_t c = 0; c < k; ++c) {
         acc += static_cast<double>(xr[c]) * wr[c];
       }
-      float* out = y + i * ldy + j;
-      *out = accumulate ? *out + static_cast<float>(acc) : static_cast<float>(acc);
+      store(j, acc);
     }
   }
 }

@@ -1,15 +1,15 @@
 #include "src/model/attention.h"
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <map>
 #include <mutex>
-#include <functional>
+#include <string>
 #include <vector>
 
 #include "src/common/logging.h"
-#include "src/cpu/activation.h"
-#include "src/cpu/gemm.h"
 
 namespace ktx {
 
@@ -35,47 +35,210 @@ const std::vector<double>& RopeFrequencies(std::int64_t dim) {
 
 }  // namespace
 
-void ApplyRope(float* vec, std::int64_t dim, std::int64_t pos) {
+void RopeRotation::Set(std::int64_t dim, std::int64_t pos) {
   const std::vector<double>& freqs = RopeFrequencies(dim);
-  for (std::int64_t i = 0; i + 1 < dim; i += 2) {
-    const double angle = static_cast<double>(pos) * freqs[static_cast<std::size_t>(i / 2)];
-    const float c = static_cast<float>(std::cos(angle));
-    const float s = static_cast<float>(std::sin(angle));
-    const float a = vec[i];
-    const float b = vec[i + 1];
-    vec[i] = a * c - b * s;
-    vec[i + 1] = a * s + b * c;
+  cos_.resize(freqs.size());
+  sin_.resize(freqs.size());
+  for (std::size_t i = 0; i < freqs.size(); ++i) {
+    const double angle = static_cast<double>(pos) * freqs[i];
+    cos_[i] = static_cast<float>(std::cos(angle));
+    sin_[i] = static_cast<float>(std::sin(angle));
   }
+}
+
+void RopeRotation::Apply(float* vec) const {
+  for (std::size_t i = 0; i < cos_.size(); ++i) {
+    const float c = cos_[i];
+    const float s = sin_[i];
+    const float a = vec[2 * i];
+    const float b = vec[2 * i + 1];
+    vec[2 * i] = a * c - b * s;
+    vec[2 * i + 1] = a * s + b * c;
+  }
+}
+
+void ApplyRope(float* vec, std::int64_t dim, std::int64_t pos) {
+  RopeRotation rotation;
+  rotation.Set(dim, pos);
+  rotation.Apply(vec);
+}
+
+AttentionProjections::AttentionProjections(const AttentionWeights& w)
+    : wq(w.wq),
+      wk(w.wk),
+      wv(w.wv),
+      w_dq(w.w_dq),
+      w_uq(w.w_uq),
+      w_dkv(w.w_dkv),
+      w_uk(w.w_uk),
+      w_uv(w.w_uv),
+      wo(w.wo) {}
+
+namespace {
+
+template <class T>
+void GrowTo(std::vector<T>* v, std::int64_t n) {
+  if (static_cast<std::int64_t>(v->size()) < n) {
+    v->resize(static_cast<std::size_t>(n));
+  }
+}
+
+}  // namespace
+
+void AttentionScratch::Reserve(const MoeModelConfig& config, std::int64_t rows,
+                               std::int64_t window) {
+  const std::int64_t heads = config.num_heads;
+  if (config.attention == AttentionKind::kMla) {
+    GrowTo(&q, rows * heads * (config.head_dim + config.rope_dim));
+    GrowTo(&q_latent, rows * config.q_lora_rank);
+    GrowTo(&k, rows * (config.kv_lora_rank + config.rope_dim));
+    GrowTo(&heads_out, rows * heads * config.v_head_dim);
+    GrowTo(&k_nope, window * heads * config.head_dim);
+    GrowTo(&v_all, window * heads * config.v_head_dim);
+  } else {
+    const std::int64_t kv_dim = config.num_kv_heads * config.head_dim;
+    GrowTo(&q, rows * heads * config.head_dim);
+    GrowTo(&k, rows * kv_dim);
+    GrowTo(&v, rows * kv_dim);
+    GrowTo(&heads_out, rows * heads * config.head_dim);
+  }
+  GrowTo(&scores, window);
+  GrowTo(&k_rows, window);
+  GrowTo(&v_rows, window);
 }
 
 namespace {
 
-// Softmax-weighted sum over scores[0..len) and values val(j) -> out.
-void AttendRow(const std::vector<float>& scores, std::int64_t len,
-               const std::function<const float*(std::int64_t)>& value_at, std::int64_t v_dim,
-               float* out) {
-  float max_s = -1e30f;
-  for (std::int64_t j = 0; j < len; ++j) {
-    max_s = std::max(max_s, scores[static_cast<std::size_t>(j)]);
-  }
-  float denom = 0.0f;
-  std::memset(out, 0, static_cast<std::size_t>(v_dim) * sizeof(float));
-  for (std::int64_t j = 0; j < len; ++j) {
-    const float w = std::exp(scores[static_cast<std::size_t>(j)] - max_s);
-    denom += w;
-    const float* v = value_at(j);
-    for (std::int64_t d = 0; d < v_dim; ++d) {
-      out[d] += w * v[d];
+// A dot product split into fixed lanes with a fixed reduction order: lane j
+// sums the products at indices = j (mod kLanes) in ascending order, then the
+// lanes fold pairwise. Plain C++ (no intrinsics), so every ISA and every
+// caller gets the same bits; the independent lanes let the compiler keep
+// several partial sums in flight instead of one serial chain.
+class LaneDot {
+ public:
+  void Add(const float* a, const float* b, std::int64_t n) {
+    std::int64_t d = 0;
+    for (; d + kLanes <= n; d += kLanes) {
+      for (int j = 0; j < kLanes; ++j) {
+        lanes_[j] += a[d + j] * b[d + j];
+      }
+    }
+    for (int j = 0; d < n; ++d, ++j) {
+      lanes_[j] += a[d] * b[d];
     }
   }
+  float Sum() const {
+    return ((lanes_[0] + lanes_[4]) + (lanes_[1] + lanes_[5])) +
+           ((lanes_[2] + lanes_[6]) + (lanes_[3] + lanes_[7]));
+  }
+
+ private:
+  static constexpr int kLanes = 8;
+  float lanes_[kLanes] = {};
+};
+
+// exp(x) for the softmax's x = score - max <= 0, in plain float arithmetic
+// (the Cephes expf reduction and polynomial, ~1 ulp): no libm call per
+// position, and the same bits on every ISA. exp(0) is exactly 1.
+inline float SoftmaxExp(float x) {
+  if (x < -87.0f) {
+    return 0.0f;  // below FLT_MIN's exponent range
+  }
+  if (x != x) {
+    return x;  // NaN propagates
+  }
+  constexpr float kLog2e = 1.44269504088896341f;
+  constexpr float kLn2Hi = 0.693359375f;
+  constexpr float kLn2Lo = -2.12194440e-4f;
+  // Round x / ln2 to nearest (x <= 0: truncating t - 0.5 rounds half away).
+  const int n = static_cast<int>(x * kLog2e - 0.5f);
+  const float nf = static_cast<float>(n);
+  float r = x - nf * kLn2Hi;
+  r = r - nf * kLn2Lo;
+  float p = 1.9875691500e-4f;
+  p = p * r + 1.3981999507e-3f;
+  p = p * r + 8.3334519073e-3f;
+  p = p * r + 4.1665795894e-2f;
+  p = p * r + 1.6666665459e-1f;
+  p = p * r + 5.0000001201e-1f;
+  const float y = p * (r * r) + r + 1.0f;
+  // Scale by 2^n through the exponent bits (n >= -126 given the clamp).
+  const std::uint32_t bits = static_cast<std::uint32_t>(n + 127) << 23;
+  float scale;
+  std::memcpy(&scale, &bits, sizeof(scale));
+  return y * scale;
+}
+
+// Softmax-weighted sum over scores[0..len) and values value_at(j) -> out.
+// Overwrites scores with the unnormalized weights. Each output element sums
+// its weighted values in ascending j, whatever the blocking below: the
+// kLanes-wide blocks only keep a block's sums in registers while j runs.
+template <class ValueAt>
+void AttendRow(float* scores, std::int64_t len, ValueAt value_at, std::int64_t v_dim,
+               float* out) {
+  constexpr std::int64_t kLanes = 8;
+  float max_s = -1e30f;
+  for (std::int64_t j = 0; j < len; ++j) {
+    max_s = std::max(max_s, scores[j]);
+  }
+  float denom = 0.0f;
+  for (std::int64_t j = 0; j < len; ++j) {
+    scores[j] = SoftmaxExp(scores[j] - max_s);
+    denom += scores[j];
+  }
   const float inv = 1.0f / denom;
-  for (std::int64_t d = 0; d < v_dim; ++d) {
-    out[d] *= inv;
+  std::int64_t d0 = 0;
+  for (; d0 + kLanes <= v_dim; d0 += kLanes) {
+    float acc[kLanes] = {};
+    for (std::int64_t j = 0; j < len; ++j) {
+      const float w = scores[j];
+      const float* v = value_at(j) + d0;
+      for (std::int64_t d = 0; d < kLanes; ++d) {
+        acc[d] += w * v[d];
+      }
+    }
+    for (std::int64_t d = 0; d < kLanes; ++d) {
+      out[d0 + d] = acc[d] * inv;
+    }
+  }
+  for (; d0 < v_dim; ++d0) {
+    float acc = 0.0f;
+    for (std::int64_t j = 0; j < len; ++j) {
+      acc += scores[j] * value_at(j)[d0];
+    }
+    out[d0] = acc * inv;
   }
 }
 
-void GqaForward(const MoeModelConfig& config, const AttentionWeights& w, const float* x,
-                std::int64_t m, std::int64_t pos0, const KvLayerView& cache, float* out) {
+// Query rows of one call that share a KV view: `rows` consecutive tokens at
+// positions [pos0, pos0 + rows). AttentionForward has one span; a decode
+// batch has one per row.
+struct RowSpan {
+  KvLayerView view;
+  std::int64_t pos0 = 0;
+  std::int64_t rows = 0;
+};
+
+// Resolves the addresses of rows [0, len) of `base(p)` once, walking the
+// view's physically-contiguous runs: one block-table lookup per run instead
+// of one per row per head.
+template <class RowAt>
+void ResolveRows(const KvLayerView& view, std::int64_t len, std::int64_t stride, RowAt base,
+                 const float** rows) {
+  for (std::int64_t p = 0; p < len;) {
+    const std::int64_t run = view.run_length(p, len);
+    const float* first = base(p);
+    for (std::int64_t r = 0; r < run; ++r) {
+      rows[p + r] = first + r * stride;
+    }
+    p += run;
+  }
+}
+
+template <class SpanAt>
+void GqaForward(const MoeModelConfig& config, const AttentionProjections& w, const float* x,
+                std::int64_t total, std::int64_t spans, SpanAt span_at, AttentionScratch* s,
+                float* out) {
   const std::int64_t hidden = config.hidden;
   const std::int64_t hd = config.head_dim;
   const int heads = config.num_heads;
@@ -84,51 +247,61 @@ void GqaForward(const MoeModelConfig& config, const AttentionWeights& w, const f
   const std::int64_t q_dim = heads * hd;
   const std::int64_t kv_dim = kv_heads * hd;
 
-  std::vector<float> q(static_cast<std::size_t>(m * q_dim));
-  RefGemm(x, m, hidden, w.wq, q.data(), q_dim);
-  // Append new K/V to the cache, with RoPE on K.
-  for (std::int64_t i = 0; i < m; ++i) {
-    const std::int64_t pos = pos0 + i;
-    float* krow = cache.k_row(pos);
-    float* vrow = cache.v_row(pos);
-    RefGemm(x + i * hidden, 1, hidden, w.wk, krow, kv_dim);
-    RefGemm(x + i * hidden, 1, hidden, w.wv, vrow, kv_dim);
-    for (int h = 0; h < kv_heads; ++h) {
-      ApplyRope(krow + h * hd, hd, pos);
-    }
-    for (int h = 0; h < heads; ++h) {
-      ApplyRope(q.data() + i * q_dim + h * hd, hd, pos);
-    }
-  }
+  float* q = s->q.data();
+  w.wq.Apply(x, total, hidden, q, q_dim);
+  w.wk.Apply(x, total, hidden, s->k.data(), kv_dim);
+  w.wv.Apply(x, total, hidden, s->v.data(), kv_dim);
 
   const float scale = 1.0f / std::sqrt(static_cast<float>(hd));
-  std::vector<float> attn_out(static_cast<std::size_t>(m * q_dim));
-  std::vector<float> scores;
-  for (std::int64_t i = 0; i < m; ++i) {
-    const std::int64_t len = pos0 + i + 1;  // causal window
-    scores.resize(static_cast<std::size_t>(len));
-    for (int h = 0; h < heads; ++h) {
-      const int kvh = h / group;
-      const float* qh = q.data() + i * q_dim + h * hd;
-      for (std::int64_t j = 0; j < len; ++j) {
-        const float* kj = cache.k_row(j) + kvh * hd;
-        float dot = 0.0f;
-        for (std::int64_t d = 0; d < hd; ++d) {
-          dot += qh[d] * kj[d];
-        }
-        scores[static_cast<std::size_t>(j)] = dot * scale;
+  float* scores = s->scores.data();
+  const float** k_rows = s->k_rows.data();
+  const float** v_rows = s->v_rows.data();
+  std::int64_t row = 0;
+  for (std::int64_t sp = 0; sp < spans; ++sp) {
+    const RowSpan span = span_at(sp);
+    const KvLayerView& cache = span.view;
+    for (std::int64_t i = 0; i < span.rows; ++i, ++row) {
+      // Append this row's K/V (RoPE on K) before it attends: row i reads
+      // positions <= its own, which earlier rows of the span have written.
+      const std::int64_t pos = span.pos0 + i;
+      s->rope.Set(hd, pos);
+      float* krow = cache.k_row(pos);
+      std::memcpy(krow, s->k.data() + row * kv_dim,
+                  static_cast<std::size_t>(kv_dim) * sizeof(float));
+      std::memcpy(cache.v_row(pos), s->v.data() + row * kv_dim,
+                  static_cast<std::size_t>(kv_dim) * sizeof(float));
+      for (int h = 0; h < kv_heads; ++h) {
+        s->rope.Apply(krow + h * hd);
       }
-      AttendRow(
-          scores, len,
-          [&](std::int64_t j) { return cache.v_row(j) + kvh * hd; }, hd,
-          attn_out.data() + i * q_dim + h * hd);
+      float* q_row = q + row * q_dim;
+      for (int h = 0; h < heads; ++h) {
+        s->rope.Apply(q_row + h * hd);
+      }
+
+      const std::int64_t len = pos + 1;  // causal window
+      ResolveRows(cache, len, kv_dim, [&](std::int64_t p) { return cache.k_row(p); }, k_rows);
+      ResolveRows(cache, len, kv_dim, [&](std::int64_t p) { return cache.v_row(p); }, v_rows);
+      for (int h = 0; h < heads; ++h) {
+        const std::int64_t kv_off = (h / group) * hd;
+        const float* qh = q_row + h * hd;
+        for (std::int64_t j = 0; j < len; ++j) {
+          LaneDot dot;
+          dot.Add(qh, k_rows[j] + kv_off, hd);
+          scores[j] = dot.Sum() * scale;
+        }
+        AttendRow(
+            scores, len, [&](std::int64_t j) { return v_rows[j] + kv_off; }, hd,
+            s->heads_out.data() + row * q_dim + h * hd);
+      }
     }
   }
-  RefGemm(attn_out.data(), m, q_dim, w.wo, out, hidden);
+  w.wo.Apply(s->heads_out.data(), total, q_dim, out, hidden);
 }
 
-void MlaForward(const MoeModelConfig& config, const AttentionWeights& w, const float* x,
-                std::int64_t m, std::int64_t pos0, const KvLayerView& cache, float* out) {
+template <class SpanAt>
+void MlaForward(const MoeModelConfig& config, const AttentionProjections& w, const float* x,
+                std::int64_t total, std::int64_t spans, SpanAt span_at, AttentionScratch* s,
+                float* out) {
   const std::int64_t hidden = config.hidden;
   const std::int64_t nope = config.head_dim;
   const std::int64_t rope = config.rope_dim;
@@ -139,100 +312,142 @@ void MlaForward(const MoeModelConfig& config, const AttentionWeights& w, const f
   const std::int64_t q_dim = heads * qk_head;
 
   // Query path: optional low-rank compression, then up-projection.
-  std::vector<float> q(static_cast<std::size_t>(m * q_dim));
+  float* q = s->q.data();
   if (config.q_lora_rank > 0) {
-    std::vector<float> cq(static_cast<std::size_t>(m * config.q_lora_rank));
-    RefGemm(x, m, hidden, w.w_dq, cq.data(), config.q_lora_rank);
-    RefGemm(cq.data(), m, config.q_lora_rank, w.w_uq, q.data(), q_dim);
+    w.w_dq.Apply(x, total, hidden, s->q_latent.data(), config.q_lora_rank);
+    w.w_uq.Apply(s->q_latent.data(), total, config.q_lora_rank, q, q_dim);
   } else {
-    RefGemm(x, m, hidden, w.w_uq, q.data(), q_dim);
+    w.w_uq.Apply(x, total, hidden, q, q_dim);
   }
-
-  // Joint KV compression: [kv_lora | rope] per new position, appended to
-  // cache; RoPE on the decoupled key part and on each query's rope part.
-  std::vector<float> dkv(static_cast<std::size_t>(lora + rope));
-  for (std::int64_t i = 0; i < m; ++i) {
-    const std::int64_t pos = pos0 + i;
-    RefGemm(x + i * hidden, 1, hidden, w.w_dkv, dkv.data(), lora + rope);
-    std::memcpy(cache.ckv_row(pos), dkv.data(), static_cast<std::size_t>(lora) * sizeof(float));
-    float* krope = cache.k_rope_row(pos);
-    std::memcpy(krope, dkv.data() + lora, static_cast<std::size_t>(rope) * sizeof(float));
-    ApplyRope(krope, rope, pos);
-    for (int h = 0; h < heads; ++h) {
-      ApplyRope(q.data() + i * q_dim + h * qk_head + nope, rope, pos);
-    }
-  }
-
-  // Materialize per-position K(nope)/V from the latent for the whole window.
-  // Each GEMM row depends only on its own latent row, so running the GEMM per
-  // physically-contiguous run (whole window when contiguous, per block when
-  // paged) is bit-identical to one whole-window GEMM.
-  const std::int64_t window = pos0 + m;
-  std::vector<float> k_nope(static_cast<std::size_t>(window * heads * nope));
-  std::vector<float> v_all(static_cast<std::size_t>(window * heads * vd));
-  for (std::int64_t p = 0; p < window;) {
-    const std::int64_t run = cache.run_length(p, window);
-    RefGemm(cache.ckv_row(p), run, lora, w.w_uk, k_nope.data() + p * heads * nope, heads * nope);
-    RefGemm(cache.ckv_row(p), run, lora, w.w_uv, v_all.data() + p * heads * vd, heads * vd);
-    p += run;
-  }
+  // Joint KV compression [kv_lora | rope] of every new row.
+  float* dkv = s->k.data();
+  w.w_dkv.Apply(x, total, hidden, dkv, lora + rope);
 
   const float scale = 1.0f / std::sqrt(static_cast<float>(qk_head));
-  std::vector<float> attn_out(static_cast<std::size_t>(m * heads * vd));
-  std::vector<float> scores;
-  for (std::int64_t i = 0; i < m; ++i) {
-    const std::int64_t len = pos0 + i + 1;
-    scores.resize(static_cast<std::size_t>(len));
-    for (int h = 0; h < heads; ++h) {
-      const float* qh = q.data() + i * q_dim + h * qk_head;
-      for (std::int64_t j = 0; j < len; ++j) {
-        const float* kj = k_nope.data() + (j * heads + h) * nope;
-        const float* krope = cache.k_rope_row(j);
-        float dot = 0.0f;
-        for (std::int64_t d = 0; d < nope; ++d) {
-          dot += qh[d] * kj[d];
-        }
-        for (std::int64_t d = 0; d < rope; ++d) {
-          dot += qh[nope + d] * krope[d];
-        }
-        scores[static_cast<std::size_t>(j)] = dot * scale;
+  float* scores = s->scores.data();
+  const float** k_rope_rows = s->k_rows.data();
+  std::int64_t row0 = 0;
+  for (std::int64_t sp = 0; sp < spans; ++sp) {
+    const RowSpan span = span_at(sp);
+    const KvLayerView& cache = span.view;
+    // Append the span's latents; RoPE on the decoupled key part and on each
+    // query's rope part.
+    for (std::int64_t i = 0; i < span.rows; ++i) {
+      const std::int64_t pos = span.pos0 + i;
+      const float* dkv_row = dkv + (row0 + i) * (lora + rope);
+      s->rope.Set(rope, pos);
+      std::memcpy(cache.ckv_row(pos), dkv_row, static_cast<std::size_t>(lora) * sizeof(float));
+      float* krope = cache.k_rope_row(pos);
+      std::memcpy(krope, dkv_row + lora, static_cast<std::size_t>(rope) * sizeof(float));
+      s->rope.Apply(krope);
+      for (int h = 0; h < heads; ++h) {
+        s->rope.Apply(q + (row0 + i) * q_dim + h * qk_head + nope);
       }
-      AttendRow(
-          scores, len,
-          [&](std::int64_t j) { return v_all.data() + (j * heads + h) * vd; }, vd,
-          attn_out.data() + (i * heads + h) * vd);
     }
+
+    // Materialize per-position K(nope)/V from the latent for the whole
+    // window. Each GEMM row depends only on its own latent row, so running
+    // the GEMM per physically-contiguous run (whole window when contiguous,
+    // per block when paged) is bit-identical to one whole-window GEMM.
+    const std::int64_t window = span.pos0 + span.rows;
+    for (std::int64_t p = 0; p < window;) {
+      const std::int64_t run = cache.run_length(p, window);
+      w.w_uk.Apply(cache.ckv_row(p), run, lora, s->k_nope.data() + p * heads * nope,
+                   heads * nope);
+      w.w_uv.Apply(cache.ckv_row(p), run, lora, s->v_all.data() + p * heads * vd, heads * vd);
+      p += run;
+    }
+    ResolveRows(cache, window, rope, [&](std::int64_t p) { return cache.k_rope_row(p); },
+                k_rope_rows);
+
+    for (std::int64_t i = 0; i < span.rows; ++i) {
+      const std::int64_t row = row0 + i;
+      const std::int64_t len = span.pos0 + i + 1;
+      for (int h = 0; h < heads; ++h) {
+        const float* qh = q + row * q_dim + h * qk_head;
+        for (std::int64_t j = 0; j < len; ++j) {
+          LaneDot dot;
+          dot.Add(qh, s->k_nope.data() + (j * heads + h) * nope, nope);
+          dot.Add(qh + nope, k_rope_rows[j], rope);
+          scores[j] = dot.Sum() * scale;
+        }
+        const float* v_all = s->v_all.data();
+        AttendRow(
+            scores, len, [&](std::int64_t j) { return v_all + (j * heads + h) * vd; }, vd,
+            s->heads_out.data() + (row * heads + h) * vd);
+      }
+    }
+    row0 += span.rows;
   }
-  RefGemm(attn_out.data(), m, heads * vd, w.wo, out, hidden);
+  w.wo.Apply(s->heads_out.data(), total, heads * vd, out, hidden);
 }
 
-}  // namespace
+template <class SpanAt>
+void RunAttention(const MoeModelConfig& config, const AttentionProjections& w, const float* x,
+                  std::int64_t total, std::int64_t spans, SpanAt span_at, AttentionScratch* s,
+                  float* out) {
+  if (config.attention == AttentionKind::kMla) {
+    MlaForward(config, w, x, total, spans, span_at, s, out);
+  } else {
+    GqaForward(config, w, x, total, spans, span_at, s, out);
+  }
+}
 
-Status AttentionForward(const MoeModelConfig& config, const AttentionWeights& w, const float* x,
-                        std::int64_t m, std::int64_t pos0, const KvLayerView& cache, float* out) {
+Status CheckCapacity(const MoeModelConfig& config, const KvLayerView& cache, std::int64_t pos0,
+                     std::int64_t m) {
   if (pos0 + m > config.max_seq || pos0 + m > cache.capacity_rows()) {
     return ResourceExhaustedError(
         "KV cache overflow: positions [" + std::to_string(pos0) + ", " +
         std::to_string(pos0 + m) + ") exceed max_seq " + std::to_string(config.max_seq) +
         " or prepared rows " + std::to_string(cache.capacity_rows()));
   }
-  if (config.attention == AttentionKind::kMla) {
-    MlaForward(config, w, x, m, pos0, cache, out);
-  } else {
-    GqaForward(config, w, x, m, pos0, cache, out);
+  return OkStatus();
+}
+
+}  // namespace
+
+Status AttentionForward(const MoeModelConfig& config, const AttentionProjections& w,
+                        const float* x, std::int64_t m, std::int64_t pos0,
+                        const KvLayerView& cache, AttentionScratch* scratch, float* out) {
+  KTX_RETURN_IF_ERROR(CheckCapacity(config, cache, pos0, m));
+  scratch->Reserve(config, m, pos0 + m);
+  const RowSpan span{cache, pos0, m};
+  RunAttention(config, w, x, m, 1, [&span](std::int64_t) { return span; }, scratch, out);
+  return OkStatus();
+}
+
+Status AttentionForward(const MoeModelConfig& config, const AttentionWeights& w, const float* x,
+                        std::int64_t m, std::int64_t pos0, const KvLayerView& cache, float* out) {
+  AttentionScratch scratch;
+  return AttentionForward(config, AttentionProjections(w), x, m, pos0, cache, &scratch, out);
+}
+
+Status AttentionDecodeBatch(const MoeModelConfig& config, const AttentionProjections& w,
+                            const float* x, std::int64_t rows, const std::int64_t* positions,
+                            KvCache* const* caches, int layer, AttentionScratch* scratch,
+                            float* out) {
+  std::int64_t window = 0;
+  for (std::int64_t r = 0; r < rows; ++r) {
+    const Status status = CheckCapacity(config, caches[r]->layer(layer), positions[r], 1);
+    if (!status.ok()) {
+      return status.WithContext("decode batch row " + std::to_string(r));
+    }
+    window = std::max(window, positions[r] + 1);
   }
+  scratch->Reserve(config, rows, window);
+  RunAttention(
+      config, w, x, rows, rows,
+      [&](std::int64_t r) { return RowSpan{caches[r]->layer(layer), positions[r], 1}; },
+      scratch, out);
   return OkStatus();
 }
 
 Status AttentionDecodeBatch(const MoeModelConfig& config, const AttentionWeights& w,
                             const float* x, std::int64_t rows, const std::int64_t* positions,
                             KvCache* const* caches, int layer, float* out) {
-  for (std::int64_t r = 0; r < rows; ++r) {
-    KTX_RETURN_IF_ERROR(AttentionForward(config, w, x + r * config.hidden, /*m=*/1, positions[r],
-                                         caches[r]->layer(layer), out + r * config.hidden)
-                            .WithContext("decode batch row " + std::to_string(r)));
-  }
-  return OkStatus();
+  AttentionScratch scratch;
+  return AttentionDecodeBatch(config, AttentionProjections(w), x, rows, positions, caches, layer,
+                              &scratch, out);
 }
 
 AttentionCost EstimateAttentionCost(const MoeModelConfig& config, std::int64_t m,

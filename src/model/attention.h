@@ -1,19 +1,25 @@
-// Reference attention implementations: GQA (Qwen2-style) and MLA
-// (DeepSeek-style multi-head latent attention).
+// Attention: GQA (Qwen2-style) and MLA (DeepSeek-style multi-head latent
+// attention).
 //
-// These are the f32 ground-truth kernels. In the hybrid engine they run as
-// vcuda GPU kernels (the paper injects FlashInfer's MLA kernel here); the
-// math is identical. The MLA path materializes per-position keys/values from
-// the cached latent on every step — the paper's matrix-absorption optimization
-// changes arithmetic cost, not results, so it is modeled in the cost model
-// rather than re-implemented.
+// One implementation serves both planes. Projections go through Linear
+// handles (linear.h): RefModel passes the weight tensors (RefGemm, the f32
+// ground truth); the hybrid engine passes its f32-packed copies (the kernel
+// registry's GemmPacked), where they run as vcuda GPU kernels (the paper
+// injects FlashInfer's MLA kernel here). Every projection covers all rows of
+// a call in one GEMM. The MLA path materializes per-position keys/values from
+// the cached latent on every step — the paper's matrix-absorption
+// optimization changes arithmetic cost, not results, so it is modeled in the
+// cost model rather than re-implemented.
 
 #ifndef KTX_SRC_MODEL_ATTENTION_H_
 #define KTX_SRC_MODEL_ATTENTION_H_
 
+#include <vector>
+
 #include "src/common/status.h"
 #include "src/model/config.h"
 #include "src/model/kv_cache.h"
+#include "src/model/linear.h"
 #include "src/tensor/tensor.h"
 
 namespace ktx {
@@ -33,9 +39,56 @@ struct AttentionWeights {
   Tensor wo;  // [hidden, heads*{head_dim|v_head_dim}]
 };
 
+// The projections of one attention layer as Linear handles: built from an
+// AttentionWeights they run RefGemm; the engine builds them over its packed
+// f32 copies.
+struct AttentionProjections {
+  AttentionProjections() = default;
+  explicit AttentionProjections(const AttentionWeights& w);
+
+  Linear wq, wk, wv;                     // GQA
+  Linear w_dq, w_uq, w_dkv, w_uk, w_uv;  // MLA (w_dq only when q_lora_rank > 0)
+  Linear wo;                             // both
+};
+
+// The RoPE rotation at one position (theta base 10000): cos/sin of every
+// (even, odd) pair of a `dim`-wide vector, computed once and applied to as
+// many heads as share the position.
+class RopeRotation {
+ public:
+  void Set(std::int64_t dim, std::int64_t pos);
+  void Apply(float* vec) const;
+
+ private:
+  std::vector<float> cos_;
+  std::vector<float> sin_;
+};
+
 // Rotates `dim` leading values of vec in (even, odd) pairs by position
 // `pos` (theta base 10000) — standard RoPE.
 void ApplyRope(float* vec, std::int64_t dim, std::int64_t pos);
+
+// Working memory of one attention call, reused across calls: buffers grow on
+// demand and never shrink, so a caller that keeps one alive (the engine's
+// decode buffers) runs attention without heap allocations once it is warm.
+struct AttentionScratch {
+  // Sizes every buffer for `rows` query rows attending over windows of up to
+  // `window` positions. Calls grow it themselves; callers that must not
+  // allocate later (the decode path) reserve the worst case up front.
+  void Reserve(const MoeModelConfig& config, std::int64_t rows, std::int64_t window);
+
+  std::vector<float> q;         // [rows, q_dim] queries
+  std::vector<float> q_latent;  // [rows, q_lora_rank] (MLA)
+  std::vector<float> k;         // [rows, kv_dim] new keys (MLA: [rows, lora+rope])
+  std::vector<float> v;         // [rows, kv_dim] new values (GQA)
+  std::vector<float> heads_out; // [rows, heads * v_dim] pre-wo attention output
+  std::vector<float> scores;    // [window]
+  std::vector<const float*> k_rows;  // [window] resolved KV row addresses
+  std::vector<const float*> v_rows;
+  std::vector<float> k_nope;    // [window, heads * head_dim] (MLA)
+  std::vector<float> v_all;     // [window, heads * v_head_dim] (MLA)
+  RopeRotation rope;
+};
 
 // Processes `m` new tokens whose first absolute position is `pos0`
 // (the cache already holds positions [0, pos0)). Appends to the cache through
@@ -46,16 +99,25 @@ void ApplyRope(float* vec, std::int64_t dim, std::int64_t pos);
 // touching the cache — when [pos0, pos0+m) overflows config.max_seq or the
 // view's prepared capacity; engine Try* entry points propagate this instead
 // of aborting.
+Status AttentionForward(const MoeModelConfig& config, const AttentionProjections& w,
+                        const float* x, std::int64_t m, std::int64_t pos0,
+                        const KvLayerView& cache, AttentionScratch* scratch, float* out);
+// Reference spelling: RefGemm projections and call-local scratch.
 Status AttentionForward(const MoeModelConfig& config, const AttentionWeights& w, const float* x,
                         std::int64_t m, std::int64_t pos0, const KvLayerView& cache, float* out);
 
 // Batched decode: `rows` independent single-token streams, one per row of
 // x[rows, hidden]. Row r attends against caches[r]->layer(layer) at absolute
-// position positions[r]. Each row runs the exact m=1 AttentionForward math, so
+// position positions[r]. Projections run once over all rows; each row's
+// attention core is the m=1 AttentionForward math against its own cache, so
 // outputs are bit-identical to `rows` sequential single-session decode steps
-// in any batch composition. Stops at the first row whose append would
-// overflow (earlier rows' cache writes stand; the caller's position
-// accounting is untouched because positions only advance after a full step).
+// in any batch composition. Every row's capacity is checked before any cache
+// is written: an overflow returns kResourceExhausted and writes nothing.
+Status AttentionDecodeBatch(const MoeModelConfig& config, const AttentionProjections& w,
+                            const float* x, std::int64_t rows, const std::int64_t* positions,
+                            KvCache* const* caches, int layer, AttentionScratch* scratch,
+                            float* out);
+// Reference spelling: RefGemm projections and call-local scratch.
 Status AttentionDecodeBatch(const MoeModelConfig& config, const AttentionWeights& w,
                             const float* x, std::int64_t rows, const std::int64_t* positions,
                             KvCache* const* caches, int layer, float* out);

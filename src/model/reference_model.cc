@@ -11,21 +11,20 @@
 
 namespace ktx {
 
-// out[tokens, hidden] += SwiGLU dense FFN of x.
-void DenseFfnAdd(const Tensor& gate, const Tensor& up, const Tensor& down, const float* x,
-                 std::int64_t tokens, std::int64_t hidden, float* out) {
-  const std::int64_t inter = gate.dim(0);
-  std::vector<float> g(static_cast<std::size_t>(inter));
-  std::vector<float> u(static_cast<std::size_t>(inter));
-  std::vector<float> a(static_cast<std::size_t>(inter));
-  std::vector<float> o(static_cast<std::size_t>(hidden));
-  for (std::int64_t t = 0; t < tokens; ++t) {
-    RefGemm(x + t * hidden, 1, hidden, gate, g.data(), inter);
-    RefGemm(x + t * hidden, 1, hidden, up, u.data(), inter);
-    SiluMul(g.data(), u.data(), a.data(), inter);
-    RefGemm(a.data(), 1, inter, down, o.data(), hidden);
-    AddInPlace(out + t * hidden, o.data(), hidden);
+void DenseFfnAdd(const Linear& gate, const Linear& up, const Linear& down, const float* x,
+                 std::int64_t tokens, std::int64_t hidden, FfnScratch* scratch, float* out) {
+  const std::int64_t inter = gate.out_features();
+  const auto n = static_cast<std::size_t>(tokens * inter);
+  if (scratch->gate.size() < n) {
+    scratch->gate.resize(n);
+    scratch->up.resize(n);
   }
+  float* g = scratch->gate.data();
+  float* u = scratch->up.data();
+  gate.Apply(x, tokens, hidden, g, inter);
+  up.Apply(x, tokens, hidden, u, inter);
+  SiluMul(g, u, g, tokens * inter);
+  down.Apply(g, tokens, inter, out, hidden, /*accumulate=*/true);
 }
 
 RefModel::RefModel(MoeModelConfig config, std::shared_ptr<const ModelWeights> weights)
@@ -58,6 +57,7 @@ Tensor RefModel::Forward(const std::vector<int>& tokens, KvCache* cache,
 
   Tensor normed({m, hidden}, DType::kF32);
   Tensor attn_out({m, hidden}, DType::kF32);
+  FfnScratch ffn_scratch;
   Tensor pending_deferred;  // R_{k-1}^def(I_{k-1}), empty when none
   const int last_moe_layer = config_.num_layers - 1;
 
@@ -78,7 +78,8 @@ Tensor RefModel::Forward(const std::vector<int>& tokens, KvCache* cache,
       RmsNorm(x.f32() + t * hidden, lw.ffn_norm.f32(), normed.f32() + t * hidden, hidden);
     }
     if (!config_.is_moe_layer(l)) {
-      DenseFfnAdd(lw.dense_gate, lw.dense_up, lw.dense_down, normed.f32(), m, hidden, x.f32());
+      DenseFfnAdd(lw.dense_gate, lw.dense_up, lw.dense_down, normed.f32(), m, hidden,
+                  &ffn_scratch, x.f32());
       continue;
     }
 
@@ -86,7 +87,7 @@ Tensor RefModel::Forward(const std::vector<int>& tokens, KvCache* cache,
     Tensor moe_out({m, hidden}, DType::kF32);
     if (config_.n_shared_experts > 0) {
       DenseFfnAdd(lw.shared_gate, lw.shared_up, lw.shared_down, normed.f32(), m, hidden,
-               moe_out.f32());
+                  &ffn_scratch, moe_out.f32());
     }
     const MoeRouting routing =
         ComputeRouting(config_, lw.router, lw.router_bias, normed.f32(), m);

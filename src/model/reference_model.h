@@ -20,6 +20,7 @@
 
 #include "src/model/config.h"
 #include "src/model/kv_cache.h"
+#include "src/model/linear.h"
 #include "src/model/weights.h"
 
 namespace ktx {
@@ -57,11 +58,18 @@ class RefModel {
 // Argmax over the last row of a [tokens, vocab] logits tensor.
 int ArgmaxLastToken(const Tensor& logits);
 
+// Working memory of DenseFfnAdd, reused across calls (grown on demand).
+struct FfnScratch {
+  std::vector<float> gate;  // [tokens, inter], then the SwiGLU activation
+  std::vector<float> up;    // [tokens, inter]
+};
+
 // out[tokens, hidden] += SwiGLU(x W_gate^T, x W_up^T) W_down^T — the dense /
-// shared-expert FFN. Shared by the reference model and the hybrid engine's
-// GPU-side shared-expert kernel.
-void DenseFfnAdd(const Tensor& gate, const Tensor& up, const Tensor& down, const float* x,
-                 std::int64_t tokens, std::int64_t hidden, float* out);
+// shared-expert FFN. Shared by the reference model (weight tensors) and the
+// hybrid engine's GPU-side dense / shared-expert kernels (packed f32); each
+// projection runs once over all rows.
+void DenseFfnAdd(const Linear& gate, const Linear& up, const Linear& down, const float* x,
+                 std::int64_t tokens, std::int64_t hidden, FfnScratch* scratch, float* out);
 
 }  // namespace ktx
 

@@ -7,6 +7,8 @@
 #include "src/common/rng.h"
 #include "src/cpu/gemm.h"
 #include "src/model/attention.h"
+#include "src/model/kv_block_pool.h"
+#include "src/model/packed_weights.h"
 #include "src/model/weights.h"
 
 namespace ktx {
@@ -162,6 +164,72 @@ TEST_P(AttentionKindTest, IncrementalMatchesBatched) {
 
 INSTANTIATE_TEST_SUITE_P(Kinds, AttentionKindTest,
                          ::testing::Values(AttentionKind::kGqa, AttentionKind::kMla));
+
+// Packed f32 projections (the engine's GemmPacked path) against the RefGemm
+// projections RefModel uses: the same attention math, so only the GEMMs'
+// accumulation differs (f32 fma chains vs double sums) and the outputs agree
+// to f32 rounding. One multi-token chunk, then single-token steps.
+enum class ParityConfig { kGqa, kMla, kGqaOddWidth };
+
+MoeModelConfig ParityModel(ParityConfig which) {
+  switch (which) {
+    case ParityConfig::kGqa:
+      return TinyMoeConfig();
+    case ParityConfig::kMla:
+      return TinyMlaConfig();  // w_dkv is 40 wide: a padded last n-block
+    case ParityConfig::kGqaOddWidth: {
+      MoeModelConfig c = TinyMoeConfig();
+      c.head_dim = 10;  // q 40 / kv 20 wide: padded n-blocks, and wo's k = 40
+      return c;
+    }
+  }
+  return TinyMoeConfig();
+}
+
+class PackedParityTest : public ::testing::TestWithParam<std::tuple<ParityConfig, bool>> {};
+
+TEST_P(PackedParityTest, PackedMatchesRefGemmProjections) {
+  const MoeModelConfig config = ParityModel(std::get<0>(GetParam()));
+  const bool paged = std::get<1>(GetParam());
+  const ModelWeights weights = ModelWeights::Generate(config, 41);
+  const PackedModelWeights packed(config, weights, ResolveProjectionVariant());
+  const AttentionWeights& ref = weights.layers[0].attn;
+
+  constexpr std::int64_t kChunk = 6;
+  constexpr std::int64_t kSteps = 3;
+  KvPoolOptions pool_options;
+  pool_options.block_size = 4;  // the chunk spans blocks; steps cross an edge
+  pool_options.num_blocks = 8;
+  KvBlockPool ref_pool(config, pool_options);
+  KvBlockPool packed_pool(config, pool_options);
+  KvCache ref_cache = paged ? KvCache(config, &ref_pool) : KvCache(config);
+  KvCache packed_cache = paged ? KvCache(config, &packed_pool) : KvCache(config);
+  ASSERT_TRUE(ref_cache.PrepareAppend(kChunk + kSteps).ok());
+  ASSERT_TRUE(packed_cache.PrepareAppend(kChunk + kSteps).ok());
+
+  Rng rng(42);
+  const Tensor x = Tensor::Randn({kChunk + kSteps, config.hidden}, rng, 0.5f);
+  AttentionScratch scratch;
+  std::int64_t pos = 0;
+  for (const std::int64_t m : {kChunk, std::int64_t{1}, std::int64_t{1}, std::int64_t{1}}) {
+    const float* rows = x.f32() + pos * config.hidden;
+    Tensor ref_out({m, config.hidden}, DType::kF32);
+    Tensor packed_out({m, config.hidden}, DType::kF32);
+    ASSERT_TRUE(
+        AttentionForward(config, ref, rows, m, pos, ref_cache.layer(0), ref_out.f32()).ok());
+    ASSERT_TRUE(AttentionForward(config, packed.layer(0).attn, rows, m, pos,
+                                 packed_cache.layer(0), &scratch, packed_out.f32())
+                    .ok());
+    EXPECT_LE(RelativeError(packed_out, ref_out), 1e-5f) << "m=" << m << " pos=" << pos;
+    pos += m;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Configs, PackedParityTest,
+    ::testing::Combine(::testing::Values(ParityConfig::kGqa, ParityConfig::kMla,
+                                         ParityConfig::kGqaOddWidth),
+                       ::testing::Bool()));
 
 TEST(AttentionCostTest, MonotoneInTokensAndContext) {
   const MoeModelConfig config = DeepSeekV3Config();

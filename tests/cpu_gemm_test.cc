@@ -253,6 +253,31 @@ TEST(GemmTest, AccumulateAddsToExisting) {
   }
 }
 
+TEST(GemmTest, RefGemmIsOneSerialDoubleSumPerOutput) {
+  // RefGemm runs several outputs side by side; each must still be the plain
+  // ascending-k double sum, bit for bit, including the leftover outputs past
+  // the last full group (n = 7) and with accumulate.
+  Rng rng(12);
+  Tensor w = Tensor::Randn({7, 45}, rng);
+  Tensor x = Tensor::Randn({3, 45}, rng);
+  for (const bool accumulate : {false, true}) {
+    Tensor y = Tensor::Randn({3, 7}, rng);
+    Tensor expect = y.Clone();
+    RefGemm(x.f32(), 3, 45, w, y.f32(), 7, accumulate);
+    for (std::int64_t i = 0; i < 3; ++i) {
+      for (std::int64_t j = 0; j < 7; ++j) {
+        double acc = 0.0;
+        for (std::int64_t c = 0; c < 45; ++c) {
+          acc += static_cast<double>(x.f32()[i * 45 + c]) * w.f32()[j * 45 + c];
+        }
+        float& e = expect.f32()[i * 7 + j];
+        e = accumulate ? e + static_cast<float>(acc) : static_cast<float>(acc);
+      }
+    }
+    EXPECT_EQ(MaxAbsDiff(y, expect), 0.0f) << "accumulate=" << accumulate;
+  }
+}
+
 TEST(GemmTest, NbRangeComputesBandOnly) {
   Rng rng(10);
   Tensor w = Tensor::Randn({48, 64}, rng);

@@ -6,7 +6,9 @@
 // control blocks, no per-call staging vectors, no thread-local scratch growth.
 // This is the property the persistent MoeWorkspace + ParallelRun substrate
 // exists to provide; any regression (someone reintroducing a std::vector or
-// std::function on the hot path) fails loudly here.
+// std::function on the hot path) fails loudly here. The same property is
+// asserted for the vGPU plane's ops (attention, gating, shared / dense FFN,
+// lm_head) on warm batch-1 and batch-4 paged decode steps.
 //
 // The counters are enabled only inside the measured window so gtest's own
 // bookkeeping does not pollute the count. The test binary is single-purpose:
@@ -33,6 +35,12 @@
 #include "src/common/thread_pool.h"
 #include "src/cpu/kernel_registry.h"
 #include "src/cpu/moe_cpu.h"
+#include "src/model/attention.h"
+#include "src/model/gating.h"
+#include "src/model/kv_block_pool.h"
+#include "src/model/packed_weights.h"
+#include "src/model/reference_model.h"
+#include "src/model/weights.h"
 
 namespace {
 
@@ -318,6 +326,99 @@ TEST(MoeAllocTest, EverySelectableVariantDecodesAllocationFree) {
   // on any host, all 6 on a full AMX + AVX-512 + AVX2 machine.
   EXPECT_GE(variants_exercised, 3);
 }
+
+// The engine's vGPU plane — attention, gating, shared / dense FFN and
+// lm_head on the packed f32 weights — with its working memory in caller-owned
+// scratch, as the engine's decode buffers hold it. Once one batch-1 and one
+// batch-4 paged decode step have run, further steps allocate nothing.
+class VgpuAllocTest : public ::testing::TestWithParam<AttentionKind> {};
+
+TEST_P(VgpuAllocTest, WarmPagedDecodeStepsAreAllocationFree) {
+  const MoeModelConfig config =
+      GetParam() == AttentionKind::kMla ? TinyMlaConfig() : SmallMoeConfig();
+  const ModelWeights weights = ModelWeights::Generate(config, 17);
+  const PackedModelWeights packed(config, weights, ResolveProjectionVariant());
+  const std::int64_t hidden = config.hidden;
+  constexpr int kRows = 4;
+  constexpr std::int64_t kContext = 20;  // steps cross the 16-row block edge
+  constexpr int kSteps = 8;              // per row, warmup included
+
+  KvPoolOptions pool_options;
+  pool_options.num_blocks =
+      kRows * ((kContext + kSteps) / pool_options.block_size + 1);
+  KvBlockPool pool(config, pool_options);
+  Rng rng(23);
+  const Tensor context = Tensor::Randn({kContext, hidden}, rng, 0.5f);
+  Tensor out({kContext, hidden}, DType::kF32);
+  AttentionScratch attn_scratch;
+  std::vector<std::unique_ptr<KvCache>> caches;
+  std::vector<KvCache*> cache_ptrs;
+  for (int r = 0; r < kRows; ++r) {
+    caches.push_back(std::make_unique<KvCache>(config, &pool));
+    KvCache& cache = *caches.back();
+    // Every row the steps will append is reserved here: block-table growth
+    // belongs to the KV layer, not to the vGPU ops under test.
+    ASSERT_TRUE(cache.PrepareAppend(kContext + kSteps).ok());
+    const std::int64_t len = kContext - r;  // rows at different positions
+    for (int l = 0; l < config.num_layers; ++l) {
+      ASSERT_TRUE(AttentionForward(config, packed.layer(l).attn, context.f32(), len, 0,
+                                   cache.layer(l), &attn_scratch, out.f32())
+                      .ok());
+    }
+    cache.Advance(len);
+    cache_ptrs.push_back(&cache);
+  }
+
+  // Scratch as HybridEngine::DecodeBuffers holds it: attention reserved for
+  // the longest window, the rest grown by the warmup steps.
+  attn_scratch.Reserve(config, kRows, config.max_seq);
+  GatingScratch gating_scratch;
+  FfnScratch ffn_scratch;
+  MoeRouting routing;
+  const Tensor x = Tensor::Randn({kRows, hidden}, rng, 0.5f);
+  Tensor y({kRows, hidden}, DType::kF32);
+  Tensor logits({kRows, config.vocab}, DType::kF32);
+  std::vector<std::int64_t> positions(kRows, 0);
+  bool all_ok = true;
+  auto step = [&](int rows) {
+    for (int r = 0; r < rows; ++r) {
+      positions[static_cast<std::size_t>(r)] = cache_ptrs[static_cast<std::size_t>(r)]->position();
+    }
+    for (int l = 0; l < config.num_layers; ++l) {
+      const PackedModelWeights::Layer& pl = packed.layer(l);
+      all_ok &= AttentionDecodeBatch(config, pl.attn, x.f32(), rows, positions.data(),
+                                     cache_ptrs.data(), l, &attn_scratch, y.f32())
+                    .ok();
+      if (config.is_moe_layer(l)) {
+        ComputeRouting(config, pl.router, weights.layers[static_cast<std::size_t>(l)].router_bias,
+                       x.f32(), rows, &gating_scratch, &routing);
+      }
+      DenseFfnAdd(pl.ffn_gate, pl.ffn_up, pl.ffn_down, x.f32(), rows, hidden, &ffn_scratch,
+                  y.f32());
+    }
+    packed.lm_head().Apply(x.f32(), rows, hidden, logits.f32(), config.vocab);
+    for (int r = 0; r < rows; ++r) {
+      cache_ptrs[static_cast<std::size_t>(r)]->Advance(1);
+    }
+  };
+
+  step(1);
+  step(kRows);
+  g_alloc_events.store(0, std::memory_order_relaxed);
+  g_count_allocs.store(true, std::memory_order_seq_cst);
+  for (int i = 2; i < kSteps; i += 2) {
+    step(1);
+    step(kRows);
+  }
+  g_count_allocs.store(false, std::memory_order_seq_cst);
+
+  EXPECT_TRUE(all_ok);
+  EXPECT_EQ(g_alloc_events.load(), 0) << "warm vGPU decode steps performed heap allocations";
+  EXPECT_EQ(routing.tokens, kRows);  // the loop really routed the last batch
+}
+
+INSTANTIATE_TEST_SUITE_P(Kinds, VgpuAllocTest,
+                         ::testing::Values(AttentionKind::kGqa, AttentionKind::kMla));
 
 }  // namespace
 }  // namespace ktx
