@@ -4,6 +4,7 @@
 #include <cstdio>
 
 #include "src/common/logging.h"
+#include "src/common/spin_wait.h"
 #include "src/common/trace.h"
 
 namespace ktx {
@@ -30,7 +31,7 @@ ThreadPool::ThreadPool(std::size_t num_threads) {
 ThreadPool::~ThreadPool() {
   {
     std::lock_guard<std::mutex> lock(mu_);
-    stop_ = true;
+    stop_.store(true, std::memory_order_release);
   }
   work_cv_.notify_all();
   for (auto& t : threads_) {
@@ -43,8 +44,9 @@ int ThreadPool::CurrentSlot() const { return tls_pool == this ? tls_slot : -1; }
 void ThreadPool::Submit(std::function<void()> fn) {
   {
     std::lock_guard<std::mutex> lock(mu_);
-    KTX_CHECK(!stop_) << "Submit after shutdown";
+    KTX_CHECK(!stop_.load(std::memory_order_relaxed)) << "Submit after shutdown";
     queue_.push_back(std::move(fn));
+    queued_.fetch_add(1, std::memory_order_release);
   }
   work_cv_.notify_one();
 }
@@ -139,20 +141,31 @@ void ThreadPool::WorkerLoop(std::size_t slot) {
     if (HelpRun()) {
       continue;
     }
+    // Stay hot through the gaps between a decode step's dispatches; park on
+    // the condvar only once the spin budget runs out.
+    SpinUntil([this] {
+      return RunHasWork() || queued_.load(std::memory_order_acquire) > 0 ||
+             stop_.load(std::memory_order_acquire);
+    });
+    if (RunHasWork()) {
+      continue;
+    }
     std::function<void()> task;
     {
       std::unique_lock<std::mutex> lock(mu_);
-      work_cv_.wait(lock,
-                    [this] { return stop_ || next_ < queue_.size() || RunHasWork(); });
+      work_cv_.wait(lock, [this] {
+        return stop_.load(std::memory_order_relaxed) || next_ < queue_.size() || RunHasWork();
+      });
       if (next_ < queue_.size()) {
         task = std::move(queue_[next_++]);
+        queued_.fetch_sub(1, std::memory_order_relaxed);
         ++in_flight_;
         // Compact the queue when fully drained so it does not grow unbounded.
         if (next_ == queue_.size()) {
           queue_.clear();
           next_ = 0;
         }
-      } else if (stop_) {
+      } else if (stop_.load(std::memory_order_relaxed)) {
         return;
       } else {
         continue;  // woken for a ParallelRun

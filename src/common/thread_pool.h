@@ -29,6 +29,10 @@
 //     CAS fails (generations only grow; no ABA).
 //   * The caller participates, then spins until `run_done_ == n`, then flips
 //     the generation back to even.
+//
+// Idle workers yield-spin for kSpinBudget (spin_wait.h) on an open run or a
+// queued task before they park on the condvar, so the back-to-back
+// dispatches of a decode step find them awake.
 
 #ifndef KTX_SRC_COMMON_THREAD_POOL_H_
 #define KTX_SRC_COMMON_THREAD_POOL_H_
@@ -118,7 +122,9 @@ class ThreadPool {
   std::size_t next_ = 0;  // index of next task to run in queue_
   std::size_t in_flight_ = 0;
   std::size_t started_ = 0;  // workers past their setup
-  bool stop_ = false;
+  // Written under mu_; atomic so spinning workers can poll them lock-free.
+  std::atomic<std::size_t> queued_{0};  // queue_.size() - next_
+  std::atomic<bool> stop_{false};
 
   // ParallelRun slot; see the protocol note at the top of the file.
   //

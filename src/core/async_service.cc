@@ -1,6 +1,7 @@
 #include "src/core/async_service.h"
 
 #include "src/common/logging.h"
+#include "src/common/spin_wait.h"
 
 namespace ktx {
 
@@ -11,7 +12,8 @@ AsyncMoeService::AsyncMoeService(std::shared_ptr<const NumaMoe> moe, std::size_t
 }
 
 AsyncMoeService::~AsyncMoeService() {
-  stop_.store(true, std::memory_order_release);
+  stop_.store(true);
+  Wake();
   control_thread_.join();
 }
 
@@ -20,6 +22,29 @@ void AsyncMoeService::Submit(MoeRequest* request) {
   while (!queue_.TryPush(request)) {
     std::this_thread::yield();  // backpressure: queue full
   }
+  Wake();
+}
+
+// Parking protocol: the control thread stores parked_ = true, then re-checks
+// the queue; a producer pushes, then checks parked_. The seq_cst fences on
+// both sides order each store before the other side's load, so either the
+// control thread sees the request or the producer sees the parked flag and
+// wakes it.
+void AsyncMoeService::Wake() {
+  std::atomic_thread_fence(std::memory_order_seq_cst);
+  if (parked_.load(std::memory_order_relaxed)) {
+    parked_.store(false);
+    parked_.notify_one();
+  }
+}
+
+void AsyncMoeService::Park() {
+  parked_.store(true);
+  std::atomic_thread_fence(std::memory_order_seq_cst);
+  if (queue_.Empty() && !stop_.load()) {
+    parked_.wait(true);
+  }
+  parked_.store(false, std::memory_order_relaxed);
 }
 
 void AsyncMoeService::Reserve(std::int64_t max_tokens, int max_slots) const {
@@ -38,7 +63,11 @@ void AsyncMoeService::ControlLoop() {
       if (stop_.load(std::memory_order_acquire)) {
         return;
       }
-      std::this_thread::yield();
+      // The next request of a decode step is tens of microseconds away; an
+      // idle engine's is not.
+      if (!SpinUntil([this] { return !queue_.Empty() || stop_.load(); })) {
+        Park();
+      }
       continue;
     }
     MoeRequest* r = *request;

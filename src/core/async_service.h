@@ -4,7 +4,8 @@
 //   * a host function running inside the CUDA stream (or captured graph)
 //     pushes a routed-expert request into a lock-free queue (*submit*);
 //   * a dedicated CPU control thread pops requests and executes them on the
-//     worker pool through the NUMA-aware MoE operator;
+//     worker pool through the NUMA-aware MoE operator; between requests it
+//     spins for kSpinBudget (spin_wait.h), then parks until the next Submit;
 //   * a later host function spins on the request's completion flag (*sync*),
 //     emulating the paper's CUDA-based spinning that keeps both barriers
 //     inside a single CUDA graph.
@@ -23,6 +24,7 @@
 #include <vector>
 
 #include "src/common/queues.h"
+#include "src/common/trace.h"
 #include "src/cpu/moe_cpu.h"
 #include "src/numa/tensor_parallel.h"
 
@@ -40,7 +42,7 @@ struct MoeRequest {
   float* y = nullptr;
   // Optional hot-expert rows (expert cache): slots flagged served skip the
   // CPU expert path. The view and its buffers must stay alive until done.
-  const MoeHotView* hot = nullptr;
+  const HotSlots* hot = nullptr;
   std::atomic<bool> done{false};
 
   void Reset() { done.store(false, std::memory_order_relaxed); }
@@ -48,6 +50,12 @@ struct MoeRequest {
     while (!done.load(std::memory_order_acquire)) {
       std::this_thread::yield();
     }
+  }
+  // Wait() inside a moe/sync_wait trace span tagged with the model layer: the
+  // engine's sync barrier, where the GPU stream stalls on the CPU experts.
+  void SyncWait(int layer) const {
+    KTX_TRACE_SPAN_ARG("moe", "sync_wait", "layer", layer);
+    Wait();
   }
 };
 
@@ -75,14 +83,20 @@ class AsyncMoeService {
 
  private:
   void ControlLoop();
+  // Blocks the control thread until Wake(), unless a request or stop is
+  // already pending.
+  void Park();
+  // Unparks the control thread if it is parked.
+  void Wake();
 
   std::shared_ptr<const NumaMoe> moe_;
   SpscQueue<MoeRequest*> queue_;
-  std::thread control_thread_;
   std::atomic<bool> stop_{false};
+  std::atomic<bool> parked_{false};
   std::atomic<std::int64_t> completed_{0};
   mutable std::mutex stats_mu_;
   MoeStats stats_;
+  std::thread control_thread_;  // last: it uses every member above
 };
 
 }  // namespace ktx

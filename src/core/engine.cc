@@ -51,7 +51,7 @@ struct HybridEngine::DecodeBuffers {
   // reads them while layer k+1's submit refills the other parity.
   std::vector<std::uint8_t> hot_served[2];
   std::vector<float> hot_rows[2];
-  MoeHotView hot_view[2];
+  HotSlots hot_view[2];
 
   // One immediate + one deferred request per layer index.
   std::vector<std::unique_ptr<MoeRequest>> imm_requests;
@@ -405,7 +405,7 @@ void HybridEngine::EnqueueForward(DecodeBuffers* bufs, std::int64_t m, bool allo
       // kernel-kind it implies — matches the CPU operator's. All of this
       // happens at exec time behind slot indirection (imm/def->hot), so
       // promotions and demotions never invalidate the captured graph.
-      const MoeHotView* hot = nullptr;
+      const HotSlots* hot = nullptr;
       if (placement_ != nullptr) {
         placement_->Record(routing);
         if (batched) {
@@ -453,7 +453,7 @@ void HybridEngine::EnqueueForward(DecodeBuffers* bufs, std::int64_t m, bool allo
     if (!options_.async_overlap) {
       // Baseline semantics: block on the CPU before anything else runs on the
       // GPU — the synchronous round-trip of Fig. 1b-style systems.
-      stream->LaunchHostFunc([imm] { imm->Wait(); });
+      stream->LaunchHostFunc([imm, l] { imm->SyncWait(l); });
     }
 
     // Shared experts run on the GPU, overlapping the CPU's immediate batch.
@@ -473,7 +473,7 @@ void HybridEngine::EnqueueForward(DecodeBuffers* bufs, std::int64_t m, bool allo
     // Sync: wait for the immediate batch. FIFO completion implies the
     // previous layer's deferred batch is also done.
     if (options_.async_overlap) {
-      stream->LaunchHostFunc([imm] { imm->Wait(); });
+      stream->LaunchHostFunc([imm, l] { imm->SyncWait(l); });
     }
 
     // Merge: O_k = I_k(residual, already in x) + S_k + R_k^imm + R_{k-1}^def.

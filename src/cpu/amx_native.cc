@@ -61,6 +61,12 @@ struct alignas(64) TileCfg {
   std::uint8_t rows[16] = {};
 };
 
+// Every lane of a 16-lane mask. The maskz_ spellings of the full-width shift
+// and int->float convert below compute the same lanes as the unmasked
+// intrinsics, whose _mm512_undefined_* pass-through operand gcc reports as
+// maybe-uninitialized.
+constexpr __mmask16 kAllLanes = 0xFFFF;
+
 __attribute__((target("amx-tile")))
 void ConfigureTiles() {
   TileCfg cfg;
@@ -221,7 +227,7 @@ void Avx512GemmBf16Impl(const float* x, std::int64_t m, std::int64_t ldx, const 
           std::memcpy(&xe, &eb, 4);
           std::memcpy(&xo, &ob, 4);
           const __m512i bv = _mm512_loadu_si512(brow + p * 32);
-          const __m512 be = _mm512_castsi512_ps(_mm512_slli_epi32(bv, 16));
+          const __m512 be = _mm512_castsi512_ps(_mm512_maskz_slli_epi32(kAllLanes, bv, 16));
           const __m512 bo = _mm512_castsi512_ps(_mm512_and_si512(bv, hi_mask));
           ve = _mm512_fmadd_ps(be, _mm512_set1_ps(xe), ve);
           vo = _mm512_fmadd_ps(bo, _mm512_set1_ps(xo), vo);
@@ -309,12 +315,13 @@ void Avx512GemmInt8Impl(const float* x, std::int64_t m, std::int64_t ldx, const 
           wsum[j] = w.col_sum(nrow, kb);
         }
         // Correct the +128 activation offset: real = acc - 128 * sum(w).
-        const __m512i corr =
-            _mm512_sub_epi32(acci, _mm512_slli_epi32(_mm512_load_si512(wsum), 7));
+        const __m512i corr = _mm512_sub_epi32(
+            acci, _mm512_maskz_slli_epi32(kAllLanes, _mm512_load_si512(wsum), 7));
         const float xs = scales[static_cast<std::size_t>(kb)];
         // Canonical rescale: t1 = float(dot) * xs; t2 = t1 * ws; acc += t2 —
         // three separate roundings, never fused, matching every other backend.
-        const __m512 t1 = _mm512_mul_ps(_mm512_cvtepi32_ps(corr), _mm512_set1_ps(xs));
+        const __m512 t1 =
+            _mm512_mul_ps(_mm512_maskz_cvtepi32_ps(kAllLanes, corr), _mm512_set1_ps(xs));
         const __m512 t2 = _mm512_mul_ps(t1, _mm512_load_ps(wscale));
         accf = _mm512_add_ps(accf, t2);
       }

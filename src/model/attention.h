@@ -82,7 +82,7 @@ struct AttentionScratch {
   std::vector<float> k;         // [rows, kv_dim] new keys (MLA: [rows, lora+rope])
   std::vector<float> v;         // [rows, kv_dim] new values (GQA)
   std::vector<float> heads_out; // [rows, heads * v_dim] pre-wo attention output
-  std::vector<float> scores;    // [window]
+  std::vector<float> scores;    // [window] (GQA: [heads per KV head, window])
   std::vector<const float*> k_rows;  // [window] resolved KV row addresses
   std::vector<const float*> v_rows;
   std::vector<float> k_nope;    // [window, heads * head_dim] (MLA)
@@ -121,6 +121,32 @@ Status AttentionDecodeBatch(const MoeModelConfig& config, const AttentionProject
 Status AttentionDecodeBatch(const MoeModelConfig& config, const AttentionWeights& w,
                             const float* x, std::int64_t rows, const std::int64_t* positions,
                             KvCache* const* caches, int layer, float* out);
+
+// The GQA attention core for one query row and one KV head: for each of the
+// `heads` query heads that share the KV head (consecutive head_dim-wide
+// vectors from q), the QK dots against key rows k_rows[j] + kv_off for j in
+// [0, len), the softmax, and the softmax-weighted sum of value rows
+// v_rows[j] + kv_off into the head's slice of out. `scores` is [heads, len]
+// scratch. Attention runs one spelling, chosen once from the host's
+// features; tests hold each to the scalar reference bit for bit.
+struct GqaGroup {
+  const float* q = nullptr;  // [heads, head_dim]
+  const float* const* k_rows = nullptr;
+  const float* const* v_rows = nullptr;
+  std::int64_t kv_off = 0;
+  std::int64_t len = 0;
+  std::int64_t head_dim = 0;
+  int heads = 1;
+  float scale = 1.0f;
+  float* scores = nullptr;  // [heads, len]
+  float* out = nullptr;     // [heads, head_dim]
+};
+// Scalar spelling, any head_dim: the reference, and the core on hosts (or
+// builds) without AVX2.
+void AttendGqaGroupScalar(const GqaGroup& group);
+// 8-wide spelling of the same op sequence, lane for lane (no FMA, the same
+// fold order). Requires head_dim % 8 == 0 and NativeAvx2Available().
+void AttendGqaGroupAvx2(const GqaGroup& group);
 
 // FLOP / byte estimates for the cost model (per layer, given m new tokens at
 // context length `seq`). Accounts for MLA matrix absorption on the decode

@@ -1,6 +1,5 @@
 #include "src/numa/tensor_parallel.h"
 
-#include <algorithm>
 #include <cstring>
 
 #include "src/common/logging.h"
@@ -64,80 +63,32 @@ void TpExperts::ChargeArena(NumaArena* arena) const {
   }
 }
 
-NumaMoe::NumaMoe(std::shared_ptr<const PackedExperts> flat, std::shared_ptr<const TpExperts> tp,
-                 ThreadPool* pool, Options options)
-    : flat_(std::move(flat)), tp_(std::move(tp)), pool_(pool), options_(options) {
-  if (options_.mode == NumaMode::kTensorParallel) {
-    KTX_CHECK(tp_ != nullptr) << "tensor-parallel mode needs sharded experts";
-    for (int s = 0; s < tp_->shards(); ++s) {
-      shard_moes_.emplace_back(tp_->shard_ptr(s), pool_, options_.moe);
+namespace {
+
+// The expert shards CpuMoe runs for a placement mode. Single-socket,
+// naive-interleaved and expert-parallel placements execute the same math over
+// the flat weights; they differ only in where the pages live, which the cost
+// model (not the functional path) charges for.
+std::vector<std::shared_ptr<const PackedExperts>> ModeShards(
+    const std::shared_ptr<const PackedExperts>& flat, const std::shared_ptr<const TpExperts>& tp,
+    NumaMode mode) {
+  std::vector<std::shared_ptr<const PackedExperts>> shards;
+  if (mode == NumaMode::kTensorParallel) {
+    KTX_CHECK(tp != nullptr) << "tensor-parallel mode needs sharded experts";
+    for (int s = 0; s < tp->shards(); ++s) {
+      shards.push_back(tp->shard_ptr(s));
     }
   } else {
-    KTX_CHECK(flat_ != nullptr) << "non-TP modes need flat experts";
-    flat_moe_ = std::make_unique<CpuMoe>(flat_, pool_, options_.moe);
-    ep_placement_ = EpPlacement::RoundRobin(flat_->num_experts(), 2);
+    KTX_CHECK(flat != nullptr) << "non-TP modes need flat experts";
+    shards.push_back(flat);
   }
+  return shards;
 }
 
-void NumaMoe::Forward(const float* x, std::int64_t tokens, const MoeRouting& routing,
-                      int slot_begin, int slot_end, float* y, MoeStats* stats,
-                      const MoeHotView* hot) const {
-  if (options_.mode == NumaMode::kTensorParallel) {
-    // Each shard computes its SwiGLU slice and a partial Down projection from
-    // node-local weights; accumulating into y is the reduce step. Logical
-    // fields (tokens, activated experts, load peak, hot/cold split) describe
-    // the request, not the shard, so they are taken from one shard;
-    // mechanical fields (tasks, kernel calls, flops) sum across shards.
-    for (std::size_t s = 0; s < shard_moes_.size(); ++s) {
-      HotSlots shard_hot;
-      const HotSlots* hp = nullptr;
-      if (hot != nullptr && hot->served != nullptr) {
-        shard_hot.served = hot->served;
-        shard_hot.rows = hot->rows + static_cast<std::int64_t>(s) * hot->shard_stride;
-        hp = &shard_hot;
-      }
-      MoeStats local;
-      shard_moes_[s].Forward(x, tokens, routing, slot_begin, slot_end, y,
-                             stats != nullptr ? &local : nullptr, hp);
-      if (stats != nullptr) {
-        if (s == 0) {
-          stats->tokens += local.tokens;
-          stats->activated_experts += local.activated_experts;
-          stats->max_tokens_per_expert =
-              std::max(stats->max_tokens_per_expert, local.max_tokens_per_expert);
-          stats->hot_rows += local.hot_rows;
-          stats->cold_rows += local.cold_rows;
-        }
-        stats->subtasks += local.subtasks;
-        stats->amx_calls += local.amx_calls;
-        stats->avx512_calls += local.avx512_calls;
-        stats->avx2_calls += local.avx2_calls;
-        stats->scalar_calls += local.scalar_calls;
-        stats->useful_flops += local.useful_flops;
-      }
-    }
-    return;
-  }
-  // Single-socket / naive-interleaved / expert-parallel placements execute
-  // the same math over the flat weights; they differ only in where the pages
-  // live, which the cost model (not the functional path) charges for.
-  HotSlots flat_hot;
-  const HotSlots* hp = nullptr;
-  if (hot != nullptr && hot->served != nullptr) {
-    flat_hot.served = hot->served;
-    flat_hot.rows = hot->rows;  // plane 0 carries the full expert outputs
-    hp = &flat_hot;
-  }
-  flat_moe_->Forward(x, tokens, routing, slot_begin, slot_end, y, stats, hp);
-}
+}  // namespace
 
-void NumaMoe::Reserve(std::int64_t max_tokens, int max_slots) const {
-  for (const CpuMoe& moe : shard_moes_) {
-    moe.Reserve(max_tokens, max_slots);
-  }
-  if (flat_moe_ != nullptr) {
-    flat_moe_->Reserve(max_tokens, max_slots);
-  }
-}
+NumaMoe::NumaMoe(std::shared_ptr<const PackedExperts> flat, std::shared_ptr<const TpExperts> tp,
+                 ThreadPool* pool, Options options)
+    : options_(options), moe_(ModeShards(flat, tp, options.mode), pool, options.moe) {}
 
 }  // namespace ktx

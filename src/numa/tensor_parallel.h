@@ -54,27 +54,15 @@ class TpExperts {
   std::int64_t inter_per_shard_ = 0;
 };
 
-// Hot-expert rows for one routed batch at the NUMA level (filled by the
-// expert placement manager). `served` is shared across shards; `rows` holds
-// one [tokens * top_k, hidden] plane per shard at `shard_stride` floats
-// apart — shard s's plane carries its partial down projections of the hot
-// experts, so each shard's reduce adds its own partial exactly like its
-// staged cold rows (preserving the shard-sequential accumulation order and
-// therefore bit-identity with the unplaced baseline). Non-TP modes read
-// plane 0 with the full expert outputs.
-struct MoeHotView {
-  const std::uint8_t* served = nullptr;  // [tokens * top_k]
-  const float* rows = nullptr;           // [shards][tokens * top_k, hidden]
-  std::int64_t shard_stride = 0;         // floats between shard planes
-};
-
 // Functional NUMA-aware MoE executor. All placement modes produce the same
 // math (tests verify this); they differ in which weights each node touches,
-// which is what the cost model charges for.
+// which is what the cost model charges for. Tensor parallelism runs every
+// shard of a request in one CpuMoe task graph (one pool dispatch, one
+// grouping pass); the other modes run one shard over the flat weights.
 class NumaMoe {
  public:
   struct Options {
-    MoeOptions moe;            // kernel selection / scheduling, per shard
+    MoeOptions moe;            // kernel selection / scheduling
     NumaMode mode = NumaMode::kTensorParallel;
   };
 
@@ -83,25 +71,26 @@ class NumaMoe {
           ThreadPool* pool, Options options);
 
   // Accumulates routed-expert outputs into y[tokens, hidden]. Slots flagged
-  // in `hot` (may be null) are satisfied from pre-computed hot-expert rows.
+  // in `hot` (may be null) are satisfied from pre-computed hot-expert rows:
+  // one plane per TP shard (its partial down projections), or plane 0 with
+  // the full expert outputs in the other modes.
   void Forward(const float* x, std::int64_t tokens, const MoeRouting& routing, int slot_begin,
                int slot_end, float* y, MoeStats* stats = nullptr,
-               const MoeHotView* hot = nullptr) const;
+               const HotSlots* hot = nullptr) const {
+    moe_.Forward(x, tokens, routing, slot_begin, slot_end, y, stats, hot);
+  }
 
-  // Pre-sizes every shard's forward workspace (see CpuMoe::Reserve) so the
-  // decode loop runs allocation-free from the first token.
-  void Reserve(std::int64_t max_tokens, int max_slots) const;
+  // Pre-sizes the forward workspace (see CpuMoe::Reserve) so the decode loop
+  // runs allocation-free from the first token.
+  void Reserve(std::int64_t max_tokens, int max_slots) const {
+    moe_.Reserve(max_tokens, max_slots);
+  }
 
   const Options& options() const { return options_; }
 
  private:
-  std::shared_ptr<const PackedExperts> flat_;
-  std::shared_ptr<const TpExperts> tp_;
-  ThreadPool* pool_;
   Options options_;
-  std::vector<CpuMoe> shard_moes_;        // one per TP shard
-  std::unique_ptr<CpuMoe> flat_moe_;
-  EpPlacement ep_placement_;
+  CpuMoe moe_;
 };
 
 }  // namespace ktx

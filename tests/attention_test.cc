@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include "src/common/rng.h"
+#include "src/cpu/cpu_features.h"
 #include "src/cpu/gemm.h"
 #include "src/model/attention.h"
 #include "src/model/kv_block_pool.h"
@@ -230,6 +234,122 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(ParityConfig::kGqa, ParityConfig::kMla,
                                          ParityConfig::kGqaOddWidth),
                        ::testing::Bool()));
+
+// Every GQA core spelling this host can execute, the scalar reference first.
+struct GqaCoreSpelling {
+  const char* name;
+  void (*run)(const GqaGroup&);
+};
+std::vector<GqaCoreSpelling> RunnableGqaCores() {
+  std::vector<GqaCoreSpelling> cores = {{"scalar", &AttendGqaGroupScalar}};
+  if (NativeAvx2Available()) {
+    cores.push_back({"avx2", &AttendGqaGroupAvx2});
+  }
+  return cores;
+}
+
+// Bitwise equality, except that any NaN matches any NaN: a NaN's payload may
+// depend on which operand the compiler put first.
+bool SameBits(float a, float b) {
+  return std::memcmp(&a, &b, sizeof(float)) == 0 || (std::isnan(a) && std::isnan(b));
+}
+
+// Random K/V rows of `kv_heads` heads and queries for `group` query heads per
+// KV head.
+struct GqaCase {
+  GqaCase(std::int64_t head_dim, std::int64_t window, int kv_heads, int group, float magnitude,
+          std::uint64_t seed)
+      : hd(head_dim), len(window), kv_dim(kv_heads * head_dim) {
+    Rng rng(seed);
+    k.resize(static_cast<std::size_t>(len * kv_dim));
+    v.resize(k.size());
+    q.resize(static_cast<std::size_t>(kv_heads * group * hd));
+    for (float& f : k) {
+      f = rng.NextGaussian() * magnitude;
+    }
+    for (float& f : v) {
+      f = rng.NextGaussian();
+    }
+    for (float& f : q) {
+      f = rng.NextGaussian();
+    }
+    for (std::int64_t j = 0; j < len; ++j) {
+      k_rows.push_back(k.data() + j * kv_dim);
+      v_rows.push_back(v.data() + j * kv_dim);
+    }
+  }
+  // The core call for KV head kh, writing into `scores` / `out`.
+  GqaGroup Group(int kh, int group, std::vector<float>* scores, std::vector<float>* out) const {
+    scores->assign(static_cast<std::size_t>(group * len), -1.0f);
+    out->assign(static_cast<std::size_t>(group * hd), -1.0f);
+    return GqaGroup{q.data() + kh * group * hd, k_rows.data(), v_rows.data(), kh * hd, len, hd,
+                    group, 1.0f / std::sqrt(static_cast<float>(hd)), scores->data(),
+                    out->data()};
+  }
+
+  std::int64_t hd, len, kv_dim;
+  std::vector<float> k, v, q;
+  std::vector<const float*> k_rows, v_rows;
+};
+
+TEST(GqaCoreTest, EverySpellingMatchesTheScalarReferenceBitForBit) {
+  constexpr int kKvHeads = 2;
+  for (const std::int64_t hd : {8, 16, 24}) {
+    for (const std::int64_t len : {1, 7, 8, 9, 129, 512}) {
+      for (const int group : {1, 2}) {
+        // Key magnitudes per case: unit scale; large scores (the softmax
+        // saturates); and a spread wide enough that most exps underflow
+        // (score - max < -87).
+        for (const float magnitude : {1.0f, 30.0f, 400.0f}) {
+          const GqaCase c(hd, len, kKvHeads, group, magnitude,
+                          static_cast<std::uint64_t>(hd * 100000 + len * 10 + group) ^
+                              static_cast<std::uint64_t>(magnitude));
+          for (int kh = 0; kh < kKvHeads; ++kh) {
+            std::vector<float> ref_scores;
+            std::vector<float> ref_out;
+            AttendGqaGroupScalar(c.Group(kh, group, &ref_scores, &ref_out));
+            if (magnitude == 400.0f && len > 8) {
+              EXPECT_NE(std::count(ref_scores.begin(), ref_scores.end(), 0.0f), 0)
+                  << "case does not reach the exp clamp";
+            }
+            for (const GqaCoreSpelling& core : RunnableGqaCores()) {
+              std::vector<float> scores;
+              std::vector<float> out;
+              core.run(c.Group(kh, group, &scores, &out));
+              EXPECT_EQ(std::memcmp(scores.data(), ref_scores.data(), scores.size() * 4), 0)
+                  << core.name << " hd=" << hd << " len=" << len << " group=" << group
+                  << " magnitude=" << magnitude << " kv head=" << kh;
+              EXPECT_EQ(std::memcmp(out.data(), ref_out.data(), out.size() * 4), 0)
+                  << core.name << " hd=" << hd << " len=" << len << " group=" << group
+                  << " magnitude=" << magnitude << " kv head=" << kh;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(GqaCoreTest, NanScoresPropagateInEverySpelling) {
+  GqaCase c(/*hd=*/16, /*len=*/19, /*kv_heads=*/1, /*group=*/2, 1.0f, 5);
+  c.k[static_cast<std::size_t>(11 * c.kv_dim + 3)] = std::nanf("");
+  std::vector<float> ref_scores;
+  std::vector<float> ref_out;
+  AttendGqaGroupScalar(c.Group(0, 2, &ref_scores, &ref_out));
+  EXPECT_TRUE(std::isnan(ref_scores[11]));
+  EXPECT_TRUE(std::isnan(ref_out[0]));
+  for (const GqaCoreSpelling& core : RunnableGqaCores()) {
+    std::vector<float> scores;
+    std::vector<float> out;
+    core.run(c.Group(0, 2, &scores, &out));
+    for (std::size_t j = 0; j < scores.size(); ++j) {
+      EXPECT_TRUE(SameBits(scores[j], ref_scores[j])) << core.name << " score " << j;
+    }
+    for (std::size_t d = 0; d < out.size(); ++d) {
+      EXPECT_TRUE(SameBits(out[d], ref_out[d])) << core.name << " out " << d;
+    }
+  }
+}
 
 TEST(AttentionCostTest, MonotoneInTokensAndContext) {
   const MoeModelConfig config = DeepSeekV3Config();

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "src/common/rng.h"
 #include "src/numa/tensor_parallel.h"
@@ -149,6 +152,120 @@ TEST_F(TpFixture, QuantizedShardsStayAccurate) {
   Tensor ref({kTokens, kHidden}, DType::kF32);
   RefMoeForward(gate_, up_, down_, x_.f32(), kTokens, routing_, 0, 2, ref.f32());
   EXPECT_LT(RelativeError(out, ref), 0.06f);
+}
+
+// The fused tensor-parallel forward against the per-shard algorithm it
+// replaces: one single-shard CpuMoe per shard, run one after the other into
+// the same y. Both must add shard 0's slot-ordered contributions first, then
+// shard 1's, ..., so the outputs match bit for bit.
+class FusedTpTest : public ::testing::Test {
+ protected:
+  static constexpr int kExperts = 8;
+  static constexpr int kTopK = 4;
+  static constexpr std::int64_t kHidden = 48;
+  static constexpr std::int64_t kInter = 128;  // 4 shards x 32
+
+  void SetUp() override {
+    Rng rng(33);
+    for (int e = 0; e < kExperts; ++e) {
+      Rng er = rng.Split(static_cast<std::uint64_t>(e));
+      gate_.push_back(Tensor::Randn({kInter, kHidden}, er, 0.3f));
+      up_.push_back(Tensor::Randn({kInter, kHidden}, er, 0.3f));
+      down_.push_back(Tensor::Randn({kHidden, kInter}, er, 0.3f));
+    }
+  }
+
+  static MoeRouting RandomRouting(std::int64_t tokens, Rng& rng) {
+    MoeRouting routing;
+    routing.tokens = tokens;
+    routing.top_k = kTopK;
+    for (std::int64_t t = 0; t < tokens; ++t) {
+      int used = 0;  // distinct experts per token
+      for (int s = 0; s < kTopK; ++s) {
+        int e = static_cast<int>(rng.NextBounded(kExperts));
+        while ((used >> e) & 1) {
+          e = (e + 1) % kExperts;
+        }
+        used |= 1 << e;
+        routing.expert_ids.push_back(e);
+        routing.weights.push_back(0.1f + 0.2f * static_cast<float>(rng.NextBounded(4)));
+      }
+    }
+    return routing;
+  }
+
+  std::vector<Tensor> gate_, up_, down_;
+};
+
+TEST_F(FusedTpTest, FusedShardsMatchSerialPerShardForwardBitForBit) {
+  ThreadPool pool(2);
+  for (const int shards : {2, 4}) {
+    auto tp = TpExperts::Build(gate_, up_, down_, DType::kBF16, shards);
+    ASSERT_TRUE(tp.ok());
+    auto tp_ptr = std::make_shared<const TpExperts>(std::move(*tp));
+    for (const ScheduleKind schedule : {ScheduleKind::kDynamic, ScheduleKind::kStatic}) {
+      NumaMoe::Options opts;
+      opts.mode = NumaMode::kTensorParallel;
+      opts.moe.schedule = schedule;
+      const NumaMoe fused(nullptr, tp_ptr, &pool, opts);
+      std::vector<CpuMoe> per_shard;
+      for (int s = 0; s < shards; ++s) {
+        per_shard.emplace_back(tp_ptr->shard_ptr(s), &pool, opts.moe);
+      }
+      for (const std::int64_t tokens : {1, 4, 33, 256}) {
+        Rng rng(static_cast<std::uint64_t>(tokens * 7 + shards));
+        const MoeRouting routing = RandomRouting(tokens, rng);
+        const Tensor x = Tensor::Randn({tokens, kHidden}, rng, 0.5f);
+        const std::int64_t plane = tokens * kTopK * kHidden;
+        std::vector<std::uint8_t> served(static_cast<std::size_t>(tokens * kTopK));
+        for (std::uint8_t& f : served) {
+          f = rng.NextBounded(4) == 0 ? 1 : 0;
+        }
+        const Tensor hot_rows = Tensor::Randn({shards * tokens * kTopK, kHidden}, rng, 0.2f);
+        for (const bool with_hot : {false, true}) {
+          const HotSlots hot{served.data(), hot_rows.f32(), plane};
+          const HotSlots* hp = with_hot ? &hot : nullptr;
+          // Immediate window [0, 2) and deferred window [2, top_k).
+          for (const auto& [begin, end] : {std::pair{0, 2}, std::pair{2, kTopK}}) {
+            const Tensor y0 = Tensor::Randn({tokens, kHidden}, rng, 0.1f);
+            Tensor ref = y0.Clone();
+            for (int s = 0; s < shards; ++s) {
+              const HotSlots shard_hot{served.data(), hot_rows.f32() + s * plane, 0};
+              per_shard[static_cast<std::size_t>(s)].Forward(x.f32(), tokens, routing, begin,
+                                                             end, ref.f32(), nullptr,
+                                                             with_hot ? &shard_hot : nullptr);
+            }
+            Tensor out = y0.Clone();
+            MoeStats stats;
+            fused.Forward(x.f32(), tokens, routing, begin, end, out.f32(), &stats, hp);
+            EXPECT_EQ(std::memcmp(out.f32(), ref.f32(), ref.byte_size()), 0)
+                << "shards=" << shards << " static=" << (schedule == ScheduleKind::kStatic)
+                << " tokens=" << tokens << " hot=" << with_hot << " window=[" << begin << ","
+                << end << ")";
+
+            // The request's logical counts appear once, not once per shard.
+            std::int64_t hot_slots = 0;
+            int distinct = 0;
+            std::vector<bool> seen(kExperts, false);
+            for (std::int64_t t = 0; t < tokens; ++t) {
+              for (int s = begin; s < end; ++s) {
+                if (with_hot && served[static_cast<std::size_t>(t * kTopK + s)] != 0) {
+                  ++hot_slots;
+                } else if (!seen[static_cast<std::size_t>(routing.id(t, s))]) {
+                  seen[static_cast<std::size_t>(routing.id(t, s))] = true;
+                  ++distinct;
+                }
+              }
+            }
+            EXPECT_EQ(stats.tokens, tokens);
+            EXPECT_EQ(stats.activated_experts, distinct);
+            EXPECT_EQ(stats.hot_rows, hot_slots);
+            EXPECT_EQ(stats.cold_rows, tokens * (end - begin) - hot_slots);
+          }
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -140,7 +140,7 @@ TEST(PrefillCursorTest, StartPrefillValidatesWithoutMutating) {
   EXPECT_EQ(engine->StartPrefill(99, Prompt(4)).status().code(),
             StatusCode::kInvalidArgument);
   EXPECT_EQ(engine->StartPrefill(0, {}).status().code(), StatusCode::kInvalidArgument);
-  EXPECT_EQ(engine->StartPrefill(0, {1, f.config.vocab, 2}).status().code(),
+  EXPECT_EQ(engine->StartPrefill(0, {1, static_cast<int>(f.config.vocab), 2}).status().code(),
             StatusCode::kInvalidArgument);
   // KV headroom for the WHOLE prompt is checked up front: a prompt one past
   // max_seq is refused before any token is processed.

@@ -25,9 +25,11 @@
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <string_view>
 #include <vector>
 
 #include "src/common/trace.h"
+#include "src/core/async_service.h"
 
 namespace {
 
@@ -172,6 +174,37 @@ TEST(TraceAllocTest, EnabledSteadyStateEmissionIsAllocationFree) {
   const trace::Snapshot snap = trace::TakeSnapshot();
   EXPECT_GT(snap.events.size(), 0u);
   EXPECT_GT(snap.dropped, 0);
+  trace::Clear();
+}
+
+TEST(TraceAllocTest, MoeSyncWaitSpanIsAllocationFree) {
+  // The engine's sync host func wraps every immediate request's wait in a
+  // moe/sync_wait span; it runs once per MoE layer per decode step.
+  trace::SetEnabled(true);
+  trace::Clear();
+  MoeRequest request;
+  request.done.store(true);
+  request.SyncWait(0);  // warm up this thread's ring
+
+  g_alloc_events.store(0, std::memory_order_relaxed);
+  g_count_allocs.store(true, std::memory_order_seq_cst);
+  for (int i = 0; i < 1000; ++i) {
+    request.SyncWait(i % 7);
+  }
+  g_count_allocs.store(false, std::memory_order_seq_cst);
+  EXPECT_EQ(g_alloc_events.load(), 0) << "moe/sync_wait emission performed heap allocations";
+
+  trace::SetEnabled(false);
+  const trace::Snapshot snap = trace::TakeSnapshot();
+  int spans = 0;
+  for (const trace::SnapshotEvent& e : snap.events) {
+    if (e.phase == trace::Phase::kComplete && std::string_view(e.cat) == "moe" &&
+        std::string_view(e.name) == "sync_wait") {
+      EXPECT_STREQ(e.arg_name, "layer");
+      ++spans;
+    }
+  }
+  EXPECT_EQ(spans, 1001);
   trace::Clear();
 }
 
