@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
 namespace ktx {
 
@@ -57,7 +58,19 @@ void AddInPlace(float* out, const float* x, std::int64_t n) {
 }
 
 void AxpyInPlace(float* out, const float* x, float scale, std::int64_t n) {
-  for (std::int64_t i = 0; i < n; ++i) {
+  // Eight elements per step (the MoE reduce's hot loop). Each element still
+  // takes one mul and one separate add, so the bits match the scalar loop.
+  using Lanes = float __attribute__((vector_size(32)));
+  std::int64_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    Lanes acc;
+    Lanes v;
+    std::memcpy(&acc, out + i, sizeof(acc));
+    std::memcpy(&v, x + i, sizeof(v));
+    acc += scale * v;
+    std::memcpy(out + i, &acc, sizeof(acc));
+  }
+  for (; i < n; ++i) {
     out[i] += scale * x[i];
   }
 }
