@@ -1,7 +1,7 @@
 // Stall-free serving: tail TBT under budgeted chunked prefill vs the
-// synchronous-admission baseline.
+// synchronous baseline (an unbounded prefill budget).
 //
-// The failure mode being measured (paper §4.1): with synchronous admission a
+// The failure mode being measured (paper §4.1): with an unbounded budget a
 // long prompt that lands mid-stream prefills WHOLE inside its admitting
 // sweep, so every decoding neighbor's next token waits behind hundreds of
 // prompt tokens — one giant inter-token gap per long-prompt arrival, which is
@@ -145,7 +145,7 @@ int main() {
 
   ktx::HybridEngine sync_engine(config, weights, eopts);
   ktx::HybridEngine inter_engine(config, weights, eopts);
-  ModeRunner sync_r("synchronous", &sync_engine, /*prefill_budget_tokens=*/0);
+  ModeRunner sync_r("synchronous", &sync_engine, ktx::kUnboundedPrefillBudget);
   ModeRunner inter_r("interleaved", &inter_engine, /*prefill_budget_tokens=*/16);
   for (int rep = 0; rep < repeats; ++rep) {
     sync_r.RunRepeat(config.vocab);

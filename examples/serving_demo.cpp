@@ -3,8 +3,8 @@
 // Several generation requests with different prompts, lengths and sampling
 // settings are queued against one hybrid engine; the serving loop admits a
 // bounded number concurrently (each on its own KV-cache session over the
-// shared weights and one captured decode graph) and round-robins decode
-// steps between them. One long-prompt request arrives mid-stream: its
+// shared weights and one captured decode graph) and decodes them together,
+// one batched step per sweep. One long-prompt request arrives mid-stream: its
 // prefill is chunked and interleaved with the residents' decode sweeps
 // (prefill_budget_tokens), so their time-between-tokens stays bounded —
 // watch the loop-level TBT percentiles at the end.

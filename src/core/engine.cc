@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cstring>
-#include <limits>
 #include <mutex>
 #include <numeric>
 
@@ -153,7 +152,7 @@ HybridEngine::HybridEngine(MoeModelConfig config, std::shared_ptr<const ModelWei
     if (options_.kv_pool_blocks > 0) {
       pool_opts.num_blocks = options_.kv_pool_blocks;
     } else {
-      // Auto-size: one full context per potential session — the contiguous
+      // Auto-size: one full context per potential session — the private
       // worst case in bytes, but committed lazily and shareable.
       const std::int64_t contexts =
           std::max<std::int64_t>(1, options_.max_sessions > 0 ? options_.max_sessions
@@ -605,7 +604,7 @@ StatusOr<Tensor> HybridEngine::RunDecodeBatch(const std::vector<SessionToken>& b
           << "DecodeBatch rows must target distinct sessions";
     }
   }
-  // Reserve each row's next KV row up front (paged: may COW a shared tail or
+  // Reserve each row's next KV row up front (may COW a shared tail or
   // allocate a block). Failures are recoverable: no position has advanced and
   // no forward work has run.
   for (std::size_t i = 0; i < batch.size(); ++i) {
@@ -721,7 +720,8 @@ StatusOr<int> HybridEngine::TryForkSession(int parent) {
   const Status cloned =
       sessions_[static_cast<std::size_t>(child)]->CloneFrom(
           *sessions_[static_cast<std::size_t>(parent)]);
-  KTX_CHECK(cloned.ok()) << cloned.ToString();  // same engine => same mode/pool
+  // Same engine => same geometry; a private child's block is already reserved.
+  KTX_CHECK(cloned.ok()) << cloned.ToString();
   return child;
 }
 
@@ -734,12 +734,7 @@ Status HybridEngine::ValidateSession(int session) const {
 }
 
 std::int64_t HybridEngine::KvRemaining(int session) const {
-  const KvCache& cache = *sessions_.at(static_cast<std::size_t>(session));
-  // No sentinel arithmetic: an unbounded cache simply has no limit to report.
-  if (!cache.has_capacity_bound()) {
-    return std::numeric_limits<std::int64_t>::max();
-  }
-  return cache.remaining();
+  return sessions_.at(static_cast<std::size_t>(session))->remaining();
 }
 
 std::int64_t HybridEngine::KvBlocksNeeded(int session, std::int64_t tokens) const {
@@ -850,7 +845,7 @@ StatusOr<PrefillCursor> HybridEngine::StartPrefill(int session, std::vector<int>
   // (the session is exclusively this prompt's between Start and done).
   KvCache& cache = *sessions_[static_cast<std::size_t>(session)];
   const auto prompt_len = static_cast<std::int64_t>(tokens.size());
-  if (cache.has_capacity_bound() && cache.position() + prompt_len > cache.max_seq()) {
+  if (cache.position() + prompt_len > cache.max_seq()) {
     return ResourceExhaustedError("prompt of " + std::to_string(tokens.size()) +
                                   " tokens does not fit the kv cache (position " +
                                   std::to_string(cache.position()) + ", max_seq " +
@@ -861,7 +856,7 @@ StatusOr<PrefillCursor> HybridEngine::StartPrefill(int session, std::vector<int>
   cursor.session_ = session;
   cursor.tokens_ = std::move(tokens);
 
-  // Paged + empty session: adopt the longest cached prefix. Reuse length is
+  // Shared pool + empty session: adopt the longest cached prefix. Reuse length is
   // floored to a multiple of BOTH the block size (only whole blocks are
   // shareable) and the prefill chunk (chunk offsets decide tokens-per-expert
   // and therefore the ARI kernel kind, so the suffix must land on the same
@@ -890,7 +885,7 @@ StatusOr<PrefillCursor> HybridEngine::StartPrefill(int session, std::vector<int>
     }
   }
 
-  // Reserve every remaining row NOW (paged: block allocations, possibly
+  // Reserve every remaining row NOW (block allocations, possibly
   // evicting stale prefix-cache entries) so chunks can never fail on
   // allocation mid-prompt. Failure rolls back the adoption; the session is
   // left exactly as it was.

@@ -93,17 +93,18 @@ struct EngineOptions {
   VDevice::Options device;
   // Tokens per prefill chunk.
   std::int64_t prefill_chunk = 256;
-  // Paged KV cache. 0 = legacy contiguous per-session caches (each sized to
-  // max_seq up front). > 0 = all sessions draw fixed-size blocks from one
-  // KvBlockPool of this many blocks, committed lazily as contexts grow and
-  // shared across sessions for common prompt prefixes (copy-on-write on
-  // divergence). -1 = auto-size: one full max_seq context's worth of blocks
-  // per potential session (max_sessions, else max_batch) — same worst-case
-  // bytes as contiguous, but lazily committed and shareable.
+  // KV block pool. 0 = private storage: each session owns a one-block pool
+  // of max_seq rows, reserved when the session is created. > 0 = all
+  // sessions draw fixed-size blocks from one shared KvBlockPool of this many
+  // blocks, committed lazily as contexts grow and shared across sessions for
+  // common prompt prefixes (copy-on-write on divergence). -1 = auto-size the
+  // shared pool: one full max_seq context's worth of blocks per potential
+  // session (max_sessions, else max_batch) — the same worst-case bytes as
+  // private storage, but lazily committed and shareable.
   std::int64_t kv_pool_blocks = 0;
-  // Tokens per KV block (paged mode only).
+  // Tokens per KV block (shared pool only).
   std::int64_t kv_block_size = 16;
-  // Paged mode: register full prompt blocks in the pool's prefix cache so
+  // Shared pool: register full prompt blocks in the pool's prefix cache so
   // later prompts sharing a prefix skip that much prefill (a ref-count bump
   // instead of forward work). Reused prefixes are bit-identical to recompute
   // because reuse lengths are floored to prefill-chunk boundaries.
@@ -153,7 +154,7 @@ struct EngineCounters {
   // Routed-expert requests submitted to the CPU service. One per MoE layer
   // per decode step regardless of batch width (two with deferral).
   std::int64_t moe_requests = 0;
-  // Prefix-cache reuse (paged mode): StartPrefill calls that adopted >= 1
+  // Prefix-cache reuse (shared pool): StartPrefill calls that adopted >= 1
   // cached block, and the total prompt tokens served from the cache instead
   // of prefill compute.
   std::int64_t prefix_cache_hits = 0;
@@ -251,15 +252,16 @@ class HybridEngine {
   StatusOr<Tensor> TryDecodeBatch(const std::vector<SessionToken>& batch);
   StatusOr<int> TryCreateSession();
   // Creates a new session whose KV state is `parent`'s at its current
-  // position. Paged engines share blocks (O(block-table) time and zero new
-  // rows until divergence, which copy-on-writes); contiguous engines deep-
-  // copy. The sibling decodes independently of the parent from then on.
+  // position. With a shared pool the child shares blocks (O(block-table) time
+  // and zero new rows until divergence, which copy-on-writes); with private
+  // storage it copies rows into its own block. The sibling decodes
+  // independently of the parent from then on.
   StatusOr<int> TryForkSession(int parent);
 
   // --- Resumable prefill (stall-free serving) -------------------------------
   // StartPrefill validates everything TryPrefill would — session id, token
   // range, and KV headroom for the WHOLE prompt, once, up front — but runs no
-  // forward work. In paged mode "validating headroom" is physical: every
+  // forward work. "Validating headroom" is physical: every
   // block the prompt needs is reserved from the pool here (so chunks can
   // never fail on allocation mid-prompt), and if the session starts empty the
   // pool's prefix cache is consulted first — the longest cached prefix match
@@ -280,20 +282,20 @@ class HybridEngine {
   StatusOr<std::int64_t> TryPrefillNext(PrefillCursor* cursor);
 
   // KV-cache positions left before `session`'s cache runs out (a decode step
-  // needs >= 1). In paged mode this is capped by what the shared pool can
+  // needs >= 1). With a shared pool this is capped by what the pool can
   // still supply, so it varies with other sessions' occupancy. The serving
   // loop checks this each sweep and retires exhausted requests with finish
-  // reason `kv_exhausted`. Sessions without a capacity bound report
-  // int64 max (no sentinel arithmetic — see KvCache::has_capacity_bound).
+  // reason `kv_exhausted`.
   std::int64_t KvRemaining(int session) const;
   // Pool blocks a `tokens`-row append to `session` would consume right now
-  // (new blocks plus a copy-on-write of a shared tail); 0 for contiguous
-  // engines. With kv_pool()->available_blocks() this lets the serving loop
-  // budget a whole decode sweep against the shared pool before issuing it —
-  // rows can each pass KvRemaining individually yet not fit together.
+  // (new blocks plus a copy-on-write of a shared tail). With
+  // kv_pool()->available_blocks() this lets the serving loop budget a whole
+  // decode sweep against the shared pool before issuing it — rows can each
+  // pass KvRemaining individually yet not fit together.
   std::int64_t KvBlocksNeeded(int session, std::int64_t tokens) const;
 
-  // Paged-mode introspection. kv_pool() is null for contiguous engines.
+  // Shared-pool introspection. kv_paged() is false and kv_pool() null when
+  // every session owns private storage (kv_pool_blocks == 0).
   bool kv_paged() const { return kv_pool_ != nullptr; }
   const KvBlockPool* kv_pool() const { return kv_pool_.get(); }
 
@@ -309,8 +311,8 @@ class HybridEngine {
   // in the pool's prefix cache under the chained hash of `history` (the exact
   // tokens whose KV the session holds: the prompt plus every decoded token
   // fed back), so those physical blocks survive the session's Reset as
-  // evictable cache entries; returns the blocks registered (0 for contiguous
-  // engines, with the prefix cache off, or when history does not match the
+  // evictable cache entries; returns the blocks registered (0 without a
+  // shared pool, with the prefix cache off, or when history does not match the
   // session's position). TryRestoreKv rebuilds an empty session to the blob's
   // position: it adopts the longest cached run of `history`'s blocks first —
   // the same physical bits, for a ref bump — and copies only the remainder
@@ -426,7 +428,7 @@ class HybridEngine {
   // devices_/streams_ so its transfer stream drains before the device dies.
   std::unique_ptr<ExpertPlacementManager> placement_;
 
-  std::unique_ptr<KvBlockPool> kv_pool_;  // null = contiguous per-session caches
+  std::unique_ptr<KvBlockPool> kv_pool_;  // null = private per-session storage
   std::vector<std::unique_ptr<KvCache>> sessions_;
   KvCache* active_cache_ = nullptr;  // read by captured kernels at exec time
   EngineCounters counters_;

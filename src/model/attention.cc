@@ -551,8 +551,9 @@ void MlaForward(const MoeModelConfig& config, const AttentionProjections& w, con
 
     // Materialize per-position K(nope)/V from the latent for the whole
     // window. Each GEMM row depends only on its own latent row, so running
-    // the GEMM per physically-contiguous run (whole window when contiguous,
-    // per block when paged) is bit-identical to one whole-window GEMM.
+    // the GEMM per physically-contiguous run (the whole window for a private
+    // max_seq block, per block in a shared pool) is bit-identical to one
+    // whole-window GEMM.
     const std::int64_t window = span.pos0 + span.rows;
     for (std::int64_t p = 0; p < window;) {
       const std::int64_t run = cache.run_length(p, window);

@@ -93,8 +93,8 @@ struct AttentionScratch {
 // Processes `m` new tokens whose first absolute position is `pos0`
 // (the cache already holds positions [0, pos0)). Appends to the cache through
 // the row view and writes attention output (pre-residual) to out[m, hidden].
-// Causal masking. Rows are addressed via KvLayerView, so contiguous and paged
-// caches produce bit-identical results (paged windowed GEMMs run per
+// Causal masking. Rows are addressed via KvLayerView, so every block layout
+// produces bit-identical results (windowed GEMMs run per
 // physically-contiguous block run). Returns kResourceExhausted — without
 // touching the cache — when [pos0, pos0+m) overflows config.max_seq or the
 // view's prepared capacity; engine Try* entry points propagate this instead

@@ -1,12 +1,12 @@
 // Fixed-size KV block pool with ref counting and a shared-prefix cache.
 //
-// The pool owns ALL KV storage for a paged engine: per layer, one tensor of
+// A pool owns KV storage: per layer, one tensor of
 // [num_blocks * block_size, row_dim] rows for each cached stream (K and V for
 // GQA; the joint latent c_kv and the decoupled-RoPE key for MLA). Sessions
-// hold *block tables* — lists of block ids — instead of contiguous max_seq
-// allocations, so memory is committed block-by-block as contexts actually
-// grow and the same physical block can back the shared prefix of many
-// sessions at once.
+// hold *block tables* — lists of block ids. A pool shared by an engine's
+// sessions commits memory block-by-block as contexts actually grow, and the
+// same physical block can back the shared prefix of many sessions at once;
+// a private cache owns a pool of one max_seq-row block (kv_cache.h).
 //
 // Ref counting: a block's count is the number of block-table references
 // (sessions) plus one if the prefix cache holds it. Unref to zero returns the

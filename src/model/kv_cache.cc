@@ -7,86 +7,60 @@
 namespace ktx {
 
 KvCache::KvCache(const MoeModelConfig& config)
-    : attention_(config.attention),
+    : owned_pool_(std::make_unique<KvBlockPool>(
+          config, KvPoolOptions{/*block_size=*/config.max_seq, /*num_blocks=*/1})),
+      pool_(owned_pool_.get()),
+      num_layers_(config.num_layers),
       kv_dim_(config.num_kv_heads * config.head_dim),
       lora_(config.kv_lora_rank),
       rope_(config.rope_dim),
       max_seq_(config.max_seq) {
-  layers_.resize(static_cast<std::size_t>(config.num_layers));
-  for (auto& layer : layers_) {
-    if (config.attention == AttentionKind::kMla) {
-      layer.ckv = Tensor({config.max_seq, config.kv_lora_rank}, DType::kF32);
-      layer.k_rope = Tensor({config.max_seq, config.rope_dim}, DType::kF32);
-      bytes_per_position_ +=
-          static_cast<std::size_t>(config.kv_lora_rank + config.rope_dim) * sizeof(float);
-    } else {
-      layer.k = Tensor({config.max_seq, kv_dim_}, DType::kF32);
-      layer.v = Tensor({config.max_seq, kv_dim_}, DType::kF32);
-      bytes_per_position_ += 2 * static_cast<std::size_t>(kv_dim_) * sizeof(float);
-    }
-  }
+  const Status reserved = PrepareAppend(max_seq_);
+  KTX_CHECK(reserved.ok()) << reserved.ToString();
 }
 
 KvCache::KvCache(const MoeModelConfig& config, KvBlockPool* pool)
     : pool_(pool),
-      attention_(config.attention),
+      num_layers_(config.num_layers),
       kv_dim_(config.num_kv_heads * config.head_dim),
       lora_(config.kv_lora_rank),
       rope_(config.rope_dim),
-      max_seq_(config.max_seq),
-      bytes_per_position_(pool->bytes_per_position()) {
+      max_seq_(config.max_seq) {
   KTX_CHECK(pool_ != nullptr);
-  KTX_CHECK_GE(max_seq_, 1) << "paged caches need a max_seq bound";
+  KTX_CHECK_GE(max_seq_, 1) << "kv caches need a max_seq bound";
 }
 
 KvLayerView KvCache::layer(int i) const {
-  KTX_CHECK(paged() || !layers_.empty()) << "layer() on a storage-free KvCache";
   KvLayerView view;
   view.kv_dim_ = kv_dim_;
   view.lora_ = lora_;
   view.rope_ = rope_;
-  if (paged()) {
-    view.k_ = pool_->k_base(i);
-    view.v_ = pool_->v_base(i);
-    view.ckv_ = pool_->ckv_base(i);
-    view.k_rope_ = pool_->k_rope_base(i);
-    view.table_ = block_table_.data();
-    view.block_size_ = pool_->block_size();
-    view.capacity_rows_ = reserved_rows();
-  } else {
-    // layer() is const but views are writable: attention appends rows in
-    // place, matching the pre-paging KvLayerCache& contract.
-    auto& storage = const_cast<LayerStorage&>(layers_[static_cast<std::size_t>(i)]);
-    if (attention_ == AttentionKind::kMla) {
-      view.ckv_ = storage.ckv.f32();
-      view.k_rope_ = storage.k_rope.f32();
-    } else {
-      view.k_ = storage.k.f32();
-      view.v_ = storage.v.f32();
-    }
-    view.capacity_rows_ = max_seq_;
-  }
+  view.k_ = pool_->k_base(i);
+  view.v_ = pool_->v_base(i);
+  view.ckv_ = pool_->ckv_base(i);
+  view.k_rope_ = pool_->k_rope_base(i);
+  view.table_ = block_table_.data();
+  view.block_size_ = pool_->block_size();
+  view.capacity_rows_ = reserved_rows();
   return view;
 }
 
+bool KvCache::SharedTail() const {
+  const std::int64_t bs = pool_->block_size();
+  return position_ % bs != 0 &&
+         pool_->ref_count(block_table_[static_cast<std::size_t>(position_ / bs)]) > 1;
+}
+
 std::int64_t KvCache::remaining() const {
-  KTX_CHECK(has_capacity_bound())
-      << "remaining() on an unbounded KvCache; check has_capacity_bound() first";
   const std::int64_t seq_left = max_seq_ - position_;
-  if (!paged()) {
-    return seq_left;
-  }
   // Rows already reserved in the table are free to use; beyond that, every
   // available pool block adds block_size rows — minus one whole block when the
   // next append must first copy-on-write a shared tail.
   const std::int64_t bs = pool_->block_size();
   const std::int64_t slack = reserved_rows() - position_;
-  const bool shared_tail =
-      position_ % bs != 0 &&
-      pool_->ref_count(block_table_[static_cast<std::size_t>(position_ / bs)]) > 1;
-  std::int64_t avail = pool_->available_blocks();
+  const std::int64_t avail = pool_->available_blocks();
   std::int64_t pool_left;
-  if (shared_tail) {
+  if (SharedTail()) {
     pool_left = avail >= 1 ? slack + (avail - 1) * bs : 0;
   } else {
     pool_left = slack + avail * bs;
@@ -95,17 +69,14 @@ std::int64_t KvCache::remaining() const {
 }
 
 std::int64_t KvCache::BlocksNeededFor(std::int64_t tokens) const {
-  if (!paged() || tokens <= 0) {
+  if (tokens <= 0) {
     return 0;
   }
   const std::int64_t bs = pool_->block_size();
   const std::int64_t needed_entries = (position_ + tokens + bs - 1) / bs;
   std::int64_t need =
       std::max<std::int64_t>(0, needed_entries - static_cast<std::int64_t>(block_table_.size()));
-  const bool shared_tail =
-      position_ % bs != 0 &&
-      pool_->ref_count(block_table_[static_cast<std::size_t>(position_ / bs)]) > 1;
-  if (shared_tail) {
+  if (SharedTail()) {
     ++need;  // copy-on-write of the tail block comes first
   }
   return need;
@@ -116,30 +87,24 @@ Status KvCache::PrepareAppend(std::int64_t tokens) {
   if (tokens == 0) {
     return OkStatus();
   }
-  if (has_capacity_bound() && position_ + tokens > max_seq_) {
+  if (position_ + tokens > max_seq_) {
     return ResourceExhaustedError("kv cache exhausted: position " + std::to_string(position_) +
                                   " + " + std::to_string(tokens) + " exceeds max_seq " +
                                   std::to_string(max_seq_));
   }
-  if (!paged()) {
-    return OkStatus();
-  }
   const std::int64_t bs = pool_->block_size();
   // Copy-on-write: the tail block is partially ours but shared with another
   // session (or the prefix cache); appending in place would corrupt them.
-  const std::int64_t filled = position_ % bs;
-  if (filled != 0) {
+  if (SharedTail()) {
     const std::size_t tb = static_cast<std::size_t>(position_ / bs);
-    if (pool_->ref_count(block_table_[tb]) > 1) {
-      auto fresh = pool_->AllocBlock();
-      if (!fresh.ok()) {
-        return fresh.status().WithContext("copy-on-write of shared kv tail block");
-      }
-      pool_->CopyBlockRows(block_table_[tb], *fresh, filled);
-      pool_->Unref(block_table_[tb]);
-      block_table_[tb] = *fresh;
-      ++pool_->cow_copies_;
+    auto fresh = pool_->AllocBlock();
+    if (!fresh.ok()) {
+      return fresh.status().WithContext("copy-on-write of shared kv tail block");
     }
+    pool_->CopyBlockRows(block_table_[tb], *fresh, position_ % bs);
+    pool_->Unref(block_table_[tb]);
+    block_table_[tb] = *fresh;
+    ++pool_->cow_copies_;
   }
   const std::int64_t needed_entries = (position_ + tokens + bs - 1) / bs;
   while (static_cast<std::int64_t>(block_table_.size()) < needed_entries) {
@@ -155,22 +120,9 @@ Status KvCache::PrepareAppend(std::int64_t tokens) {
   return OkStatus();
 }
 
-Status KvCache::TryAdvance(std::int64_t tokens) {
-  if (has_capacity_bound() && tokens > remaining()) {
-    return ResourceExhaustedError("kv cache exhausted: position " + std::to_string(position_) +
-                                  " + " + std::to_string(tokens) + " exceeds max_seq " +
-                                  std::to_string(max_seq_) +
-                                  (paged() ? " or pool capacity" : ""));
-  }
-  KTX_RETURN_IF_ERROR(PrepareAppend(tokens));
-  position_ += tokens;
-  return OkStatus();
-}
-
 void KvCache::AdoptPrefix(const std::vector<std::int32_t>& blocks, std::int64_t tokens) {
-  KTX_CHECK(paged()) << "AdoptPrefix on a contiguous KvCache";
   KTX_CHECK(position_ == 0 && block_table_.empty())
-      << "AdoptPrefix requires an empty cache";
+      << "AdoptPrefix requires a cache holding no blocks";
   KTX_CHECK_EQ(tokens, static_cast<std::int64_t>(blocks.size()) * pool_->block_size())
       << "only whole blocks are shareable";
   KTX_CHECK_LE(tokens, max_seq_);
@@ -182,15 +134,17 @@ void KvCache::AdoptPrefix(const std::vector<std::int32_t>& blocks, std::int64_t 
 }
 
 Status KvCache::CloneFrom(const KvCache& parent) {
-  if (position_ != 0 || !block_table_.empty()) {
+  if (position_ != 0) {
     return FailedPreconditionError("CloneFrom requires an empty cache");
   }
-  if (paged() != parent.paged() || (paged() && pool_ != parent.pool_)) {
-    return FailedPreconditionError("CloneFrom requires matching storage (same mode and pool)");
+  if (num_layers_ != parent.num_layers_ || kv_dim_ != parent.kv_dim_ ||
+      lora_ != parent.lora_ || rope_ != parent.rope_ || max_seq_ != parent.max_seq_) {
+    return FailedPreconditionError("CloneFrom requires matching cache geometry");
   }
-  if (paged()) {
+  if (pool_ == parent.pool_) {
     // Share every block covering [0, position): ref bumps only. The partial
     // tail (if any) is now shared; the first divergent append copy-on-writes.
+    ReleaseBlocks();
     const std::int64_t bs = pool_->block_size();
     const std::int64_t used = (parent.position_ + bs - 1) / bs;
     for (std::int64_t b = 0; b < used; ++b) {
@@ -199,23 +153,29 @@ Status KvCache::CloneFrom(const KvCache& parent) {
       block_table_.push_back(block);
     }
   } else {
-    if (layers_.size() != parent.layers_.size() || max_seq_ != parent.max_seq_ ||
-        kv_dim_ != parent.kv_dim_ || lora_ != parent.lora_ || rope_ != parent.rope_) {
-      return FailedPreconditionError("CloneFrom requires matching cache geometry");
-    }
-    auto copy_rows = [&](const Tensor& src, Tensor& dst) {
-      if (src.numel() == 0) {
-        return;
+    KTX_RETURN_IF_ERROR(PrepareAppend(parent.position_).WithContext("CloneFrom"));
+    // Each stream is copied run by run: a run is contiguous in both caches.
+    using RowFn = float* (KvLayerView::*)(std::int64_t) const;
+    const auto copy_rows = [&](const KvLayerView& src, const KvLayerView& dst, RowFn row,
+                               std::int64_t dim) {
+      const std::int64_t end = parent.position_;
+      for (std::int64_t pos = 0; pos < end;) {
+        const std::int64_t n = std::min(src.run_length(pos, end), dst.run_length(pos, end));
+        std::memcpy((dst.*row)(pos), (src.*row)(pos),
+                    static_cast<std::size_t>(n * dim) * sizeof(float));
+        pos += n;
       }
-      const std::int64_t dim = src.dim(1);
-      std::memcpy(dst.f32(), src.f32(),
-                  static_cast<std::size_t>(parent.position_ * dim) * sizeof(float));
     };
-    for (std::size_t l = 0; l < layers_.size(); ++l) {
-      copy_rows(parent.layers_[l].k, layers_[l].k);
-      copy_rows(parent.layers_[l].v, layers_[l].v);
-      copy_rows(parent.layers_[l].ckv, layers_[l].ckv);
-      copy_rows(parent.layers_[l].k_rope, layers_[l].k_rope);
+    for (int l = 0; l < num_layers_; ++l) {
+      const KvLayerView src = parent.layer(l);
+      const KvLayerView dst = layer(l);
+      if (src.ckv_ != nullptr) {  // MLA
+        copy_rows(src, dst, &KvLayerView::ckv_row, lora_);
+        copy_rows(src, dst, &KvLayerView::k_rope_row, rope_);
+      } else {
+        copy_rows(src, dst, &KvLayerView::k_row, kv_dim_);
+        copy_rows(src, dst, &KvLayerView::v_row, kv_dim_);
+      }
     }
   }
   position_ = parent.position_;
@@ -223,10 +183,8 @@ Status KvCache::CloneFrom(const KvCache& parent) {
 }
 
 void KvCache::ReleaseBlocks() {
-  if (pool_ != nullptr) {
-    for (std::int32_t block : block_table_) {
-      pool_->Unref(block);
-    }
+  for (std::int32_t block : block_table_) {
+    pool_->Unref(block);
   }
   block_table_.clear();
 }

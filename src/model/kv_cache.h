@@ -1,16 +1,18 @@
-// Key/value caches for incremental decoding: contiguous or paged.
+// Key/value caches for incremental decoding, stored in blocks.
 //
 // GQA layers cache per-position keys and values ([seq, kv_heads*head_dim]
 // each). MLA layers cache the joint latent c_kv ([seq, kv_lora_rank]) and the
 // shared decoupled-RoPE key ([seq, rope_dim]) — the compression that makes
 // DeepSeek's KV footprint small enough for long local contexts.
 //
-// Two storage modes behind one row-addressed view:
+// Rows live in fixed-size blocks of a KvBlockPool; the cache holds a *block
+// table* (block ids, in position order). There is one storage path and two
+// ways to get a pool:
 //
-//   * Contiguous (legacy): one max_seq-row tensor per layer per stream,
-//     allocated up front. Simple, private, and the bit-identity baseline.
-//   * Paged: rows live in fixed-size blocks owned by a shared KvBlockPool;
-//     the cache holds a *block table* (block ids, in position order) and
+//   * Private: KvCache(config) owns a pool of ONE block of max_seq rows and
+//     reserves it up front — the bytes and layout of a contiguous max_seq
+//     cache, writable to max_seq without any PrepareAppend.
+//   * Shared: KvCache(config, pool) draws blocks from an engine-wide pool and
 //     commits memory lazily, block by block, as the context grows
 //     (PrepareAppend). Blocks are ref-counted, so many sessions can map the
 //     same physical blocks for a shared prompt prefix (AdoptPrefix /
@@ -19,22 +21,21 @@
 //     prefix cache.
 //
 // Attention reads and writes rows through KvLayerView, which performs the
-// block-table indirection per row (or a plain stride in contiguous mode) and
-// exposes contiguous runs for windowed GEMMs. Views are built at use time —
-// inside captured kernels this means at *execution* time, so a growing block
-// table never invalidates a captured decode graph.
+// block-table indirection per row and exposes physically-contiguous runs for
+// windowed GEMMs. Views are built at use time — inside captured kernels this
+// means at *execution* time, so a growing block table never invalidates a
+// captured decode graph.
 //
 // Capacity is enforced: callers on untrusted paths (engine decode/prefill,
 // serving loop) check remaining()/PrepareAppend and turn exhaustion into a
 // recoverable Status (the `kv_exhausted` finish reason); Advance itself
-// KTX_CHECKs as a last-resort invariant for internal callers. A
-// default-constructed cache has no storage and no capacity bound — callers
-// must consult has_capacity_bound() before asking for remaining().
+// KTX_CHECKs as a last-resort invariant for internal callers.
 
 #ifndef KTX_SRC_MODEL_KV_CACHE_H_
 #define KTX_SRC_MODEL_KV_CACHE_H_
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "src/common/logging.h"
@@ -59,30 +60,24 @@ class KvLayerView {
   float* k_rope_row(std::int64_t pos) const { return k_rope_ + phys(pos) * rope_; }
 
   // Length of the physically-contiguous run starting at pos, capped at
-  // `end` — the whole window in contiguous mode, at most a block in paged
-  // mode. Lets windowed GEMMs (MLA latent up-projections) run block by block
-  // with zero gathers.
+  // `end` and at the end of pos's block (the whole window for a private
+  // max_seq block). Lets windowed GEMMs (MLA latent up-projections) run block
+  // by block with zero gathers.
   std::int64_t run_length(std::int64_t pos, std::int64_t end) const {
     const std::int64_t left = end - pos;
-    if (table_ == nullptr) {
-      return left;
-    }
     const std::int64_t in_block = block_size_ - pos % block_size_;
     return in_block < left ? in_block : left;
   }
 
-  // Rows this view can address: max_seq (contiguous) or the rows covered by
-  // the block table (paged). Appends past this are out of bounds.
+  // Rows covered by the block table. Appends past this are out of bounds.
   std::int64_t capacity_rows() const { return capacity_rows_; }
 
  private:
   friend class KvCache;
 
   std::int64_t phys(std::int64_t pos) const {
-    return table_ == nullptr
-               ? pos
-               : static_cast<std::int64_t>(table_[pos / block_size_]) * block_size_ +
-                     pos % block_size_;
+    return static_cast<std::int64_t>(table_[pos / block_size_]) * block_size_ +
+           pos % block_size_;
   }
 
   float* k_ = nullptr;
@@ -92,57 +87,50 @@ class KvLayerView {
   std::int64_t kv_dim_ = 0;
   std::int64_t lora_ = 0;
   std::int64_t rope_ = 0;
-  const std::int32_t* table_ = nullptr;  // null = contiguous
+  const std::int32_t* table_ = nullptr;
   std::int64_t block_size_ = 1;
   std::int64_t capacity_rows_ = 0;
 };
 
 class KvCache {
  public:
-  KvCache() = default;  // no storage; !has_capacity_bound()
-  explicit KvCache(const MoeModelConfig& config);        // contiguous, max_seq rows
-  KvCache(const MoeModelConfig& config, KvBlockPool* pool);  // paged (pool not owned)
+  // Private storage: an owned one-block pool of max_seq rows, reserved now.
+  explicit KvCache(const MoeModelConfig& config);
+  // Shared storage: blocks drawn lazily from `pool` (not owned).
+  KvCache(const MoeModelConfig& config, KvBlockPool* pool);
   ~KvCache() { ReleaseBlocks(); }
 
   KvCache(const KvCache&) = delete;
   KvCache& operator=(const KvCache&) = delete;
 
-  // Per-layer row view. Built fresh on every call so paged views always see
-  // the current block table (captured kernels call this at exec time).
+  // Per-layer row view. Built fresh on every call so views always see the
+  // current block table (captured kernels call this at exec time).
   KvLayerView layer(int i) const;
 
-  bool paged() const { return pool_ != nullptr; }
   std::int64_t position() const { return position_; }
   std::int64_t max_seq() const { return max_seq_; }
-  // A default-constructed cache has no storage and therefore no bound;
-  // remaining() is meaningless (and KTX_CHECKs) without one.
-  bool has_capacity_bound() const { return max_seq_ > 0; }
   // Positions left before this session runs out of room: the max_seq bound,
-  // further capped in paged mode by what the shared pool can still supply
-  // (tail-block slack + free/evictable blocks, minus one block when the next
-  // append must copy-on-write a shared tail). Pool pressure makes this value
-  // time-varying across sessions.
+  // further capped by what the pool can still supply (tail-block slack +
+  // free/evictable blocks, minus one block when the next append must
+  // copy-on-write a shared tail). With a shared pool this value varies with
+  // other sessions' occupancy.
   std::int64_t remaining() const;
-  bool CanAdvance(std::int64_t tokens) const {
-    return !has_capacity_bound() || tokens <= remaining();
-  }
+  bool CanAdvance(std::int64_t tokens) const { return tokens <= remaining(); }
 
   // Ensures rows [position, position+tokens) are writable: checks the
   // max_seq bound, copy-on-writes a shared tail block, and allocates any
-  // missing blocks from the pool (contiguous mode only checks). Recoverable:
-  // kResourceExhausted leaves the position untouched (already-allocated
-  // blocks stay reserved in the table and are reclaimed on Reset).
+  // missing blocks from the pool. Recoverable: kResourceExhausted leaves the
+  // position untouched (already-allocated blocks stay reserved in the table
+  // and are reclaimed on Reset).
   Status PrepareAppend(std::int64_t tokens);
   // Pool blocks PrepareAppend(tokens) would consume right now (new blocks
-  // plus a copy-on-write block if the shared tail forces one). 0 when
-  // contiguous. Lets callers validate a multi-session step against the pool
-  // aggregate before mutating anything.
+  // plus a copy-on-write block if the shared tail forces one). Lets callers
+  // validate a multi-session step against the shared pool's aggregate before
+  // mutating anything.
   std::int64_t BlocksNeededFor(std::int64_t tokens) const;
 
-  // Recoverable capacity check + advance (storage prepared as a side
-  // effect); or kResourceExhausted with the position untouched.
-  Status TryAdvance(std::int64_t tokens);
-  // Internal-invariant flavor: callers must have prepared capacity already.
+  // Moves the position past rows written into prepared capacity (KTX_CHECKs
+  // that PrepareAppend covered them).
   void Advance(std::int64_t tokens) {
     KTX_CHECK(position_ + tokens <= reserved_rows())
         << "KV cache overrun: position " << position_ << " + " << tokens
@@ -150,57 +138,49 @@ class KvCache {
         << ")";
     position_ += tokens;
   }
+  // Returns every block to the pool (a private block is re-reserved by the
+  // next PrepareAppend).
   void Reset() {
     ReleaseBlocks();
     position_ = 0;
   }
 
-  // --- paged sharing --------------------------------------------------------
-  // Maps `tokens` positions of shared prefix into this (empty) cache: refs
-  // each block and sets the position. tokens must equal blocks.size() *
-  // block_size (only whole blocks are shareable).
+  // --- block sharing --------------------------------------------------------
+  // Maps `tokens` positions of shared prefix into this cache, which must hold
+  // no blocks: refs each block and sets the position. tokens must equal
+  // blocks.size() * block_size (only whole blocks are shareable).
   void AdoptPrefix(const std::vector<std::int32_t>& blocks, std::int64_t tokens);
-  // Forks `parent` into this empty cache: paged caches share blocks (ref
-  // bump, O(blocks); first divergent append copy-on-writes), contiguous
-  // caches deep-copy rows. Both must be the same mode (and pool).
+  // Forks `parent` into this empty (position 0) cache. On the same pool the
+  // fork shares blocks (ref bump, O(blocks); the first divergent append
+  // copy-on-writes); across pools it copies rows [0, position) through the
+  // layer views. Geometry must match.
   Status CloneFrom(const KvCache& parent);
   const std::vector<std::int32_t>& block_table() const { return block_table_; }
-  const KvBlockPool* pool() const { return pool_; }
 
   // Rows currently writable without further allocation.
   std::int64_t reserved_rows() const {
-    if (paged()) {
-      return static_cast<std::int64_t>(block_table_.size()) * pool_->block_size();
-    }
-    return max_seq_ == 0 ? (std::int64_t{1} << 62) : max_seq_;
+    return static_cast<std::int64_t>(block_table_.size()) * pool_->block_size();
   }
 
   // Bytes of cache state per position (capacity-planning reports).
-  std::size_t BytesPerPosition() const { return bytes_per_position_; }
+  std::size_t BytesPerPosition() const { return pool_->bytes_per_position(); }
 
  private:
-  struct LayerStorage {
-    // GQA
-    Tensor k;  // [max_seq, kv_heads * head_dim]
-    Tensor v;
-    // MLA
-    Tensor ckv;     // [max_seq, kv_lora_rank]
-    Tensor k_rope;  // [max_seq, rope_dim]
-  };
-
+  // True when the block holding `position_` is partially filled and shared,
+  // so the next append must copy it first.
+  bool SharedTail() const;
   void ReleaseBlocks();
 
-  std::vector<LayerStorage> layers_;  // contiguous mode
-  KvBlockPool* pool_ = nullptr;       // paged mode; not owned
+  std::unique_ptr<KvBlockPool> owned_pool_;  // private storage only
+  KvBlockPool* pool_ = nullptr;              // owned_pool_ or the shared pool
   std::vector<std::int32_t> block_table_;
 
-  AttentionKind attention_ = AttentionKind::kGqa;
+  int num_layers_ = 0;
   std::int64_t kv_dim_ = 0;
   std::int64_t lora_ = 0;
   std::int64_t rope_ = 0;
   std::int64_t position_ = 0;
-  std::int64_t max_seq_ = 0;  // 0 = unbounded (storage-free default cache)
-  std::size_t bytes_per_position_ = 0;
+  std::int64_t max_seq_ = 0;
 };
 
 }  // namespace ktx

@@ -394,7 +394,7 @@ Status DeserializeKvState(const std::string& bytes, const MoeModelConfig& config
     return InvalidArgumentError("kv-state geometry does not match the target config");
   }
   KTX_ASSIGN_OR_RETURN(std::int64_t position, in.Get<std::int64_t>());
-  if (position < 0 || (cache->has_capacity_bound() && position > cache->max_seq())) {
+  if (position < 0 || position > cache->max_seq()) {
     return InvalidArgumentError("kv-state position " + std::to_string(position) +
                                 " does not fit the target cache");
   }

@@ -16,10 +16,10 @@
 //
 // KV-state serialization ("KTXV") captures one session's cache content —
 // rows [0, position) of every layer and stream — gathered LOGICALLY by
-// position. Physical layout (contiguous rows vs paged block tables, shared
-// or private blocks) never leaks into the bytes, so a paged cache with a
-// shared-prefix block table serializes identically to a contiguous cache
-// holding the same values, and state round-trips across storage modes. This
+// position. Physical layout (block size, shared or private pool, shared or
+// private blocks) never leaks into the bytes, so a shared-pool cache with a
+// shared-prefix block table serializes identically to a private cache
+// holding the same values, and state round-trips across layouts. This
 // is the KV-shipping primitive for the scale-out tier (ROADMAP item 5).
 
 #ifndef KTX_SRC_MODEL_SERIALIZE_H_
@@ -52,8 +52,8 @@ std::string SerializeModel(const MoeModelConfig& config, const ModelWeights& wei
 StatusOr<ModelFile> DeserializeModel(const std::string& bytes);
 
 // Serializes `cache`'s live rows ([0, position), every layer/stream) into a
-// KTXV blob. Rows are gathered by logical position: storage mode (paged or
-// contiguous) and block sharing never affect the bytes.
+// KTXV blob. Rows are gathered by logical position: the block layout and
+// block sharing never affect the bytes.
 std::string SerializeKvState(const MoeModelConfig& config, const KvCache& cache);
 // Restores a KTXV blob into `cache`, which must sit exactly at `start_pos`
 // (default 0: an empty cache) and be built for the same attention geometry;

@@ -64,10 +64,8 @@ ServingLoop::ServingLoop(HybridEngine* engine, ServingOptions options)
   KTX_CHECK(engine_ != nullptr);
   KTX_CHECK_GE(options_.max_concurrent, 1);
   KTX_CHECK_GE(options_.max_queue, 1);
+  KTX_CHECK_GE(options_.prefill_budget_tokens, 1);
 }
-
-ServingLoop::ServingLoop(HybridEngine* engine, int max_concurrent, bool batched_decode)
-    : ServingLoop(engine, ServingOptions{max_concurrent, batched_decode}) {}
 
 Status ServingLoop::ValidateRequest(const GenerationRequest& request) const {
   if (request.prompt.empty()) {
@@ -212,6 +210,11 @@ std::uint64_t ServingLoop::Submit(GenerationRequest request) {
   queue_.push_back(std::move(pending));
   trace::EmitAsyncBegin("request", "queued", id);
   return id;
+}
+
+void ServingLoop::NoteSlotTaken() {
+  stats_.peak_concurrency = std::max(
+      stats_.peak_concurrency, static_cast<int>(prefilling_.size() + active_.size()) + 1);
 }
 
 void ServingLoop::NoteFirstToken(Active* active) {
@@ -373,7 +376,6 @@ void ServingLoop::AdmitWaiting() {
 }
 
 bool ServingLoop::AdmitPending(std::size_t index) {
-  const bool interleaved = options_.prefill_budget_tokens > 0;
   Pending pending = std::move(queue_[index]);
   queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(index));
   const double waited_s = pending.submitted.ElapsedSeconds();
@@ -401,87 +403,31 @@ bool ServingLoop::AdmitPending(std::size_t index) {
   active.result.prompt_tokens = static_cast<std::int64_t>(active.request.prompt.size());
   active.clock = pending.submitted;  // metrics are measured from Submit
   active.result.queue_seconds = waited_s;
-  // A row counts toward peak_concurrency once it truly holds a slot —
-  // including an immediate admission failure, but NOT a pool-pressure
-  // re-queue (the request goes back unadmitted).
-  const auto note_slot = [this] {
-    stats_.peak_concurrency =
-        std::max(stats_.peak_concurrency,
-                 static_cast<int>(prefilling_.size() + active_.size()) + 1);
-  };
-  // Paged engines draw KV from one shared pool: a block-reservation failure
-  // while other requests are in flight is back-pressure, not doom — their
-  // retirements return blocks. Such a request re-queues at the head and this
-  // sweep stops admitting (the scheduler re-picks it by key next sweep); it
-  // only fails kv_exhausted when nothing in flight could free blocks for it.
-  const auto pool_pressure = [this](const Status& status) {
-    return engine_->kv_paged() &&
-           status.code() == StatusCode::kResourceExhausted &&
-           !(prefilling_.empty() && active_.empty());
-  };
-  const auto requeue = [this](Active&& row) {
-    free_sessions_.push_back(row.session);
-    Pending back;
-    back.id = row.id;
-    back.request = std::move(row.request);
-    back.submitted = row.clock;  // still running since Submit
-    back.preemptions = row.result.preemptions;
-    TracePhase(&row, "queued");  // closes an open prefill span, re-opens queued
-    queue_.push_front(std::move(back));
-  };
-
-  if (interleaved) {
-    // Stall-free admission: validate everything (KV headroom for the whole
-    // prompt included) but run no prefill work inside the admission sweep.
-    auto cursor = engine_->StartPrefill(active.session, active.request.prompt);
-    if (!cursor.ok()) {
-      if (pool_pressure(cursor.status())) {
-        requeue(std::move(active));
-        return false;
-      }
-      note_slot();
-      const FinishReason reason =
-          cursor.status().code() == StatusCode::kResourceExhausted
-              ? FinishReason::kKvExhausted
-              : FinishReason::kBackendError;
-      FailRow(std::move(active), reason, cursor.status().WithContext("admission"));
-      return true;
-    }
-    note_slot();
-    active.cursor = std::move(*cursor);
-    TracePhase(&active, "prefill");
-    prefilling_.push_back(std::move(active));
-    return true;
-  }
-
-  // Synchronous admission (prefill_budget_tokens == 0): the legacy path —
-  // the whole prompt runs here, stalling this sweep's decodes behind it.
-  TracePhase(&active, "prefill");
-  auto logits = engine_->TryPrefill(active.session, active.request.prompt);
-  if (!logits.ok()) {
-    if (pool_pressure(logits.status())) {
-      requeue(std::move(active));
+  // Validate everything (KV headroom for the whole prompt included) but run
+  // no prefill work here: AdvancePrefill spends the sweep's budget on it.
+  auto cursor = engine_->StartPrefill(active.session, active.request.prompt);
+  if (!cursor.ok()) {
+    // A shared pool is drawn on by every session: a block-reservation failure
+    // while other requests are in flight is back-pressure, not doom — their
+    // retirements return blocks. Such a request re-queues unadmitted at the
+    // head and this sweep stops admitting (the scheduler re-picks it by key
+    // next sweep); it only fails kv_exhausted when nothing in flight could
+    // free blocks for it.
+    const bool exhausted = cursor.status().code() == StatusCode::kResourceExhausted;
+    if (exhausted && engine_->kv_paged() && !(prefilling_.empty() && active_.empty())) {
+      RequeueAtHead(std::move(active));
       return false;
     }
-    note_slot();
-    // The prompt itself was validated at Submit; what's left is capacity
-    // (a prior request grew this session? impossible after Reset — keep the
-    // mapping anyway) or an injected backend fault.
-    const FinishReason reason = logits.status().code() == StatusCode::kResourceExhausted
-                                    ? FinishReason::kKvExhausted
-                                    : FinishReason::kBackendError;
-    FailRow(std::move(active), reason, logits.status().WithContext("admission"));
+    NoteSlotTaken();
+    FailRow(std::move(active),
+            exhausted ? FinishReason::kKvExhausted : FinishReason::kBackendError,
+            cursor.status().WithContext("admission"));
     return true;
   }
-  note_slot();
-  const auto prompt_tokens = static_cast<std::int64_t>(active.request.prompt.size());
-  const std::int64_t chunk = engine_->options().prefill_chunk;
-  stats_.prefill_tokens += prompt_tokens;
-  stats_.prefill_chunks += (prompt_tokens + chunk - 1) / chunk;
-  active.last_token = active.sampler.Sample(*logits);
-  NoteFirstToken(&active);
-  TracePhase(&active, "decode");
-  active_.push_back(std::move(active));
+  NoteSlotTaken();
+  active.cursor = std::move(*cursor);
+  TracePhase(&active, "prefill");
+  prefilling_.push_back(std::move(active));
   return true;
 }
 
@@ -529,9 +475,7 @@ bool ServingLoop::ResumePreempted(std::size_t index) {
   ++stats_.preempt_resumes;
   stats_.preempt_tokens_preserved += static_cast<std::int64_t>(preempted.history.size());
   stats_.preempt_tokens_adopted += *adopted;
-  stats_.peak_concurrency =
-      std::max(stats_.peak_concurrency,
-               static_cast<int>(prefilling_.size() + active_.size()) + 1);
+  NoteSlotTaken();
   // Re-joins mid-decode: its pending sampled token is consumed and fed back
   // on this very sweep, like any decoding row.
   TracePhase(&preempted.row, "decode");  // closes the preempted span
@@ -628,14 +572,19 @@ void ServingLoop::PreemptPrefilling(std::size_t index) {
   // blocks already registered in the prefix cache usually make it a block
   // adoption. The row goes back to pending with its Submit clock intact.
   engine_->Reset(row.session);
-  free_sessions_.push_back(row.session);
   ++stats_.preemptions;
+  ++row.result.preemptions;
+  RequeueAtHead(std::move(row));
+}
+
+void ServingLoop::RequeueAtHead(Active&& row) {
+  free_sessions_.push_back(row.session);
   Pending back;
   back.id = row.id;
   back.request = std::move(row.request);
-  back.submitted = row.clock;
-  back.preemptions = row.result.preemptions + 1;
-  TracePhase(&row, "queued");  // closes the prefill span
+  back.submitted = row.clock;  // still running since Submit
+  back.preemptions = row.result.preemptions;
+  TracePhase(&row, "queued");  // closes an open prefill span
   queue_.push_front(std::move(back));
 }
 
@@ -734,7 +683,6 @@ void ServingLoop::AdvancePrefill() {
 
 bool ServingLoop::ConsumeToken(Active* active) {
   if (active->request.eos_token >= 0 && active->last_token == active->request.eos_token) {
-    active->result.stopped_at_eos = true;
     active->result.finish_reason = FinishReason::kEos;
     return true;
   }
@@ -764,7 +712,6 @@ void ServingLoop::TracePhase(Active* row, const char* phase) {
 
 void ServingLoop::RetireRow(Active&& active) {
   active.result.ok = active.result.status.ok();
-  active.result.stopped_at_eos = active.result.finish_reason == FinishReason::kEos;
   active.result.total_seconds = active.clock.ElapsedSeconds();
   TracePhase(&active, nullptr);
   trace::EmitAsyncEndStr(
@@ -772,10 +719,10 @@ void ServingLoop::RetireRow(Active&& active) {
       SlackMicros(active.request.deadline_s, active.result.total_seconds),
       FinishReasonCstr(active.result.finish_reason));
   if (active.session >= 0) {
-    // Reset NOW, not at reuse: paged blocks go back to the shared pool the
-    // moment the request retires (prefix-cached blocks stay resident but
-    // evictable), so queued requests and the aggregate sweep check see the
-    // headroom immediately. Contiguous sessions just drop their position.
+    // Reset NOW, not at reuse: blocks go back to the shared pool the moment
+    // the request retires (prefix-cached blocks stay resident but evictable),
+    // so queued requests and the aggregate sweep check see the headroom
+    // immediately.
     engine_->Reset(active.session);
     free_sessions_.push_back(active.session);
   }
@@ -859,16 +806,12 @@ void ServingLoop::SweepFailures() {
                  fault.WithContext("request " + std::to_string(active.id)));
       continue;
     }
-    // Per-row capacity: the session-local max_seq bound. For paged engines
-    // KvRemaining also folds in pool pressure, but pressure is a *shared*
-    // condition handled by the aggregate pass below (youngest rows first) —
-    // retiring the oldest row here for blocks a younger row consumed would
-    // invert that policy.
-    const bool session_full =
-        engine_->kv_paged()
-            ? engine_->position(active.session) >= engine_->config().max_seq
-            : engine_->KvRemaining(active.session) < 1;
-    if (session_full) {
+    // Per-row capacity: the session-local max_seq bound. KvRemaining would
+    // also fold in shared-pool pressure, but pressure is a *shared* condition
+    // handled by the aggregate pass below (youngest rows first) — retiring the
+    // oldest row here for blocks a younger row consumed would invert that
+    // policy.
+    if (engine_->position(active.session) >= engine_->config().max_seq) {
       FailActive(i, FinishReason::kKvExhausted,
                  ResourceExhaustedError(
                      "kv cache exhausted after " + std::to_string(active.result.tokens.size()) +
@@ -941,26 +884,6 @@ void ServingLoop::DecodeActive() {
   // scheduler's TBT estimate.
   Stopwatch sweep_clock;
   sweep_clock.Reset();
-  if (!options_.batched_decode) {
-    for (std::size_t i = 0; i < active_.size();) {
-      Active& active = active_[i];
-      auto logits =
-          engine_->TryDecodeBatch({SessionToken{active.session, active.last_token}});
-      if (!logits.ok()) {
-        FailActive(i, FinishReason::kBackendError,
-                   logits.status().WithContext("request " + std::to_string(active.id)));
-        continue;
-      }
-      ++stats_.decode_iterations;
-      ++stats_.decoded_tokens;
-      stats_.peak_batch = std::max(stats_.peak_batch, 1);
-      active.last_token = active.sampler.Sample(*logits);
-      NoteDecodedToken(&active);
-      ++i;
-    }
-    NoteSweepSeconds(sweep_clock.ElapsedSeconds());
-    return;
-  }
   // One DecodeBatch sweep over every surviving request (chunked only if the
   // configured concurrency exceeds the engine's batch capacity). Prefilling
   // rows live in their own vector, so active_ is exactly the decode set.
@@ -1015,8 +938,8 @@ int ServingLoop::RunOnce() {
   // its slot even though none is free.
   MaybePreempt();
   // Spend this sweep's prefill budget before decoding: completed prompts
-  // sample their first token here and decode in this very sweep, exactly
-  // like the synchronous path's admission-then-decode ordering.
+  // sample their first token here and decode in this very sweep (with an
+  // unbounded budget, every prompt admitted this sweep does).
   AdvancePrefill();
   // Consume each request's pending sampled token; retire finished rows in
   // place so their slots refill from the queue next iteration.
@@ -1079,45 +1002,6 @@ std::string ServingLoop::Stats::ToJson() const {
   JsonWriter w;
   AppendJson(w);
   return w.TakeString();
-}
-
-void ServingLoop::Stats::PublishTo(MetricsRegistry* registry) const {
-  KTX_CHECK(registry != nullptr);
-  const auto counter = [registry](const char* name, std::int64_t v) {
-    registry->GetCounter(name)->Set(v);
-  };
-  const auto gauge = [registry](const char* name, double v) {
-    registry->GetGauge(name)->Set(v);
-  };
-  counter("serving.requests_completed_total", requests_completed);
-  counter("serving.requests_rejected_total", requests_rejected);
-  counter("serving.requests_failed_total", requests_failed);
-  counter("serving.requests_deadline_expired_total", requests_deadline_expired);
-  counter("serving.tokens_generated_total", tokens_generated);
-  counter("serving.goodput_tokens_total", goodput_tokens);
-  counter("serving.preemptions_total", preemptions);
-  counter("serving.preempt_resumes_total", preempt_resumes);
-  counter("serving.preempt_tokens_preserved_total", preempt_tokens_preserved);
-  counter("serving.preempt_tokens_adopted_total", preempt_tokens_adopted);
-  counter("serving.decode_iterations_total", decode_iterations);
-  counter("serving.decoded_tokens_total", decoded_tokens);
-  counter("serving.prefill_tokens_total", prefill_tokens);
-  counter("serving.prefill_chunks_total", prefill_chunks);
-  gauge("serving.peak_concurrency", peak_concurrency);
-  gauge("serving.peak_batch", peak_batch);
-  counter("kv.prefix_tokens_reused_total", prefix_tokens_reused);
-  gauge("kv.prefix_hit_rate", prefix_hit_rate);
-  gauge("kv.blocks_in_use_peak", static_cast<double>(kv_blocks_in_use));
-  gauge("kv.utilization", kv_utilization);
-  counter("expert_cache.lookups_total", expert_cache_lookups);
-  counter("expert_cache.hits_total", expert_cache_hits);
-  gauge("expert_cache.hit_rate", expert_cache_hit_rate);
-  counter("expert_cache.promotions_total", expert_promotions);
-  counter("expert_cache.demotions_total", expert_demotions);
-  gauge("expert_cache.hot_bytes", static_cast<double>(expert_hot_bytes));
-  gauge("expert_cache.cold_bytes_saved", static_cast<double>(expert_cold_bytes_saved));
-  registry->GetHistogram("serving.ttft_seconds")->Merge(ttft_s);
-  registry->GetHistogram("serving.tbt_seconds")->Merge(tbt_s);
 }
 
 std::vector<GenerationResult> ServingLoop::TakeResults() {

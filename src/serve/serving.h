@@ -8,23 +8,22 @@
 // decoding requests in one HybridEngine::DecodeBatch call (one graph replay,
 // one MoE request per layer for the whole batch), and retires finished rows
 // in place — a freed slot is refilled on the very next iteration. Per-request
-// outputs are bit-identical to the sequential batch-1 loop (engine
-// guarantee); `batched_decode = false` keeps the old round-robin DecodeStep
-// loop, which tests use as the reference.
+// outputs are bit-identical to running each request alone (engine guarantee;
+// tests compare against a max_concurrent = 1 loop and against solo runs).
 //
-// Stall-free admission (§4.1 chunked prefill, Sarathi-style): with
-// `prefill_budget_tokens > 0` (the default) an admitted request enters a
-// *prefilling* state holding an engine PrefillCursor instead of running its
-// whole prompt synchronously. Each sweep spends at most the budget advancing
-// prompt tokens — whole engine chunks — then decodes every active row in one
-// batch, so the decode cadence (TBT) is bounded by the budget, not by the
-// longest queued prompt. Budget accounting is whole-chunk: it is checked
-// before each chunk, guaranteeing at least one chunk of progress per sweep
-// and bounding per-sweep overshoot by prefill_chunk - 1 tokens. A budget of 0
-// restores synchronous admission (the whole prompt prefills inside the
-// admitting sweep), which benches use as the stall baseline. Token streams
-// are bit-identical between the two modes: chunk boundaries are engine-fixed
-// and sessions are isolated.
+// Stall-free admission (§4.1 chunked prefill, Sarathi-style): an admitted
+// request enters a *prefilling* state holding an engine PrefillCursor. Each
+// sweep spends at most `prefill_budget_tokens` advancing prompt tokens —
+// whole engine chunks — then decodes every active row in one batch, so the
+// decode cadence (TBT) is bounded by the budget, not by the longest queued
+// prompt. Budget accounting is whole-chunk: it is checked before each chunk,
+// guaranteeing at least one chunk of progress per sweep and bounding
+// per-sweep overshoot by prefill_chunk - 1 tokens. An unbounded budget
+// (kUnboundedPrefillBudget) prefills every admitted prompt whole inside the
+// admitting sweep, before that sweep's decode — the stall-prone synchronous
+// behavior benches use as the baseline. Token streams are bit-identical
+// across budgets: chunk boundaries are engine-fixed and sessions are
+// isolated.
 //
 // SLO-aware scheduling (ServingOptions::policy): every scheduling decision —
 // which waiting request to admit, which prefilling row gets the next budget
@@ -49,7 +48,7 @@
 // cache). A decoding victim must NOT re-prefill its generated tokens —
 // chunked prefill is not bitwise-identical to batch-1 decode (ARI kernel
 // dispatch differs with tokens-per-expert) — so its exact KV bits are saved:
-// serialized to a KTXV blob, and (paged engines) its full blocks re-registered
+// serialized to a KTXV blob, and (shared pool) its full blocks re-registered
 // in the pool's prefix cache before the session resets, making resume mostly
 // a block-table adoption of the very same physical rows plus a blob copy of
 // the tail. The Sampler (with its RNG state), emitted tokens, pending sampled
@@ -79,6 +78,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <limits>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -117,6 +117,11 @@ std::string_view SchedulePolicyName(SchedulePolicy policy);
 // Highest admissible GenerationRequest::priority (inclusive).
 inline constexpr int kMaxRequestPriority = 3;
 
+// A prefill budget no sweep exhausts: every admitted prompt prefills whole in
+// its admitting sweep (ServingOptions::prefill_budget_tokens).
+inline constexpr std::int64_t kUnboundedPrefillBudget =
+    std::numeric_limits<std::int64_t>::max();
+
 struct GenerationRequest {
   std::vector<int> prompt;
   int max_new_tokens = 32;
@@ -137,7 +142,6 @@ struct GenerationRequest {
 struct GenerationResult {
   std::uint64_t id = 0;
   std::vector<int> tokens;
-  bool stopped_at_eos = false;  // == (finish_reason == kEos); kept for compat
   // Terminal state: ok mirrors status.ok(). EOS and length finishes are OK;
   // every other finish carries the error that retired the request.
   bool ok = true;
@@ -159,8 +163,6 @@ struct ServingOptions {
   // Bounds simultaneously active generations (sessions are pooled, reused).
   // Prefilling requests occupy a slot: they hold a session.
   int max_concurrent = 2;
-  // Continuous batching (default) vs. the round-robin batch-1 reference loop.
-  bool batched_decode = true;
   // Bound on queued-but-unadmitted requests. Submit past it rejects the new
   // request with kResourceExhausted instead of queueing without limit —
   // after first sweeping expired entries out of the queue, so dead requests
@@ -171,9 +173,9 @@ struct ServingOptions {
   // whole engine chunks, checked before each chunk, best-scheduled request
   // first: a sweep always makes >= 1 chunk of progress and overshoots by at
   // most prefill_chunk - 1 tokens. Lower budget => tighter TBT bound for
-  // decoding neighbors but later TTFT for long prompts; 0 => synchronous
-  // admission (the legacy stall-prone behavior, kept as the measurable
-  // baseline).
+  // decoding neighbors but later TTFT for long prompts; must be >= 1.
+  // kUnboundedPrefillBudget prefills whole prompts in the admitting sweep
+  // (the stall-prone baseline).
   std::int64_t prefill_budget_tokens = 256;
   // Scheduling policy (see the header comment). The default kSlack is
   // behaviorally identical to kFifo for workloads without deadlines or
@@ -213,16 +215,14 @@ class ServingLoop {
     std::int64_t preempt_resumes = 0;
     std::int64_t preempt_tokens_preserved = 0;
     std::int64_t preempt_tokens_adopted = 0;
-    // Engine decode calls: one per DecodeBatch (batched) / DecodeStep
-    // (sequential). Batching shows up as fewer iterations for the same
-    // tokens_generated.
+    // Engine decode calls: one per DecodeBatch. Batching shows up as fewer
+    // iterations for the same tokens_generated.
     std::int64_t decode_iterations = 0;
     // Tokens produced by those decode calls (excludes the prefill-sampled
     // first token of each request).
     std::int64_t decoded_tokens = 0;
     // Prompt tokens pushed through prefill, and the engine chunks that
-    // carried them (interleaved mode advances chunk by chunk; synchronous
-    // admission counts one chunk per prefill_chunk-sized piece).
+    // carried them.
     std::int64_t prefill_tokens = 0;
     std::int64_t prefill_chunks = 0;
     int peak_concurrency = 0;
@@ -236,8 +236,8 @@ class ServingLoop {
     // stall-free bench asserts on.
     LatencyHistogram ttft_s;
     LatencyHistogram tbt_s;
-    // Paged-KV pool telemetry, sampled once per sweep (all zero when the
-    // engine runs contiguous caches). prefix_tokens_reused counts prompt
+    // Shared KV pool telemetry, sampled once per sweep (all zero when every
+    // session owns private storage). prefix_tokens_reused counts prompt
     // tokens served from the pool's prefix cache instead of prefill compute;
     // prefix_hit_rate is cache hits over lookups (one lookup per empty-start
     // prompt with >= 1 full block). kv_blocks_in_use is the PEAK pool
@@ -268,16 +268,10 @@ class ServingLoop {
     void AppendJson(JsonWriter& w) const;
     // The same object as a standalone string.
     std::string ToJson() const;
-    // Mirrors every field into the process metrics registry under
-    // "serving.*" names (counters for monotonic totals, gauges for rates and
-    // peaks, histograms for ttft/tbt), so ToPrometheusText() exports them.
-    void PublishTo(MetricsRegistry* registry) const;
   };
 
   // The engine must outlive the loop.
   explicit ServingLoop(HybridEngine* engine, ServingOptions options = {});
-  // Compat spelling of the two historical knobs.
-  ServingLoop(HybridEngine* engine, int max_concurrent, bool batched_decode = true);
 
   // Enqueues a request and returns its id. Never aborts: an invalid request
   // (empty prompt, out-of-vocab token, max_new_tokens < 1, negative
@@ -397,18 +391,20 @@ class ServingLoop {
   int BestPreemptedIndex() const;
 
   // Fills free slots from the queue and the preempted set in scheduling
-  // order. Admission is gated on real KV headroom: contiguous engines size
-  // every session to max_seq, but paged engines draw from one shared pool, so
-  // a request whose (post-prefix-sharing) block reservation — or KV restore —
-  // fails while other rows are in flight is put back to retry after
-  // retirements free blocks; it only fails kv_exhausted when nothing in
+  // order. Admission is gated on real KV headroom: private storage sizes
+  // every session to max_seq, but a shared pool is drawn on by every session,
+  // so a request whose (post-prefix-sharing) block reservation — or KV
+  // restore — fails while other rows are in flight is put back to retry
+  // after retirements free blocks; it only fails kv_exhausted when nothing in
   // flight could ever unblock it.
   void AdmitWaiting();
-  // Admits queue_[index] into a free slot (erases it from the queue).
-  // Returns false when admission must stop this sweep (pool pressure).
+  // Admits queue_[index] into a free slot (erases it from the queue) as a
+  // prefilling row: validates the prompt and reserves its KV, but runs no
+  // forward work. Returns false when admission must stop this sweep (pool
+  // pressure).
   bool AdmitPending(std::size_t index);
   // Resumes preempted_[index]: acquires a session, restores the saved KV
-  // (paged: adopting the victim's own still-cached blocks first), and
+  // (adopting the victim's own still-cached blocks first), and
   // re-joins active_ exactly where it left off. Returns false when the
   // restore hit pool pressure and admission must stop this sweep.
   bool ResumePreempted(std::size_t index);
@@ -418,12 +414,18 @@ class ServingLoop {
   void MaybePreempt();
   void PreemptPrefilling(std::size_t index);
   void PreemptDecoding(std::size_t index);
+  // Puts an admitted row that sampled nothing back at the head of the queue
+  // as pending (its session pooled, its Submit clock intact).
+  void RequeueAtHead(Active&& row);
 
   // Spends this sweep's prefill token budget advancing prefilling requests in
   // scheduling order; completed ones sample their first token and join
   // active_. Deadlines are re-checked between chunks; a chunk-level engine
   // error (injected fault, KV overrun) retires only that request.
   void AdvancePrefill();
+  // Raises peak_concurrency for a row about to take a slot (counted even if
+  // it fails at once; a pool-pressure requeue never takes one).
+  void NoteSlotTaken();
   // Records a freshly sampled token into the latency histograms.
   void NoteFirstToken(Active* active);
   void NoteDecodedToken(Active* active);
@@ -433,14 +435,14 @@ class ServingLoop {
   // Retires rows whose deadline expired or whose session has an injected
   // backend fault (prefilling and decoding rows), or whose KV cache has no
   // room for the next token (decoding rows) — leaving batch siblings
-  // untouched. Paged engines get a second, aggregate pass: rows sharing one
+  // untouched. A shared pool gets a second, aggregate pass: rows sharing one
   // block pool can each have room individually yet not fit together, so the
   // youngest rows (least sunk work) retire kv_exhausted until the sweep's
   // total block need fits the pool.
   void SweepFailures();
   // Folds the engine's prefix-cache counters and the pool's occupancy into
-  // stats_ (peak-tracking for blocks in use). No-op sans paged pool except
-  // for prefix_tokens_reused, which mirrors the engine counter.
+  // stats_ (peak-tracking for blocks in use). No-op without a shared pool
+  // except for prefix_tokens_reused, which mirrors the engine counter.
   void SampleKvStats();
   // Mirrors the engine's expert-cache counters into stats_ (no-op values
   // when placement is disabled).
@@ -454,8 +456,7 @@ class ServingLoop {
   void FailActive(std::size_t index, FinishReason reason, Status status);
   void Retire(std::size_t index);
   // Decodes one token for every decoding request: one DecodeBatch sweep
-  // (chunked by the engine's max_batch) or sequential DecodeSteps. A
-  // whole-chunk backend failure (not attributable to one row) retires every
+  // (chunked by the engine's max_batch). A whole-chunk backend failure (not attributable to one row) retires every
   // row of that chunk with kBackendError; other chunks are unaffected.
   void DecodeActive();
 

@@ -1,11 +1,12 @@
-// Paged KV cache: block pool mechanics, paged-vs-contiguous bit-identity,
-// shared-prefix reuse, copy-on-write forking, cross-storage-mode KV-state
-// round-trips, and recoverable pool exhaustion.
+// Paged KV cache: block pool mechanics, shared-pool vs private-block
+// bit-identity, shared-prefix reuse, copy-on-write and cross-pool forking,
+// cross-storage KV-state round-trips, and recoverable pool exhaustion.
 //
-// The load-bearing guarantee throughout is tolerance ZERO: paging is a memory
-// layout change, so every logit a paged engine produces must be bitwise
-// identical to the contiguous engine's — across GQA and MLA attention,
-// deferral depths, graph on/off, and shared-prefix sessions.
+// The load-bearing guarantee throughout is tolerance ZERO: a shared pool is a
+// memory layout change, so every logit a shared-pool engine produces must be
+// bitwise identical to a private-storage engine's (each session one max_seq
+// block) — across GQA and MLA attention, deferral depths, graph on/off, and
+// shared-prefix sessions.
 
 #include <gtest/gtest.h>
 
@@ -262,6 +263,41 @@ TEST(PagedKvTest, ForkSharesBlocksAndCowsOnDivergence) {
   // The shared partial tail block (6 % 4 = 2 rows) forced at least one
   // copy-on-write when the lineages first appended into it.
   EXPECT_GT(paged.kv_pool()->stats().cow_copies, cow_before);
+}
+
+TEST(PagedKvTest, PrivateForkCopiesRowsThenDivergesAlone) {
+  // With private storage (kv_pool_blocks = 0) every session owns its own
+  // one-block pool, so a fork copies the parent's rows across pools. The
+  // child must equal the parent row for row, then decode on without touching
+  // a parent row; both lineages must match an unforked twin engine.
+  for (const MoeModelConfig& config : {TinyMoeConfig(), TinyMlaConfig()}) {
+    SCOPED_TRACE(config.name);
+    const auto weights = WeightsFor(config);
+    HybridEngine engine(config, weights, EngineOptions{});
+    HybridEngine twin(config, weights, EngineOptions{});
+    ASSERT_FALSE(engine.kv_paged());
+
+    const std::vector<int> prompt = {3, 1, 4, 1, 5, 9, 2};
+    engine.Prefill(0, prompt);
+    twin.Prefill(0, prompt);
+    const auto child = engine.TryForkSession(0);
+    ASSERT_TRUE(child.ok());
+    ASSERT_EQ(engine.position(*child), engine.position(0));
+    const auto parent_rows = engine.TrySaveKv(0);
+    const auto child_rows = engine.TrySaveKv(*child);
+    ASSERT_TRUE(parent_rows.ok() && child_rows.ok());
+    EXPECT_EQ(*child_rows, *parent_rows);  // row for row
+
+    int token = 42;
+    for (int step = 0; step < 4; ++step) {
+      engine.DecodeStep(*child, token);
+      token = (token + 11) % config.vocab;
+    }
+    EXPECT_EQ(*engine.TrySaveKv(0), *parent_rows);  // the parent is untouched
+
+    const Tensor want = twin.DecodeStep(0, 8);
+    EXPECT_EQ(MaxAbsDiff(engine.DecodeStep(0, 8), want), 0.0f);
+  }
 }
 
 // --- KV-state serialization across storage modes ----------------------------

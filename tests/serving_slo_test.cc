@@ -26,6 +26,12 @@ struct Fixture {
       std::make_unique<HybridEngine>(config, weights, EngineOptions{});
 };
 
+ServingOptions Concurrency(int max_concurrent) {
+  ServingOptions options;
+  options.max_concurrent = max_concurrent;
+  return options;
+}
+
 GenerationRequest Req(std::vector<int> prompt, int max_new = 6) {
   GenerationRequest r;
   r.prompt = std::move(prompt);
@@ -113,7 +119,7 @@ TEST(SloQueueTest, PerIterationSweepExpiresQueuedRequestWithoutNewSubmits) {
 
 TEST(SloStatsTest, QueueExpiryCountsExpiredNotRejectedNotCompleted) {
   Fixture f;
-  ServingLoop loop(f.engine.get(), 1);
+  ServingLoop loop(f.engine.get(), Concurrency(1));
   GenerationRequest doomed = Req({5, 5}, 4);
   doomed.deadline_s = 1e-12;
   loop.Submit(std::move(doomed));
@@ -132,7 +138,7 @@ TEST(SloStatsTest, PrefillExpiryCountsExpiredAndCompletedAndFailed) {
   Fixture f;
   f.config.max_seq = 8192;
   f.engine = std::make_unique<HybridEngine>(f.config, f.weights, EngineOptions{});
-  ServingLoop loop(f.engine.get(), 1);
+  ServingLoop loop(f.engine.get(), Concurrency(1));
   GenerationRequest doomed = Req(Prompt(8000), 4);
   doomed.deadline_s = 0.25;
   loop.Submit(std::move(doomed));
@@ -154,7 +160,7 @@ TEST(SloStatsTest, DecodeExpiryCountsExpiredAndLateTokensEarnNoGoodput) {
   Fixture f;
   f.config.max_seq = 8192;
   f.engine = std::make_unique<HybridEngine>(f.config, f.weights, EngineOptions{});
-  ServingLoop loop(f.engine.get(), 2);
+  ServingLoop loop(f.engine.get(), Concurrency(2));
   GenerationRequest doomed = Req({5, 5}, 8190);
   doomed.deadline_s = 0.05;
   const std::uint64_t doomed_id = loop.Submit(std::move(doomed));
@@ -176,7 +182,7 @@ TEST(SloStatsTest, DecodeExpiryCountsExpiredAndLateTokensEarnNoGoodput) {
 
 TEST(SloValidationTest, NegativeDeadlineIsInvalidArgumentNotSilentNoDeadline) {
   Fixture f;
-  ServingLoop loop(f.engine.get(), 1);
+  ServingLoop loop(f.engine.get(), Concurrency(1));
   GenerationRequest bad = Req({5, 5}, 4);
   bad.deadline_s = -1.0;
   loop.Submit(std::move(bad));
@@ -191,7 +197,7 @@ TEST(SloValidationTest, NegativeDeadlineIsInvalidArgumentNotSilentNoDeadline) {
 
 TEST(SloValidationTest, PriorityOutsideRangeIsInvalidArgument) {
   Fixture f;
-  ServingLoop loop(f.engine.get(), 1);
+  ServingLoop loop(f.engine.get(), Concurrency(1));
   GenerationRequest low = Req({5, 5}, 2);
   low.priority = -1;
   loop.Submit(std::move(low));

@@ -1,10 +1,9 @@
 // Stall-free serving tests: budgeted chunked prefill interleaved with decode.
 //
-// Two loop configurations are compared throughout: prefill_budget_tokens = 0
-// (synchronous admission — the whole prompt prefills inside the admitting
-// sweep, stalling every decoding neighbor) and a small positive budget
-// (interleaved — each sweep spends at most the budget on prompt chunks, then
-// decodes). The core guarantee is that interleaving changes WHEN work runs
+// Two loop configurations are compared throughout: an unbounded prefill
+// budget (synchronous — the whole prompt prefills inside the admitting sweep,
+// stalling every decoding neighbor) and a small budget (interleaved — each
+// sweep spends at most the budget on prompt chunks, then decodes). The core guarantee is that interleaving changes WHEN work runs
 // but not WHAT it computes: token streams must be bit-identical between the
 // two modes across attention variants, deferral, and graph-off, and a
 // request that dies mid-prefill (deadline, injected session fault) retires
@@ -58,7 +57,7 @@ void ExpectInterleavedMatchesSync(const MoeModelConfig& config, EngineOptions eo
 
   ServingOptions sopts;
   sopts.max_concurrent = 3;
-  sopts.prefill_budget_tokens = 0;
+  sopts.prefill_budget_tokens = kUnboundedPrefillBudget;
   ServingLoop sync_loop(&sync_engine, sopts);
   sopts.prefill_budget_tokens = 4;
   ServingLoop inter_loop(&inter_engine, sopts);
@@ -233,17 +232,17 @@ TEST(ServingStallFreeTest, MidPrefillSessionFaultRetiresOnlyPrefillingRow) {
 }
 
 TEST(ServingStallFreeTest, PeakConcurrencyCountsRowsThatFailAtAdmission) {
-  // A backend fault that fires during the admission prefill must still count
-  // toward peak_concurrency: the row held a slot (and a session) when it
-  // died. Synchronous mode, where admission runs the whole prompt and is the
-  // only path that polls the device fault at admission.
+  // A backend fault that fires during the admitting sweep's prefill must
+  // still count toward peak_concurrency: the row held a slot (and a session)
+  // when it died. Synchronous mode: the whole prompt runs in the sweep that
+  // admits it, so the device fault hits before any token is sampled.
   MoeModelConfig config = TinyMoeConfig();
   auto weights =
       std::make_shared<const ModelWeights>(ModelWeights::Generate(config, 60));
   HybridEngine engine(config, weights, EngineOptions{});
   ServingOptions sopts;
   sopts.max_concurrent = 2;
-  sopts.prefill_budget_tokens = 0;
+  sopts.prefill_budget_tokens = kUnboundedPrefillBudget;
   ServingLoop loop(&engine, sopts);
   engine.InjectBackendFault(InternalError("vcuda: injected admission fault"));
   loop.Submit(Req({5, 6}, 3));

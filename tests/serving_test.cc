@@ -17,6 +17,12 @@ struct Fixture {
       std::make_unique<HybridEngine>(config, weights, EngineOptions{});
 };
 
+ServingOptions Concurrency(int max_concurrent) {
+  ServingOptions options;
+  options.max_concurrent = max_concurrent;
+  return options;
+}
+
 GenerationRequest Req(std::vector<int> prompt, int max_new = 6) {
   GenerationRequest r;
   r.prompt = std::move(prompt);
@@ -26,7 +32,7 @@ GenerationRequest Req(std::vector<int> prompt, int max_new = 6) {
 
 TEST(ServingTest, SingleRequestMatchesDirectGeneration) {
   Fixture f;
-  ServingLoop loop(f.engine.get(), 1);
+  ServingLoop loop(f.engine.get(), Concurrency(1));
   loop.Submit(Req({3, 1, 4}, 6));
   const auto results = loop.RunToCompletion();
   ASSERT_EQ(results.size(), 1u);
@@ -37,10 +43,10 @@ TEST(ServingTest, SingleRequestMatchesDirectGeneration) {
 }
 
 TEST(ServingTest, InterleavedRequestsMatchIsolatedRuns) {
-  // Round-robin interleaving across sessions must not change any request's
+  // Batched interleaving across sessions must not change any request's
   // output (the session-isolation guarantee, end to end).
   Fixture f;
-  ServingLoop loop(f.engine.get(), 3);
+  ServingLoop loop(f.engine.get(), Concurrency(3));
   loop.Submit(Req({1, 2}, 5));
   loop.Submit(Req({7, 8, 9}, 5));
   loop.Submit(Req({4}, 5));
@@ -62,7 +68,7 @@ TEST(ServingTest, InterleavedRequestsMatchIsolatedRuns) {
 
 TEST(ServingTest, ConcurrencyLimitQueuesExcessRequests) {
   Fixture f;
-  ServingLoop loop(f.engine.get(), 2);
+  ServingLoop loop(f.engine.get(), Concurrency(2));
   for (int i = 0; i < 5; ++i) {
     loop.Submit(Req({i + 1}, 3));
   }
@@ -75,7 +81,7 @@ TEST(ServingTest, ConcurrencyLimitQueuesExcessRequests) {
 
 TEST(ServingTest, SessionsAreReusedAcrossRequests) {
   Fixture f;
-  ServingLoop loop(f.engine.get(), 1);
+  ServingLoop loop(f.engine.get(), Concurrency(1));
   for (int i = 0; i < 4; ++i) {
     loop.Submit(Req({i + 2}, 2));
   }
@@ -92,23 +98,23 @@ TEST(ServingTest, EosStopsGeneration) {
   const std::vector<int> probe_out = probe.GenerateGreedy({5, 5}, 3);
   ASSERT_FALSE(probe_out.empty());
 
-  ServingLoop loop(f.engine.get(), 1);
+  ServingLoop loop(f.engine.get(), Concurrency(1));
   GenerationRequest r = Req({5, 5}, 10);
   r.eos_token = probe_out[0];
   loop.Submit(std::move(r));
   const auto results = loop.RunToCompletion();
   ASSERT_EQ(results.size(), 1u);
-  EXPECT_TRUE(results[0].stopped_at_eos);
+  EXPECT_EQ(results[0].finish_reason, FinishReason::kEos);
   EXPECT_TRUE(results[0].tokens.empty());
 }
 
 TEST(ServingTest, BatchedLoopMatchesSequentialLoop) {
-  // Continuous batching must emit token-for-token what the round-robin
-  // batch-1 reference loop emits, with fewer engine decode calls.
+  // Continuous batching must emit token-for-token what a one-slot loop (each
+  // request decoded alone at batch 1) emits, with fewer engine decode calls.
   Fixture f;
-  ServingLoop batched(f.engine.get(), 3, /*batched_decode=*/true);
+  ServingLoop batched(f.engine.get(), Concurrency(3));
   HybridEngine seq_engine(f.config, f.weights, EngineOptions{});
-  ServingLoop sequential(&seq_engine, 3, /*batched_decode=*/false);
+  ServingLoop sequential(&seq_engine, Concurrency(1));
   for (ServingLoop* loop : {&batched, &sequential}) {
     loop->Submit(Req({1, 2}, 5));
     loop->Submit(Req({7, 8, 9}, 4));
@@ -135,7 +141,7 @@ TEST(ServingTest, MidFlightAdmissionRefillsFreedSlots) {
   // while the long request keeps decoding in the same batch — and every
   // output still matches its isolated run.
   Fixture f;
-  ServingLoop loop(f.engine.get(), 2);
+  ServingLoop loop(f.engine.get(), Concurrency(2));
   loop.Submit(Req({1, 2}, 2));      // retires first
   loop.Submit(Req({7, 8, 9}, 7));   // stays resident
   loop.Submit(Req({4}, 3));         // admitted mid-flight
@@ -185,7 +191,7 @@ TEST(ServingTest, EosMidBatchStopsOnlyThatRequest) {
   }
   ASSERT_GE(eos, 0) << "no prompt produced a mid-stream novel token";
 
-  ServingLoop loop(f.engine.get(), 2);
+  ServingLoop loop(f.engine.get(), Concurrency(2));
   GenerationRequest stopping = Req(prompt, 10);
   stopping.eos_token = eos;  // stops after emitting eos_at tokens
   loop.Submit(std::move(stopping));
@@ -196,7 +202,7 @@ TEST(ServingTest, EosMidBatchStopsOnlyThatRequest) {
   const auto stopped = std::find_if(results.begin(), results.end(),
                                     [](const GenerationResult& r) { return r.id == 1; });
   ASSERT_NE(stopped, results.end());
-  EXPECT_TRUE(stopped->stopped_at_eos);
+  EXPECT_EQ(stopped->finish_reason, FinishReason::kEos);
   EXPECT_EQ(stopped->tokens,
             std::vector<int>(probe_out.begin(),
                              probe_out.begin() + static_cast<std::ptrdiff_t>(eos_at)));
@@ -205,7 +211,7 @@ TEST(ServingTest, EosMidBatchStopsOnlyThatRequest) {
   const auto other = std::find_if(results.begin(), results.end(),
                                   [](const GenerationResult& r) { return r.id == 2; });
   ASSERT_NE(other, results.end());
-  EXPECT_FALSE(other->stopped_at_eos);
+  EXPECT_NE(other->finish_reason, FinishReason::kEos);
   EXPECT_EQ(other->tokens, solo.GenerateGreedy({1, 2, 3}, 6));
 }
 
@@ -214,7 +220,7 @@ TEST(ServingTest, BatchedSweepStatsAreFair) {
   // (peak_batch 3), nobody starves, and the iteration count is max_new - 1
   // (the first token of each request comes from prefill).
   Fixture f;
-  ServingLoop loop(f.engine.get(), 3);
+  ServingLoop loop(f.engine.get(), Concurrency(3));
   for (int i = 0; i < 3; ++i) {
     loop.Submit(Req({i + 1}, 5));
   }
@@ -235,7 +241,7 @@ TEST(ServingLifecycleTest, InvalidRequestsAreRejectedNotAborted) {
   // Untrusted submit-time input must never crash the loop: each bad request
   // gets a terminal kRejected result and a valid sibling is unaffected.
   Fixture f;
-  ServingLoop loop(f.engine.get(), 2);
+  ServingLoop loop(f.engine.get(), Concurrency(2));
 
   GenerationRequest empty;  // empty prompt
   const std::uint64_t empty_id = loop.Submit(std::move(empty));
@@ -274,7 +280,7 @@ TEST(ServingLifecycleTest, MaxNewTokensOneYieldsExactlyOneToken) {
   // Regression for the ConsumeToken off-by-one: a 1-token request returns
   // exactly the prefill-sampled token, never a second one.
   Fixture f;
-  ServingLoop loop(f.engine.get(), 1);
+  ServingLoop loop(f.engine.get(), Concurrency(1));
   loop.Submit(Req({3, 1, 4}, 1));
   const auto results = loop.RunToCompletion();
   ASSERT_EQ(results.size(), 1u);
@@ -317,7 +323,7 @@ TEST(ServingLifecycleTest, TtftAndTotalsIncludeQueueWait) {
   // With one slot, the second request waits through the whole first
   // generation; its metrics must show that wait instead of hiding it.
   Fixture f;
-  ServingLoop loop(f.engine.get(), 1);
+  ServingLoop loop(f.engine.get(), Concurrency(1));
   loop.Submit(Req({1, 2}, 6));
   loop.Submit(Req({7, 8}, 3));
   const auto results = loop.RunToCompletion();
@@ -338,7 +344,7 @@ TEST(ServingLifecycleTest, ExpiredDeadlineIsRejectedAtAdmissionWithoutPrefill) {
   // A deadline that has already passed when the loop runs never reaches the
   // engine: no prefill, no tokens, terminal kDeadline.
   Fixture f;
-  ServingLoop loop(f.engine.get(), 2);
+  ServingLoop loop(f.engine.get(), Concurrency(2));
   GenerationRequest doomed = Req({5, 5}, 4);
   doomed.deadline_s = 1e-9;
   loop.Submit(std::move(doomed));
@@ -361,7 +367,7 @@ TEST(ServingLifecycleTest, DeadlineExpiryMidBatchRetiresOnlyThatRequest) {
   Fixture f;
   f.config.max_seq = 8192;
   f.engine = std::make_unique<HybridEngine>(f.config, f.weights, EngineOptions{});
-  ServingLoop loop(f.engine.get(), 2);
+  ServingLoop loop(f.engine.get(), Concurrency(2));
   GenerationRequest doomed = Req({5, 5}, 8190);
   doomed.deadline_s = 0.05;
   loop.Submit(std::move(doomed));
@@ -395,7 +401,7 @@ TEST(ServingLifecycleTest, InjectedSessionFaultRetiresOnlyThatRequest) {
   // width-4 batch retires exactly that request; the other three finish with
   // outputs bit-identical to a no-fault run, and nothing aborts.
   Fixture f;
-  ServingLoop loop(f.engine.get(), 4);
+  ServingLoop loop(f.engine.get(), Concurrency(4));
   const std::vector<std::vector<int>> prompts = {{1, 2}, {7, 8, 9}, {4}, {5, 5}};
   for (const auto& prompt : prompts) {
     loop.Submit(Req(prompt, 8));
@@ -441,7 +447,7 @@ TEST(ServingLifecycleTest, DoomedCapacityAskIsRejectedAtSubmit) {
   auto weights =
       std::make_shared<const ModelWeights>(ModelWeights::Generate(TinyMoeConfig(), 60));
   HybridEngine engine(config, weights, EngineOptions{});
-  ServingLoop loop(&engine, 2);
+  ServingLoop loop(&engine, Concurrency(2));
   const std::vector<int> long_prompt = {1, 2, 3, 4, 5, 6, 7, 8};
   loop.Submit(Req(long_prompt, 20));  // 8 + 20 > 16: doomed, never admitted
   loop.Submit(Req({2}, 5));
@@ -483,7 +489,7 @@ TEST(ServingLifecycleTest, PagedPoolPressureRetiresYoungestRowMidGeneration) {
   opts.kv_pool_blocks = 4;
   opts.kv_block_size = 4;  // 16 rows total: exactly ONE full context
   HybridEngine engine(config, weights, opts);
-  ServingLoop loop(&engine, 2);
+  ServingLoop loop(&engine, Concurrency(2));
   const std::vector<int> prompt_a = {1, 2, 3, 4};
   const std::vector<int> prompt_b = {7, 8, 9, 5};  // distinct: no prefix sharing
   loop.Submit(Req(prompt_a, 12));  // 4 + 12 = 16: fits max_seq exactly
@@ -529,7 +535,7 @@ TEST(ServingLifecycleTest, SessionPoolExhaustionRejectsInsteadOfAborting) {
   EngineOptions opts;
   opts.max_sessions = 2;  // built-in session 0 + one serving session
   HybridEngine engine(f.config, f.weights, opts);
-  ServingLoop loop(&engine, 2);
+  ServingLoop loop(&engine, Concurrency(2));
   loop.Submit(Req({1, 2}, 4));
   loop.Submit(Req({7, 8}, 4));
   const auto results = loop.RunToCompletion();
@@ -548,7 +554,7 @@ TEST(ServingLifecycleTest, WholeBatchBackendFaultRetiresSweepAndLoopRecovers) {
   // every active request retires with backend_error — and the loop, not the
   // process, absorbs it: the next submission completes normally.
   Fixture f;
-  ServingLoop loop(f.engine.get(), 2);
+  ServingLoop loop(f.engine.get(), Concurrency(2));
   loop.Submit(Req({1, 2}, 6));
   loop.Submit(Req({7, 8}, 6));
   // Polls 1+2 are the two admission prefills; poll 3 is the first batched
@@ -577,7 +583,7 @@ TEST(ServingTest, SampledRequestsAreSeedDeterministic) {
   Fixture f;
   auto run_once = [&] {
     HybridEngine engine(f.config, f.weights, EngineOptions{});
-    ServingLoop loop(&engine, 2);
+    ServingLoop loop(&engine, Concurrency(2));
     GenerationRequest r = Req({9, 1}, 8);
     r.sampling.temperature = 0.7f;
     r.sampling.seed = 42;
