@@ -1,5 +1,6 @@
-// Paged KV + prefix sharing vs contiguous per-session caches, at a FIXED
-// KV byte budget.
+// A shared paged KV pool + prefix sharing vs contiguous per-session caches
+// (kv_pool_blocks = 0: each session a private block of max_seq rows), at a
+// FIXED KV byte budget.
 //
 // What paging buys (vLLM-style block tables + ref-counted prefix sharing):
 //
