@@ -456,8 +456,9 @@ class ServingLoop {
   void FailActive(std::size_t index, FinishReason reason, Status status);
   void Retire(std::size_t index);
   // Decodes one token for every decoding request: one DecodeBatch sweep
-  // (chunked by the engine's max_batch). A whole-chunk backend failure (not attributable to one row) retires every
-  // row of that chunk with kBackendError; other chunks are unaffected.
+  // (chunked by the engine's max_batch). A whole-chunk backend failure (not
+  // attributable to one row) retires every row of that chunk with
+  // kBackendError; other chunks are unaffected.
   void DecodeActive();
 
   HybridEngine* engine_;

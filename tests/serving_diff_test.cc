@@ -28,7 +28,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
-#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -115,7 +114,7 @@ Scenario MakeScenario(std::uint64_t seed) {
   s.serving.max_concurrent = Pick(rng, 1, 4);
   s.serving.max_queue = Pick(rng, 3, 12);
   s.serving.policy = static_cast<SchedulePolicy>(Pick(rng, 0, 2));
-  const std::int64_t budgets[] = {4, 8, 16, std::numeric_limits<std::int64_t>::max()};
+  const std::int64_t budgets[] = {4, 8, 16, kUnboundedPrefillBudget};
   s.serving.prefill_budget_tokens = budgets[Pick(rng, 0, 3)];
 
   // A few shared prefixes so the prefix cache (shared pool) gets hits.

@@ -3,9 +3,10 @@
 // Two loop configurations are compared throughout: an unbounded prefill
 // budget (synchronous — the whole prompt prefills inside the admitting sweep,
 // stalling every decoding neighbor) and a small budget (interleaved — each
-// sweep spends at most the budget on prompt chunks, then decodes). The core guarantee is that interleaving changes WHEN work runs
-// but not WHAT it computes: token streams must be bit-identical between the
-// two modes across attention variants, deferral, and graph-off, and a
+// sweep spends at most the budget on prompt chunks, then decodes). The core
+// guarantee is that interleaving changes WHEN work runs but not WHAT it
+// computes: token streams must be bit-identical between the two modes across
+// attention variants, deferral, and graph-off, and a
 // request that dies mid-prefill (deadline, injected session fault) retires
 // alone while decoding siblings are untouched.
 
