@@ -25,6 +25,17 @@ constexpr bool IsAligned(const void* ptr, std::size_t alignment) {
   return (reinterpret_cast<std::uintptr_t>(ptr) & (alignment - 1)) == 0;
 }
 
+// Issues a software prefetch into L2 for every cache line of
+// [data, data + bytes). Cheap to issue and never faults; the lines arrive
+// while the caller does something else (or waits).
+inline void PrefetchToL2(const void* data, std::size_t bytes) {
+  const auto begin = reinterpret_cast<std::uintptr_t>(data);
+  for (std::uintptr_t line = begin & ~(kCacheLineBytes - 1); line < begin + bytes;
+       line += kCacheLineBytes) {
+    __builtin_prefetch(reinterpret_cast<const void*>(line), /*rw=*/0, /*locality=*/2);
+  }
+}
+
 // Allocates `bytes` aligned to `alignment` (power of two, >= sizeof(void*)).
 // Returns nullptr on failure. Must be released with AlignedFree.
 void* AlignedAlloc(std::size_t bytes, std::size_t alignment = kCacheLineBytes);

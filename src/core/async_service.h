@@ -53,9 +53,16 @@ struct MoeRequest {
   }
   // Wait() inside a moe/sync_wait trace span tagged with the model layer: the
   // engine's sync barrier, where the GPU stream stalls on the CPU experts.
-  void SyncWait(int layer) const {
+  // `before_wait` runs first, inside the span: the stream's own work for the
+  // time it would otherwise only spin.
+  template <class BeforeWait>
+  void SyncWait(int layer, BeforeWait before_wait) const {
     KTX_TRACE_SPAN_ARG("moe", "sync_wait", "layer", layer);
+    before_wait();
     Wait();
+  }
+  void SyncWait(int layer) const {
+    SyncWait(layer, [] {});
   }
 };
 

@@ -5,7 +5,9 @@
 #include <cstring>
 #include <mutex>
 #include <numeric>
+#include <span>
 
+#include "src/common/align.h"
 #include "src/common/logging.h"
 #include "src/common/trace.h"
 #include "src/cpu/activation.h"
@@ -449,10 +451,24 @@ void HybridEngine::EnqueueForward(DecodeBuffers* bufs, std::int64_t m, bool allo
       }
     });
 
+    // The barrier's host function. While the CPU experts run, the stream
+    // worker would only spin, so it first prefetches into its L2 what the
+    // next vGPU segment reads (WarmSegment): layer l+1, or after the last
+    // layer the lm_head and the next step's layer 0 — when that segment runs
+    // on this stream. Ranges resolve at exec time through the row slots.
+    const int next = is_last ? 0 : l + 1;
+    const bool warm = StreamOf(next) == stream;
+    auto sync = [this, bufs, imm, l, next, warm, is_last, live, batched] {
+      imm->SyncWait(l, [&] {
+        if (warm) {
+          WarmSegment(bufs, live(), batched, next, /*lm_head=*/is_last);
+        }
+      });
+    };
     if (!options_.async_overlap) {
       // Baseline semantics: block on the CPU before anything else runs on the
       // GPU — the synchronous round-trip of Fig. 1b-style systems.
-      stream->LaunchHostFunc([imm, l] { imm->SyncWait(l); });
+      stream->LaunchHostFunc(sync);
     }
 
     // Shared experts run on the GPU, overlapping the CPU's immediate batch.
@@ -472,7 +488,7 @@ void HybridEngine::EnqueueForward(DecodeBuffers* bufs, std::int64_t m, bool allo
     // Sync: wait for the immediate batch. FIFO completion implies the
     // previous layer's deferred batch is also done.
     if (options_.async_overlap) {
-      stream->LaunchHostFunc([imm, l] { imm->SyncWait(l); });
+      stream->LaunchHostFunc(sync);
     }
 
     // Merge: O_k = I_k(residual, already in x) + S_k + R_k^imm + R_{k-1}^def.
@@ -502,6 +518,35 @@ void HybridEngine::EnqueueForward(DecodeBuffers* bufs, std::int64_t m, bool allo
                                  config_.vocab);
       },
       0.0, 0.0, options_.gpu_micro_per_op});
+}
+
+void HybridEngine::WarmSegment(const DecodeBuffers* bufs, std::int64_t rows, bool batched,
+                               int layer, bool lm_head) const {
+  const auto warm = [](const Linear& w) {
+    const std::span<const std::byte> bytes = w.bytes();
+    PrefetchToL2(bytes.data(), bytes.size());
+  };
+  if (lm_head) {
+    warm(packed_->lm_head());
+  }
+  const PackedModelWeights::Layer& pw = packed_->layer(layer);
+  const AttentionProjections& a = pw.attn;
+  for (const Linear* w : {&a.wq, &a.wk, &a.wv, &a.w_dq, &a.w_uq, &a.w_dkv, &a.w_uk, &a.w_uv,
+                          &a.wo, &pw.router, &pw.ffn_gate, &pw.ffn_up, &pw.ffn_down}) {
+    warm(*w);
+  }
+  const auto warm_rows = [](const float* first, std::int64_t floats) {
+    PrefetchToL2(first, static_cast<std::size_t>(floats) * sizeof(float));
+  };
+  if (batched) {
+    for (std::int64_t r = 0; r < rows; ++r) {
+      const auto i = static_cast<std::size_t>(r);
+      bufs->row_caches[i]->layer(layer).ForEachRowRange(bufs->row_pos[i], warm_rows);
+    }
+  } else {
+    active_cache_->layer(layer).ForEachRowRange(bufs->pos0.load(std::memory_order_relaxed),
+                                                warm_rows);
+  }
 }
 
 Tensor HybridEngine::Prefill(int session, const std::vector<int>& tokens) {

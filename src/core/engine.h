@@ -13,6 +13,11 @@
 // step and replayed afterwards, eliminating per-kernel launch overhead.
 // Dynamic state (token id, position) lives in slots the captured kernels read
 // at execution time, which is how a fixed graph serves a growing context.
+// Each MoE layer's sync host function is where the vGPU stream waits for the
+// CPU experts; before it waits, it prefetches into L2 what the next vGPU
+// segment reads (the next layer's packs and live rows' KV; after the last
+// layer, the lm_head and the next step's layer 0), resolved through the same
+// slots.
 //
 // Batched decode: DecodeBatch() runs one forward pass for B single-token
 // rows — one per active session — in the same single graph replay. The
@@ -395,6 +400,13 @@ class HybridEngine {
   // the per-row (cache, position) table from `bufs` at exec time — the
   // capturable batched-decode shape.
   void EnqueueForward(DecodeBuffers* bufs, std::int64_t m, bool allow_deferral, bool batched);
+  // Prefetches into L2 what a vGPU segment starting at `layer` reads: its
+  // packed projections, router and FFN (shared-expert or dense) packs, every
+  // live row's cached KV rows of that layer, and with `lm_head` the lm_head.
+  // Called by the MoE barrier's host function, so `rows` and the row slots
+  // are read at exec time. Allocates nothing.
+  void WarmSegment(const DecodeBuffers* bufs, std::int64_t rows, bool batched, int layer,
+                   bool lm_head) const;
   // Makes decode_bufs_ hold >= rows rows, invalidating the captured graph on
   // growth (batch-1 stays at capacity 1; any wider batch jumps straight to
   // max_batch so growth recaptures at most once).

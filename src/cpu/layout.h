@@ -21,6 +21,7 @@
 #define KTX_SRC_CPU_LAYOUT_H_
 
 #include <cstdint>
+#include <span>
 
 #include "src/common/align.h"
 #include "src/common/status.h"
@@ -49,6 +50,8 @@ class PackedMatrix {
   std::int64_t k_blocks() const { return k_blocks_; }
   std::size_t tile_bytes() const { return tile_bytes_; }
   std::size_t payload_bytes() const { return tiles_.size(); }
+  // The packed tiles as one byte range (scales and column sums excluded).
+  std::span<const std::byte> payload() const { return {tiles_.data(), tiles_.size()}; }
   bool quantized() const { return dtype_ == DType::kI8 || dtype_ == DType::kI4; }
 
   const std::uint8_t* tile_ptr(std::int64_t nb, std::int64_t kb) const {

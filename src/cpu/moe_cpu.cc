@@ -96,7 +96,11 @@ class ScratchVec {
 // of gate_up/act/out. The chained schedule drains `ready`, a slot array of
 // task ids: slots [0, n_a) are implicitly the Gate/Up tasks; each later slot
 // is published (release store) by the completion event that makes its task
-// runnable and claimed in cursor order by ParallelRun with chunk = 1.
+// runnable and claimed in cursor order by ParallelRun with chunk = 1. When a
+// group's Gate/Up is one band (bands_a == 1, every decode-sized expert here),
+// the chained Gate/Up task runs the group's Down bands itself: the Down ids
+// keep their numbers but are never dispatched, so a call takes n_a + n_r
+// slots.
 struct MoeWorkspace {
   std::mutex mu;  // serializes Forward/Reserve on one CpuMoe
 
@@ -329,6 +333,27 @@ void RetireReduceDeps(MoeWorkspace* ws, std::int64_t s, std::int64_t band, std::
   }
 }
 
+// Shard-group sg's staged outputs are complete: retires its contributions
+// from each of the shard's reduce bands (token rows are ascending, so one
+// pass batches the decrement per band).
+void RetireGroup(MoeWorkspace* ws, std::int64_t sg) {
+  const std::int64_t s = sg / ws->num_groups;
+  const auto g = static_cast<std::size_t>(sg % ws->num_groups);
+  const std::int64_t* rows = ws->token_rows.data() + ws->group_off[g];
+  const std::int64_t n = ws->group_count[g];
+  std::int64_t i = 0;
+  while (i < n) {
+    const std::int64_t band = rows[i] / kReduceBand;
+    std::int32_t cnt = 1;
+    ++i;
+    while (i < n && rows[i] / kReduceBand == band) {
+      ++cnt;
+      ++i;
+    }
+    RetireReduceDeps(ws, s, band, cnt);
+  }
+}
+
 // Executes one task and performs the cross-phase chaining bookkeeping.
 //
 // Ordering argument: every write a successor task must observe is sequenced
@@ -340,6 +365,16 @@ void ChainedStep(MoeWorkspace* ws, std::int64_t id) {
   ExecuteTask(ws, id);
   if (id < ws->n_a) {
     const std::int64_t sg = id / ws->bands_a;
+    if (ws->bands_a == 1) {
+      // The group's only Gate/Up band is done, so its Down bands run here, in
+      // the task that just wrote their input, and retire it as the last of
+      // them would.
+      for (std::int64_t bi = 0; bi < ws->bands_b; ++bi) {
+        ExecDown(ws, sg * ws->bands_b + bi);
+      }
+      RetireGroup(ws, sg);
+      return;
+    }
     std::atomic_ref<std::int32_t> rem(ws->a_remaining[static_cast<std::size_t>(sg)]);
     if (rem.fetch_sub(1, std::memory_order_acq_rel) == 1) {
       // Last Gate/Up band of (shard, group): its Down tasks become runnable.
@@ -351,24 +386,7 @@ void ChainedStep(MoeWorkspace* ws, std::int64_t id) {
     const std::int64_t sg = (id - ws->n_a) / ws->bands_b;
     std::atomic_ref<std::int32_t> rem(ws->b_remaining[static_cast<std::size_t>(sg)]);
     if (rem.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      // The group's staged outputs of this shard are complete: retire its
-      // contributions from each of the shard's reduce bands (token rows are
-      // ascending, so one pass batches the decrement per band).
-      const std::int64_t s = sg / ws->num_groups;
-      const auto g = static_cast<std::size_t>(sg % ws->num_groups);
-      const std::int64_t* rows = ws->token_rows.data() + ws->group_off[g];
-      const std::int64_t n = ws->group_count[g];
-      std::int64_t i = 0;
-      while (i < n) {
-        const std::int64_t band = rows[i] / kReduceBand;
-        std::int32_t cnt = 1;
-        ++i;
-        while (i < n && rows[i] / kReduceBand == band) {
-          ++cnt;
-          ++i;
-        }
-        RetireReduceDeps(ws, s, band, cnt);
-      }
+      RetireGroup(ws, sg);
     }
   } else {
     // Shard s's band is in y: shard s+1's reduce of the band may add next.
@@ -604,7 +622,10 @@ void CpuMoe::Forward(const float* x, std::int64_t tokens, const MoeRouting& rout
   ws->n_b = num_shards * num_groups * ws->bands_b;
   const bool dynamic = options_.schedule == ScheduleKind::kDynamic;
   const std::int64_t n_r = dynamic ? num_shards * n_bands : n_bands;
-  const std::int64_t total = ws->n_a + ws->n_b + n_r;
+  // Tasks dispatched: chained Down bands behind a single Gate/Up band run
+  // inside their Gate/Up task (ChainedStep).
+  const bool fused_down = dynamic && ws->bands_a == 1;
+  const std::int64_t total = ws->n_a + (fused_down ? 0 : ws->n_b) + n_r;
 
   moe_span.set_arg("subtasks", total);
   if (dynamic) {

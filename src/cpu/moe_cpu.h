@@ -18,12 +18,16 @@
 // finishes (per-expert atomic countdowns instead of global barriers); a
 // shard's reduce band runs as soon as every expert contributing to its tokens
 // has staged that shard's outputs and the previous shard has reduced the
-// band. The static schedule keeps the classic three-batch block partition
-// (its reduce task per token band adds every shard in order). Either way the
-// summation order per token is fixed by a precomputed contribution index laid
-// out in routing-slot order, so outputs are bit-identical across schedules,
-// thread counts, and batch compositions (a token's reduce order never depends
-// on which other tokens share the call). This is what
+// band. When an expert's Gate/Up is a single band (decode-sized experts), its
+// Gate/Up task runs the Down bands too, so one task per (shard, expert)
+// carries the expert from input to staged output (for the small MoE model, a
+// top-8 decode token on two shards dispatches 18 tasks instead of 50). The
+// static schedule keeps the classic three-batch block partition (its reduce
+// task per token band adds every shard in order). Either way the summation
+// order per token is fixed by a precomputed contribution index laid out in
+// routing-slot order, so outputs are bit-identical across schedules, thread
+// counts, and batch compositions (a token's reduce order never depends on
+// which other tokens share the call). This is what
 // absorbs the heavy expert-activation imbalance of the prefill phase (up to
 // 1.83x, Fig. 14 'd'). The kernel kind per expert-group follows the
 // arithmetic-intensity rule of Fig. 7: a calibrated dispatch table (when the
@@ -143,8 +147,10 @@ struct MoeStats {
   std::int64_t tokens = 0;
   int activated_experts = 0;
   std::int64_t max_tokens_per_expert = 0;
-  // Total tasks dispatched, across all three phases (Gate/Up+SwiGLU, Down,
-  // and the reduce scatter-add — the reduce phase counts too).
+  // Total tasks dispatched to the pool, across all three phases (Gate/Up+
+  // SwiGLU, Down, and the reduce scatter-add — the reduce phase counts too).
+  // Down bands that run inside their expert's Gate/Up task (chained schedule,
+  // one Gate/Up band) are not dispatched and do not count.
   std::int64_t subtasks = 0;
   // GEMM calls by the *resolved* variant kind (what actually executed, after
   // availability-aware selection and down-tiering — not what was requested).

@@ -4,8 +4,6 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
-#include <map>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -18,34 +16,18 @@
 
 namespace ktx {
 
-namespace {
-
-// Per-dimension inverse-frequency table: pow() is far more expensive than the
-// rotation itself, and the frequencies depend only on (i, dim), so they are
-// computed once per head size and shared across layers and positions.
-const std::vector<double>& RopeFrequencies(std::int64_t dim) {
-  static std::mutex mu;
-  static std::map<std::int64_t, std::vector<double>> cache;
-  std::lock_guard<std::mutex> lock(mu);
-  auto it = cache.find(dim);
-  if (it == cache.end()) {
-    std::vector<double> freqs;
-    for (std::int64_t i = 0; i + 1 < dim; i += 2) {
-      freqs.push_back(std::pow(10000.0, -static_cast<double>(i) / static_cast<double>(dim)));
-    }
-    it = cache.emplace(dim, std::move(freqs)).first;
-  }
-  return it->second;
-}
-
-}  // namespace
-
 void RopeRotation::Set(std::int64_t dim, std::int64_t pos) {
-  const std::vector<double>& freqs = RopeFrequencies(dim);
-  cos_.resize(freqs.size());
-  sin_.resize(freqs.size());
-  for (std::size_t i = 0; i < freqs.size(); ++i) {
-    const double angle = static_cast<double>(pos) * freqs[i];
+  if (dim != dim_) {
+    freqs_.clear();
+    for (std::int64_t i = 0; i + 1 < dim; i += 2) {
+      freqs_.push_back(std::pow(10000.0, -static_cast<double>(i) / static_cast<double>(dim)));
+    }
+    cos_.resize(freqs_.size());
+    sin_.resize(freqs_.size());
+    dim_ = dim;
+  }
+  for (std::size_t i = 0; i < freqs_.size(); ++i) {
+    const double angle = static_cast<double>(pos) * freqs_[i];
     cos_[i] = static_cast<float>(std::cos(angle));
     sin_[i] = static_cast<float>(std::sin(angle));
   }
@@ -303,9 +285,21 @@ __attribute__((target("avx2"))) inline __m256 FoldLanes8(const __m256* a) {
   return _mm256_permutevar8x32_ps(f, _mm256_setr_epi32(0, 4, 1, 5, 2, 6, 3, 7));
 }
 
-// H query heads against one KV head. The max and the softmax denominator
-// stay serial per head; the V sums of the H heads run side by side, so their
-// add chains overlap.
+// The largest of the eight lanes.
+__attribute__((target("avx2"))) inline float MaxLanes(__m256 v) {
+  __m128 m = _mm_max_ps(_mm256_castps256_ps128(v), _mm256_extractf128_ps(v, 1));
+  m = _mm_max_ps(m, _mm_movehl_ps(m, m));
+  m = _mm_max_ss(m, _mm_shuffle_ps(m, m, 1));
+  return _mm_cvtss_f32(m);
+}
+
+// H query heads against one KV head. The running max is lane-wise over the
+// 8-wide blocks and folded once after them; it equals the scalar core's
+// serial max because max does not depend on order, both spellings drop a
+// NaN score (max_ps(score, running) keeps `running` on NaN, as std::max does),
+// and a +0/-0 tie can only reach SoftmaxExp(score - max) as +-0, which is
+// exactly 1 either way. The softmax denominator stays serial per head; the V
+// sums of the H heads run side by side, so their add chains overlap.
 template <int H>
 __attribute__((target("avx2"))) void AttendHeadsAvx2(const GqaGroup& g, int h0) {
   const std::int64_t hd = g.head_dim;
@@ -313,10 +307,11 @@ __attribute__((target("avx2"))) void AttendHeadsAvx2(const GqaGroup& g, int h0) 
   const float* q[H];
   float* scores[H];
   float max_s[H];
+  __m256 running[H];
   for (int h = 0; h < H; ++h) {
     q[h] = g.q + (h0 + h) * hd;
     scores[h] = g.scores + (h0 + h) * len;
-    max_s[h] = -1e30f;
+    running[h] = _mm256_set1_ps(-1e30f);
   }
   const __m256 scale = _mm256_set1_ps(g.scale);
   std::int64_t j = 0;
@@ -326,11 +321,13 @@ __attribute__((target("avx2"))) void AttendHeadsAvx2(const GqaGroup& g, int h0) 
       for (int p = 0; p < 8; ++p) {
         acc[p] = DotLanes(q[h], g.k_rows[j + p] + g.kv_off, hd);
       }
-      _mm256_storeu_ps(scores[h] + j, _mm256_mul_ps(FoldLanes8(acc), scale));
-      for (int p = 0; p < 8; ++p) {
-        max_s[h] = std::max(max_s[h], scores[h][j + p]);
-      }
+      const __m256 block = _mm256_mul_ps(FoldLanes8(acc), scale);
+      _mm256_storeu_ps(scores[h] + j, block);
+      running[h] = _mm256_max_ps(block, running[h]);
     }
+  }
+  for (int h = 0; h < H; ++h) {
+    max_s[h] = MaxLanes(running[h]);
   }
   for (; j < len; ++j) {
     for (int h = 0; h < H; ++h) {

@@ -53,13 +53,18 @@ struct AttentionProjections {
 
 // The RoPE rotation at one position (theta base 10000): cos/sin of every
 // (even, odd) pair of a `dim`-wide vector, computed once and applied to as
-// many heads as share the position.
+// many heads as share the position. The inverse-frequency table (pow() costs
+// far more than the rotation) is kept here and rebuilt only when `dim`
+// changes, so a rotation reused across rows and layers sets each position
+// without locks, lookups or allocations.
 class RopeRotation {
  public:
   void Set(std::int64_t dim, std::int64_t pos);
   void Apply(float* vec) const;
 
  private:
+  std::int64_t dim_ = -1;
+  std::vector<double> freqs_;
   std::vector<float> cos_;
   std::vector<float> sin_;
 };

@@ -69,6 +69,26 @@ class KvLayerView {
     return in_block < left ? in_block : left;
   }
 
+  // Calls fn(rows, floats) for every stored plane of each physically-
+  // contiguous run of rows [0, end): K and V for GQA, the latent and the RoPE
+  // key for MLA. `rows` points at the run's first row of that plane, and
+  // `floats` counts the run's values in it.
+  template <class Fn>
+  void ForEachRowRange(std::int64_t end, Fn fn) const {
+    for (std::int64_t pos = 0; pos < end;) {
+      const std::int64_t run = run_length(pos, end);
+      if (k_ != nullptr) {
+        fn(k_row(pos), run * kv_dim_);
+        fn(v_row(pos), run * kv_dim_);
+      }
+      if (ckv_ != nullptr) {
+        fn(ckv_row(pos), run * lora_);
+        fn(k_rope_row(pos), run * rope_);
+      }
+      pos += run;
+    }
+  }
+
   // Rows covered by the block table. Appends past this are out of bounds.
   std::int64_t capacity_rows() const { return capacity_rows_; }
 

@@ -19,6 +19,10 @@ std::int64_t Linear::out_features() const {
   return tensor_->dim(0);
 }
 
+std::span<const std::byte> Linear::bytes() const {
+  return packed_ != nullptr ? packed_->payload() : std::span<const std::byte>{};
+}
+
 void Linear::Apply(const float* x, std::int64_t m, std::int64_t ldx, float* y, std::int64_t ldy,
                    bool accumulate) const {
   if (packed_ != nullptr) {

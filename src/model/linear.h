@@ -18,6 +18,7 @@
 #define KTX_SRC_MODEL_LINEAR_H_
 
 #include <cstdint>
+#include <span>
 
 #include "src/cpu/kernel_registry.h"
 #include "src/cpu/layout.h"
@@ -35,6 +36,10 @@ class Linear {
 
   // Output features n.
   std::int64_t out_features() const;
+
+  // The packed tiles Apply streams, for warming caches ahead of a call;
+  // empty for a tensor-backed or empty handle.
+  std::span<const std::byte> bytes() const;
 
   // y[m, n] (leading dim ldy) = x[m, k] (leading dim ldx) * W^T; with
   // `accumulate`, y += the product instead (each output rounded to f32

@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -347,6 +349,54 @@ TEST(GqaCoreTest, NanScoresPropagateInEverySpelling) {
     }
     for (std::size_t d = 0; d < out.size(); ++d) {
       EXPECT_TRUE(SameBits(out[d], ref_out[d])) << core.name << " out " << d;
+    }
+  }
+}
+
+// The AVX2 core keeps its running max lane-wise over 8-wide blocks and folds
+// it once; the scalar core takes it serially. They must agree on windows that
+// are one block, a block plus a 7-row tail, and two blocks, including when
+// every score ties (q = 0 makes every score +0 or -0), and when one key is
+// +inf (that score is +inf) or holds a NaN (that score is NaN and the max
+// must skip it), at every position of the window.
+TEST(GqaCoreTest, LaneWiseMaxMatchesSerialMaxOnTiesInfinitiesAndNans) {
+  const auto expect_same = [](const GqaCase& c, int group, const std::string& what) {
+    std::vector<float> ref_scores;
+    std::vector<float> ref_out;
+    AttendGqaGroupScalar(c.Group(0, group, &ref_scores, &ref_out));
+    for (const GqaCoreSpelling& core : RunnableGqaCores()) {
+      std::vector<float> scores;
+      std::vector<float> out;
+      core.run(c.Group(0, group, &scores, &out));
+      for (std::size_t j = 0; j < scores.size(); ++j) {
+        EXPECT_TRUE(SameBits(scores[j], ref_scores[j])) << core.name << " " << what
+                                                        << " score " << j;
+      }
+      for (std::size_t d = 0; d < out.size(); ++d) {
+        EXPECT_TRUE(SameBits(out[d], ref_out[d])) << core.name << " " << what << " out " << d;
+      }
+    }
+  };
+  for (const std::int64_t len : {8, 15, 16}) {
+    for (const int group : {1, 2}) {
+      const std::string shape = "len=" + std::to_string(len) + " group=" + std::to_string(group);
+      GqaCase zero_q(/*hd=*/16, len, /*kv_heads=*/1, group, 1.0f,
+                     static_cast<std::uint64_t>(len * 10 + group));
+      std::fill(zero_q.q.begin(), zero_q.q.end(), 0.0f);
+      expect_same(zero_q, group, shape + " q=0");
+      for (std::int64_t at = 0; at < len; ++at) {
+        const auto seed = static_cast<std::uint64_t>(len * 100 + group * 10 + at);
+        GqaCase inf_key(/*hd=*/16, len, /*kv_heads=*/1, group, 1.0f, seed);
+        for (float& f : inf_key.q) {
+          f = std::fabs(f) + 0.25f;
+        }
+        std::fill_n(inf_key.k.begin() + at * inf_key.kv_dim, inf_key.hd,
+                    std::numeric_limits<float>::infinity());
+        expect_same(inf_key, group, shape + " +inf key at " + std::to_string(at));
+        GqaCase nan_key(/*hd=*/16, len, /*kv_heads=*/1, group, 1.0f, seed);
+        nan_key.k[static_cast<std::size_t>(at * nan_key.kv_dim + 5)] = std::nanf("");
+        expect_same(nan_key, group, shape + " NaN key at " + std::to_string(at));
+      }
     }
   }
 }

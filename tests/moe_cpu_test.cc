@@ -176,11 +176,10 @@ TEST(CpuMoeTest, StatsReflectRoutingShape) {
   EXPECT_GE(stats.max_tokens_per_expert, 1);
   EXPECT_GT(stats.subtasks, 0);
   EXPECT_GT(stats.useful_flops, 0.0);
-  // subtasks counts all three phases. At this shape (8 tokens < one reduce
-  // band, one n-band per matrix) there is exactly 1 reduce task; the remaining
-  // tasks split evenly between Gate/Up (2 GEMM calls each) and Down (1 each).
-  const std::int64_t gemm_tasks = stats.subtasks - 1;
-  EXPECT_EQ(stats.gemm_calls(), gemm_tasks + gemm_tasks / 2);
+  // subtasks counts the tasks dispatched. At this shape (8 tokens < one
+  // reduce band, one n-band per matrix) there is exactly 1 reduce task; every
+  // other task is one expert's Gate/Up with its Down run inline (3 GEMM calls).
+  EXPECT_EQ(stats.gemm_calls(), 3 * (stats.subtasks - 1));
 }
 
 TEST(CpuMoeTest, AriDispatchUsesRowKernelForDecodeSizedBatches) {

@@ -218,6 +218,10 @@ TEST(MoeChainedStressTest, BitIdenticalAcrossSchedulesThreadsAndSlotWindows) {
       {12, 64, 48, 7, 3, DType::kBF16},   // inter not band-aligned
       {6, 96, 80, 33, 4, DType::kI8},     // crosses a reduce-band boundary
       {16, 64, 64, 40, 2, DType::kBF16},  // more tokens than experts
+      // Decode shapes, one token and top-8: one Gate/Up band whose task runs
+      // two Down bands inline; and three Gate/Up bands (the unfused chain).
+      {16, 128, 48, 1, 8, DType::kBF16},
+      {16, 128, 160, 1, 8, DType::kBF16},
   };
   std::uint64_t seed = 1234;
   for (const Shape& s : shapes) {
@@ -290,14 +294,12 @@ TEST(MoeChainedStressTest, StatsCountAllThreePhases) {
   MoeStats stats;
   moe.Forward(d.x.f32(), 40, d.routing, 0, 2, out.f32(), &stats);
   // 40 tokens -> 2 reduce bands of 32; subtasks must include them on top of
-  // the GEMM tasks (which average 1.5 kernel calls per task: 2 for Gate/Up,
-  // 1 for Down, equal task counts only when bands match — so just check the
-  // reduce tasks are present).
+  // the GEMM tasks. One Gate/Up band and one Down band per matrix: each GEMM
+  // task is one expert's Gate/Up (2 calls) with its Down (1 call) run inline.
   const std::int64_t gemm_calls = stats.gemm_calls();
   EXPECT_GT(stats.subtasks, 0);
   EXPECT_GT(gemm_calls, 0);
-  // Every GEMM task makes at least one call; 2 tasks are pure reduce.
-  EXPECT_GE(stats.subtasks, 2 + gemm_calls / 2);
+  EXPECT_EQ(stats.subtasks, 2 + gemm_calls / 3);
   EXPECT_EQ(stats.tokens, 40);
 }
 
