@@ -51,6 +51,10 @@ void ThreadPool::Submit(std::function<void()> fn) {
   work_cv_.notify_one();
 }
 
+std::uint64_t ThreadPool::RunGeneration() const {
+  return run_cursor_.load(std::memory_order_acquire) >> kRunIndexBits;
+}
+
 bool ThreadPool::RunHasWork() const {
   const std::uint64_t cur = run_cursor_.load(std::memory_order_acquire);
   if (((cur >> kRunIndexBits) & 1) == 0) {
@@ -153,8 +157,14 @@ void ThreadPool::WorkerLoop(std::size_t slot) {
     std::function<void()> task;
     {
       std::unique_lock<std::mutex> lock(mu_);
-      work_cv_.wait(lock, [this] {
-        return stop_.load(std::memory_order_relaxed) || next_ < queue_.size() || RunHasWork();
+      // Wake for the next run even when it has been fully claimed by the time
+      // this thread gets a CPU, and go back to the spin: a worker that only
+      // woke for a run with work left would sleep through a burst of short
+      // back-to-back runs, leaving the caller to run them alone.
+      const std::uint64_t parked_gen = RunGeneration();
+      work_cv_.wait(lock, [this, parked_gen] {
+        return stop_.load(std::memory_order_relaxed) || next_ < queue_.size() ||
+               RunHasWork() || RunGeneration() != parked_gen;
       });
       if (next_ < queue_.size()) {
         task = std::move(queue_[next_++]);
@@ -168,7 +178,7 @@ void ThreadPool::WorkerLoop(std::size_t slot) {
       } else if (stop_.load(std::memory_order_relaxed)) {
         return;
       } else {
-        continue;  // woken for a ParallelRun
+        continue;  // woken by a ParallelRun: help it, then spin again
       }
     }
     task();

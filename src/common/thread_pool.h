@@ -32,7 +32,9 @@
 //
 // Idle workers yield-spin for kSpinBudget (spin_wait.h) on an open run or a
 // queued task before they park on the condvar, so the back-to-back
-// dispatches of a decode step find them awake.
+// dispatches of a decode step find them awake. A parked worker wakes on the
+// next change of run generation, whether or not that run still has work
+// when it gets the CPU, and returns to its spin.
 
 #ifndef KTX_SRC_COMMON_THREAD_POOL_H_
 #define KTX_SRC_COMMON_THREAD_POOL_H_
@@ -111,8 +113,11 @@ class ThreadPool {
   // true if at least one chunk was executed.
   bool HelpRun();
   // True if an open run still has unclaimed indices (cheap peek, used as the
-  // worker wakeup predicate).
+  // workers' spin predicate).
   bool RunHasWork() const;
+  // The generation half of run_cursor_: it changes whenever a run opens or
+  // closes (the parked workers' wakeup predicate).
+  std::uint64_t RunGeneration() const;
 
   std::vector<std::thread> threads_;
   std::mutex mu_;

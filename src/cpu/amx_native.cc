@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <type_traits>
 
 #include "src/common/logging.h"
 #include "src/cpu/cpu_features.h"
@@ -86,6 +87,31 @@ void StoreAcc(const float (&acc)[kTileRows][kNBlock], float* y, std::int64_t ldy
       out[j] = accumulate ? out[j] + acc[i][j] : acc[i][j];
     }
   }
+}
+
+// Calls run(std::integral_constant<int, G>{}, nb) for G = rest, the one
+// group of n-blocks a ForBlockGroups pass leaves over.
+template <int G, class Run>
+void RunLastGroup(std::int64_t rest, std::int64_t nb, Run& run) {
+  if constexpr (G > 0) {
+    if (rest == G) {
+      run(std::integral_constant<int, G>{}, nb);
+    } else {
+      RunLastGroup<G - 1>(rest, nb, run);
+    }
+  }
+}
+
+// Calls run(std::integral_constant<int, G>{}, nb) over the n-blocks
+// [nb0, nb1): groups of kMaxGroup, then one group of whatever is left, so
+// every block count keeps its accumulators in registers.
+template <int kMaxGroup, class Run>
+void ForBlockGroups(std::int64_t nb0, std::int64_t nb1, Run run) {
+  std::int64_t nb = nb0;
+  for (; nb + kMaxGroup <= nb1; nb += kMaxGroup) {
+    run(std::integral_constant<int, kMaxGroup>{}, nb);
+  }
+  RunLastGroup<kMaxGroup - 1>(nb1 - nb, nb, run);
 }
 
 // SIMD int4 nibble unpack (the paper's §3.2 "efficient int4 decode"): each
@@ -186,6 +212,16 @@ void AmxGemmImpl(const float* x, std::int64_t m, std::int64_t ldx, const PackedM
   _tile_release();
 }
 
+// Widens one activation row to the f32 values of its bf16 roundings,
+// xf[c] = bf16->f32(FloatToBF16(row[c])) (exact), zero-padded to k_pad, so
+// the bf16 row kernels broadcast each element straight from memory.
+void WidenBf16Row(const float* row, std::int64_t k, std::int64_t k_pad, float* xf) {
+  for (std::int64_t c = 0; c < k; ++c) {
+    xf[c] = BF16ToFloat(FloatToBF16(row[c]));
+  }
+  std::fill(xf + k, xf + k_pad, 0.0f);
+}
+
 // AVX-512 bf16 row kernel. Canonical bf16 sequence (tile.h): per 32-element
 // k-block the even-index and odd-index products accumulate in two separate
 // fma chains over ascending p, and the running accumulator absorbs their sum
@@ -193,57 +229,75 @@ void AmxGemmImpl(const float* x, std::int64_t m, std::int64_t ldx, const PackedM
 // chains land on the identical bits as the TDPBF16PS tile instruction and the
 // scalar emulation. (VDPBF16PS folds even and odd into one chain per step —
 // a DIFFERENT rounding sequence — which is why this kernel does not use it.)
+// G n-blocks share each k step's two broadcasts; each block keeps its own
+// even/odd chains and accumulator.
+template <int G>
+__attribute__((target("avx512f,avx512bw,avx512vl")))
+void Avx512Bf16Blocks(const float* xf, const PackedMatrix& w, std::int64_t nb, float* y_row,
+                      bool accumulate) {
+  const std::int64_t k_blocks = w.k_blocks();
+  // bf16 elements from block nb's tiles to block nb + 1's.
+  const std::int64_t block_stride = k_blocks * kKBlockBf16 * kNBlock;
+  const __m512i hi_mask = _mm512_set1_epi32(static_cast<int>(0xFFFF0000u));
+  __m512 acc[G];
+#pragma GCC unroll 8
+  for (int g = 0; g < G; ++g) {
+    acc[g] = _mm512_setzero_ps();
+  }
+  for (std::int64_t kb = 0; kb < k_blocks; ++kb) {
+    const auto* brow = reinterpret_cast<const std::uint16_t*>(w.tile_ptr(nb, kb));
+    const float* xp = xf + kb * kKBlockBf16;
+    __m512 ve[G];
+    __m512 vo[G];
+#pragma GCC unroll 8
+    for (int g = 0; g < G; ++g) {
+      ve[g] = _mm512_setzero_ps();
+      vo[g] = _mm512_setzero_ps();
+    }
+    for (int p = 0; p < kTileRows; ++p) {
+      const __m512 xe = _mm512_set1_ps(xp[2 * p]);
+      const __m512 xo = _mm512_set1_ps(xp[2 * p + 1]);
+#pragma GCC unroll 8
+      for (int g = 0; g < G; ++g) {
+        const __m512i bv = _mm512_loadu_si512(brow + g * block_stride + p * 32);
+        const __m512 be = _mm512_castsi512_ps(_mm512_maskz_slli_epi32(kAllLanes, bv, 16));
+        const __m512 bo = _mm512_castsi512_ps(_mm512_and_si512(bv, hi_mask));
+        ve[g] = _mm512_fmadd_ps(be, xe, ve[g]);
+        vo[g] = _mm512_fmadd_ps(bo, xo, vo[g]);
+      }
+    }
+#pragma GCC unroll 8
+    for (int g = 0; g < G; ++g) {
+      acc[g] = _mm512_add_ps(acc[g], _mm512_add_ps(ve[g], vo[g]));
+    }
+  }
+#pragma GCC unroll 8
+  for (int g = 0; g < G; ++g) {
+    const std::int64_t n0 = (nb + g) * kNBlock;
+    const std::int64_t n_valid = std::min<std::int64_t>(kNBlock, w.n() - n0);
+    const __mmask16 mask = static_cast<__mmask16>((1u << n_valid) - 1);
+    float* out = y_row + n0;
+    __m512 v = acc[g];
+    if (accumulate) {
+      v = _mm512_add_ps(v, _mm512_maskz_loadu_ps(mask, out));
+    }
+    _mm512_mask_storeu_ps(out, mask, v);
+  }
+}
+
 __attribute__((target("avx512f,avx512bw,avx512vl")))
 void Avx512GemmBf16Impl(const float* x, std::int64_t m, std::int64_t ldx, const PackedMatrix& w,
                         float* y, std::int64_t ldy, bool accumulate, std::int64_t nb0,
                         std::int64_t nb1, void* scratch, std::size_t scratch_bytes) {
-  const std::int64_t k_blocks = w.k_blocks();
-  const std::int64_t k_pad = k_blocks * kKBlockBf16;
-  const std::size_t need =
-      static_cast<std::size_t>(k_pad) * sizeof(std::uint16_t) + kCacheLineBytes;
+  const std::int64_t k_pad = w.k_blocks() * kKBlockBf16;
+  const std::size_t need = static_cast<std::size_t>(k_pad) * sizeof(float) + kCacheLineBytes;
   ScratchCarver carver = AcquireGemmScratch(scratch, scratch_bytes, need);
-  std::uint16_t* xb = carver.Take<std::uint16_t>(static_cast<std::size_t>(k_pad));
-  const __m512i hi_mask = _mm512_set1_epi32(static_cast<int>(0xFFFF0000u));
+  float* xf = carver.Take<float>(static_cast<std::size_t>(k_pad));
   for (std::int64_t i = 0; i < m; ++i) {
-    const float* row = x + i * ldx;
-    for (std::int64_t c = 0; c < w.k(); ++c) {
-      xb[static_cast<std::size_t>(c)] = FloatToBF16(row[c]).bits;
-    }
-    for (std::int64_t c = w.k(); c < k_pad; ++c) {
-      xb[static_cast<std::size_t>(c)] = 0;
-    }
-    for (std::int64_t nb = nb0; nb < nb1; ++nb) {
-      __m512 acc = _mm512_setzero_ps();
-      for (std::int64_t kb = 0; kb < k_blocks; ++kb) {
-        const auto* brow = reinterpret_cast<const std::uint16_t*>(w.tile_ptr(nb, kb));
-        const std::uint16_t* xp = xb + kb * kKBlockBf16;
-        __m512 ve = _mm512_setzero_ps();
-        __m512 vo = _mm512_setzero_ps();
-        for (int p = 0; p < kTileRows; ++p) {
-          const std::uint32_t eb = static_cast<std::uint32_t>(xp[2 * p]) << 16;
-          const std::uint32_t ob = static_cast<std::uint32_t>(xp[2 * p + 1]) << 16;
-          float xe;
-          float xo;
-          std::memcpy(&xe, &eb, 4);
-          std::memcpy(&xo, &ob, 4);
-          const __m512i bv = _mm512_loadu_si512(brow + p * 32);
-          const __m512 be = _mm512_castsi512_ps(_mm512_maskz_slli_epi32(kAllLanes, bv, 16));
-          const __m512 bo = _mm512_castsi512_ps(_mm512_and_si512(bv, hi_mask));
-          ve = _mm512_fmadd_ps(be, _mm512_set1_ps(xe), ve);
-          vo = _mm512_fmadd_ps(bo, _mm512_set1_ps(xo), vo);
-        }
-        acc = _mm512_add_ps(acc, _mm512_add_ps(ve, vo));
-      }
-      const std::int64_t n0 = nb * kNBlock;
-      const std::int64_t n_valid = std::min<std::int64_t>(kNBlock, w.n() - n0);
-      const __mmask16 mask = static_cast<__mmask16>((1u << n_valid) - 1);
-      float* out = y + i * ldy + n0;
-      if (accumulate) {
-        const __m512 prev = _mm512_maskz_loadu_ps(mask, out);
-        acc = _mm512_add_ps(acc, prev);
-      }
-      _mm512_mask_storeu_ps(out, mask, acc);
-    }
+    WidenBf16Row(x + i * ldx, w.k(), k_pad, xf);
+    ForBlockGroups<4>(nb0, nb1, [&](auto group, std::int64_t nb) {
+      Avx512Bf16Blocks<decltype(group)::value>(xf, w, nb, y + i * ldy, accumulate);
+    });
   }
 }
 
@@ -343,71 +397,90 @@ void Avx512GemmInt8Impl(const float* x, std::int64_t m, std::int64_t ldx, const 
 // even-index and odd-index products run in separate fma chains over ascending
 // p (one lo/hi register pair each), and the accumulator absorbs their sum —
 // bit-identical to the AMX tile instruction, the AVX-512 kernel, and the
-// scalar emulation.
+// scalar emulation. G n-blocks share each k step's two broadcasts, as in the
+// AVX-512 kernel, but only two at a time: a block needs six of the sixteen
+// ymm registers (four chains, two accumulators), and at four blocks gcc
+// keeps chains on the stack. Two blocks already run eight chains side by
+// side, as the AVX-512 kernel's four do.
+template <int G>
+__attribute__((target("avx2,fma")))
+void Avx2Bf16Blocks(const float* xf, const PackedMatrix& w, std::int64_t nb, float* y_row,
+                    bool accumulate) {
+  const std::int64_t k_blocks = w.k_blocks();
+  const std::int64_t block_stride = k_blocks * kKBlockBf16 * kNBlock;
+  const __m256i hi_mask = _mm256_set1_epi32(static_cast<int>(0xFFFF0000u));
+  __m256 acc_lo[G];  // outputs j = 0..7 of block nb + g
+  __m256 acc_hi[G];  // outputs j = 8..15
+#pragma GCC unroll 8
+  for (int g = 0; g < G; ++g) {
+    acc_lo[g] = _mm256_setzero_ps();
+    acc_hi[g] = _mm256_setzero_ps();
+  }
+  for (std::int64_t kb = 0; kb < k_blocks; ++kb) {
+    const auto* brow = reinterpret_cast<const std::uint16_t*>(w.tile_ptr(nb, kb));
+    const float* xp = xf + kb * kKBlockBf16;
+    __m256 ve_lo[G];
+    __m256 vo_lo[G];
+    __m256 ve_hi[G];
+    __m256 vo_hi[G];
+#pragma GCC unroll 8
+    for (int g = 0; g < G; ++g) {
+      ve_lo[g] = _mm256_setzero_ps();
+      vo_lo[g] = _mm256_setzero_ps();
+      ve_hi[g] = _mm256_setzero_ps();
+      vo_hi[g] = _mm256_setzero_ps();
+    }
+    for (int p = 0; p < kTileRows; ++p) {
+      const __m256 xe = _mm256_set1_ps(xp[2 * p]);
+      const __m256 xo = _mm256_set1_ps(xp[2 * p + 1]);
+#pragma GCC unroll 8
+      for (int g = 0; g < G; ++g) {
+        const std::uint16_t* t = brow + g * block_stride + p * 32;
+        const __m256i raw_lo = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(t));
+        const __m256i raw_hi = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(t + 16));
+        ve_lo[g] = _mm256_fmadd_ps(_mm256_castsi256_ps(_mm256_slli_epi32(raw_lo, 16)), xe,
+                                   ve_lo[g]);
+        vo_lo[g] = _mm256_fmadd_ps(_mm256_castsi256_ps(_mm256_and_si256(raw_lo, hi_mask)), xo,
+                                   vo_lo[g]);
+        ve_hi[g] = _mm256_fmadd_ps(_mm256_castsi256_ps(_mm256_slli_epi32(raw_hi, 16)), xe,
+                                   ve_hi[g]);
+        vo_hi[g] = _mm256_fmadd_ps(_mm256_castsi256_ps(_mm256_and_si256(raw_hi, hi_mask)), xo,
+                                   vo_hi[g]);
+      }
+    }
+#pragma GCC unroll 8
+    for (int g = 0; g < G; ++g) {
+      acc_lo[g] = _mm256_add_ps(acc_lo[g], _mm256_add_ps(ve_lo[g], vo_lo[g]));
+      acc_hi[g] = _mm256_add_ps(acc_hi[g], _mm256_add_ps(ve_hi[g], vo_hi[g]));
+    }
+  }
+#pragma GCC unroll 8
+  for (int g = 0; g < G; ++g) {
+    const std::int64_t n0 = (nb + g) * kNBlock;
+    const std::int64_t n_valid = std::min<std::int64_t>(kNBlock, w.n() - n0);
+    alignas(32) float out_buf[kNBlock];
+    _mm256_store_ps(out_buf, acc_lo[g]);
+    _mm256_store_ps(out_buf + 8, acc_hi[g]);
+    float* out = y_row + n0;
+    for (std::int64_t j = 0; j < n_valid; ++j) {
+      out[j] = accumulate ? out[j] + out_buf[j] : out_buf[j];
+    }
+  }
+}
+
 __attribute__((target("avx2,fma")))
 void Avx2GemmBf16Impl(const float* x, std::int64_t m, std::int64_t ldx, const PackedMatrix& w,
                       float* y, std::int64_t ldy, bool accumulate, std::int64_t nb0,
                       std::int64_t nb1, void* scratch, std::size_t scratch_bytes) {
-  const std::int64_t k_blocks = w.k_blocks();
-  const std::int64_t k_pad = k_blocks * kKBlockBf16;
-  const std::size_t need =
-      static_cast<std::size_t>(k_pad) * sizeof(std::uint16_t) + kCacheLineBytes;
+  const std::int64_t k_pad = w.k_blocks() * kKBlockBf16;
+  const std::size_t need = static_cast<std::size_t>(k_pad) * sizeof(float) + kCacheLineBytes;
   ScratchCarver carver = AcquireGemmScratch(scratch, scratch_bytes, need);
-  std::uint16_t* xb = carver.Take<std::uint16_t>(static_cast<std::size_t>(k_pad));
-  const __m256i hi_mask = _mm256_set1_epi32(static_cast<int>(0xFFFF0000u));
+  float* xf = carver.Take<float>(static_cast<std::size_t>(k_pad));
   for (std::int64_t i = 0; i < m; ++i) {
-    const float* row = x + i * ldx;
-    for (std::int64_t c = 0; c < w.k(); ++c) {
-      xb[static_cast<std::size_t>(c)] = FloatToBF16(row[c]).bits;
-    }
-    for (std::int64_t c = w.k(); c < k_pad; ++c) {
-      xb[static_cast<std::size_t>(c)] = 0;
-    }
-    for (std::int64_t nb = nb0; nb < nb1; ++nb) {
-      __m256 acc_lo = _mm256_setzero_ps();  // outputs j = 0..7
-      __m256 acc_hi = _mm256_setzero_ps();  // outputs j = 8..15
-      for (std::int64_t kb = 0; kb < k_blocks; ++kb) {
-        const auto* brow = reinterpret_cast<const std::uint16_t*>(w.tile_ptr(nb, kb));
-        const std::uint16_t* xp = xb + kb * kKBlockBf16;
-        __m256 ve_lo = _mm256_setzero_ps();
-        __m256 vo_lo = _mm256_setzero_ps();
-        __m256 ve_hi = _mm256_setzero_ps();
-        __m256 vo_hi = _mm256_setzero_ps();
-        for (int p = 0; p < kTileRows; ++p) {
-          std::uint32_t lo_bits = static_cast<std::uint32_t>(xp[2 * p]) << 16;
-          std::uint32_t hi_bits = static_cast<std::uint32_t>(xp[2 * p + 1]) << 16;
-          float xl;
-          float xh;
-          std::memcpy(&xl, &lo_bits, 4);
-          std::memcpy(&xh, &hi_bits, 4);
-          const __m256 vxl = _mm256_set1_ps(xl);
-          const __m256 vxh = _mm256_set1_ps(xh);
-          const __m256i raw_lo = _mm256_loadu_si256(
-              reinterpret_cast<const __m256i*>(brow + p * 32));
-          const __m256i raw_hi = _mm256_loadu_si256(
-              reinterpret_cast<const __m256i*>(brow + p * 32 + 16));
-          const __m256 even_lo = _mm256_castsi256_ps(_mm256_slli_epi32(raw_lo, 16));
-          const __m256 odd_lo = _mm256_castsi256_ps(_mm256_and_si256(raw_lo, hi_mask));
-          const __m256 even_hi = _mm256_castsi256_ps(_mm256_slli_epi32(raw_hi, 16));
-          const __m256 odd_hi = _mm256_castsi256_ps(_mm256_and_si256(raw_hi, hi_mask));
-          ve_lo = _mm256_fmadd_ps(even_lo, vxl, ve_lo);
-          vo_lo = _mm256_fmadd_ps(odd_lo, vxh, vo_lo);
-          ve_hi = _mm256_fmadd_ps(even_hi, vxl, ve_hi);
-          vo_hi = _mm256_fmadd_ps(odd_hi, vxh, vo_hi);
-        }
-        acc_lo = _mm256_add_ps(acc_lo, _mm256_add_ps(ve_lo, vo_lo));
-        acc_hi = _mm256_add_ps(acc_hi, _mm256_add_ps(ve_hi, vo_hi));
-      }
-      const std::int64_t n0 = nb * kNBlock;
-      const std::int64_t n_valid = std::min<std::int64_t>(kNBlock, w.n() - n0);
-      alignas(32) float out_buf[kNBlock];
-      _mm256_store_ps(out_buf, acc_lo);
-      _mm256_store_ps(out_buf + 8, acc_hi);
-      float* out = y + i * ldy + n0;
-      for (std::int64_t j = 0; j < n_valid; ++j) {
-        out[j] = accumulate ? out[j] + out_buf[j] : out_buf[j];
-      }
-    }
+    WidenBf16Row(x + i * ldx, w.k(), k_pad, xf);
+    ForBlockGroups<2>(nb0, nb1, [&](auto group, std::int64_t nb) {
+      Avx2Bf16Blocks<decltype(group)::value>(xf, w, nb, y + i * ldy, accumulate);
+    });
   }
 }
 
@@ -505,72 +578,116 @@ void Avx2GemmInt8Impl(const float* x, std::int64_t m, std::int64_t ldx, const Pa
 // sequence is one vfmadd per k step in ascending k order — exactly the
 // std::fma sequence the scalar emulation performs — so results are
 // bit-identical across all three tiers (the expert-cache hot-path identity).
+// G n-blocks (up to eight) run in one pass over k, one accumulator each,
+// sharing every broadcast of x[k]: G independent chains hide the FMA latency
+// a single 16-output chain is bound by, and no chain changes.
+template <int G>
+__attribute__((target("avx512f")))
+void Avx512F32Blocks(const float* row, const PackedMatrix& w, std::int64_t nb, float* y_row,
+                     bool accumulate) {
+  const std::int64_t k = w.k();
+  const std::int64_t k_blocks = w.k_blocks();
+  const std::int64_t block_stride = k_blocks * kKBlockF32 * kNBlock;  // floats, nb -> nb + 1
+  __m512 acc[G];
+#pragma GCC unroll 8
+  for (int g = 0; g < G; ++g) {
+    acc[g] = _mm512_setzero_ps();
+  }
+  for (std::int64_t kb = 0; kb < k_blocks; ++kb) {
+    const auto* tile = reinterpret_cast<const float*>(w.tile_ptr(nb, kb));
+    const float* xk = row + kb * kKBlockF32;
+    const std::int64_t p_valid = std::min<std::int64_t>(kKBlockF32, k - kb * kKBlockF32);
+    for (std::int64_t p = 0; p < p_valid; ++p) {
+      const __m512 vx = _mm512_set1_ps(xk[p]);
+#pragma GCC unroll 8
+      for (int g = 0; g < G; ++g) {
+        acc[g] = _mm512_fmadd_ps(vx, _mm512_load_ps(tile + g * block_stride + p * kNBlock),
+                                 acc[g]);
+      }
+    }
+  }
+#pragma GCC unroll 8
+  for (int g = 0; g < G; ++g) {
+    const std::int64_t n0 = (nb + g) * kNBlock;
+    const std::int64_t n_valid = std::min<std::int64_t>(kNBlock, w.n() - n0);
+    const __mmask16 mask = static_cast<__mmask16>((1u << n_valid) - 1);
+    float* out = y_row + n0;
+    __m512 v = acc[g];
+    if (accumulate) {
+      v = _mm512_add_ps(_mm512_maskz_loadu_ps(mask, out), v);
+    }
+    _mm512_mask_storeu_ps(out, mask, v);
+  }
+}
+
 __attribute__((target("avx512f")))
 void Avx512GemmF32Impl(const float* x, std::int64_t m, std::int64_t ldx, const PackedMatrix& w,
                        float* y, std::int64_t ldy, bool accumulate, std::int64_t nb0,
                        std::int64_t nb1) {
+  for (std::int64_t i = 0; i < m; ++i) {
+    ForBlockGroups<8>(nb0, nb1, [&](auto group, std::int64_t nb) {
+      Avx512F32Blocks<decltype(group)::value>(x + i * ldx, w, nb, y + i * ldy, accumulate);
+    });
+  }
+}
+
+// AVX2 f32 kernel: two 8-lane halves per n-block walking the identical
+// per-lane fma sequence as the AVX-512 kernel and the scalar emulation, G
+// n-blocks per pass as there (up to four: eight accumulators of the sixteen
+// ymm registers).
+template <int G>
+__attribute__((target("avx2,fma")))
+void Avx2F32Blocks(const float* row, const PackedMatrix& w, std::int64_t nb, float* y_row,
+                   bool accumulate) {
   const std::int64_t k = w.k();
   const std::int64_t k_blocks = w.k_blocks();
-  for (std::int64_t i = 0; i < m; ++i) {
-    const float* row = x + i * ldx;
-    for (std::int64_t nb = nb0; nb < nb1; ++nb) {
-      __m512 acc = _mm512_setzero_ps();
-      for (std::int64_t kb = 0; kb < k_blocks; ++kb) {
-        const auto* tile = reinterpret_cast<const float*>(w.tile_ptr(nb, kb));
-        const std::int64_t p_valid =
-            std::min<std::int64_t>(kKBlockF32, k - kb * kKBlockF32);
-        for (std::int64_t p = 0; p < p_valid; ++p) {
-          acc = _mm512_fmadd_ps(_mm512_set1_ps(row[kb * kKBlockF32 + p]),
-                                _mm512_load_ps(tile + p * kNBlock), acc);
-        }
+  const std::int64_t block_stride = k_blocks * kKBlockF32 * kNBlock;  // floats, nb -> nb + 1
+  __m256 acc_lo[G];  // outputs j = 0..7 of block nb + g
+  __m256 acc_hi[G];  // outputs j = 8..15
+#pragma GCC unroll 8
+  for (int g = 0; g < G; ++g) {
+    acc_lo[g] = _mm256_setzero_ps();
+    acc_hi[g] = _mm256_setzero_ps();
+  }
+  for (std::int64_t kb = 0; kb < k_blocks; ++kb) {
+    const auto* tile = reinterpret_cast<const float*>(w.tile_ptr(nb, kb));
+    const float* xk = row + kb * kKBlockF32;
+    const std::int64_t p_valid = std::min<std::int64_t>(kKBlockF32, k - kb * kKBlockF32);
+    for (std::int64_t p = 0; p < p_valid; ++p) {
+      const __m256 vx = _mm256_set1_ps(xk[p]);
+#pragma GCC unroll 8
+      for (int g = 0; g < G; ++g) {
+        const float* t = tile + g * block_stride + p * kNBlock;
+        acc_lo[g] = _mm256_fmadd_ps(vx, _mm256_load_ps(t), acc_lo[g]);
+        acc_hi[g] = _mm256_fmadd_ps(vx, _mm256_load_ps(t + 8), acc_hi[g]);
       }
-      const std::int64_t n0 = nb * kNBlock;
-      const std::int64_t n_valid = std::min<std::int64_t>(kNBlock, w.n() - n0);
-      const __mmask16 mask = static_cast<__mmask16>((1u << n_valid) - 1);
-      float* out = y + i * ldy + n0;
-      if (accumulate) {
-        acc = _mm512_add_ps(_mm512_maskz_loadu_ps(mask, out), acc);
-      }
-      _mm512_mask_storeu_ps(out, mask, acc);
+    }
+  }
+#pragma GCC unroll 8
+  for (int g = 0; g < G; ++g) {
+    const std::int64_t n0 = (nb + g) * kNBlock;
+    const std::int64_t n_valid = std::min<std::int64_t>(kNBlock, w.n() - n0);
+    alignas(32) float out_buf[kNBlock];
+    _mm256_store_ps(out_buf, acc_lo[g]);
+    _mm256_store_ps(out_buf + 8, acc_hi[g]);
+    float* out = y_row + n0;
+    for (std::int64_t j = 0; j < n_valid; ++j) {
+      out[j] = accumulate ? out[j] + out_buf[j] : out_buf[j];
     }
   }
 }
 
-// AVX2 f32 kernel: two 8-lane halves walking the identical per-lane fma
-// sequence as the AVX-512 kernel and the scalar emulation.
 __attribute__((target("avx2,fma")))
 void Avx2GemmF32Impl(const float* x, std::int64_t m, std::int64_t ldx, const PackedMatrix& w,
                      float* y, std::int64_t ldy, bool accumulate, std::int64_t nb0,
                      std::int64_t nb1) {
-  const std::int64_t k = w.k();
-  const std::int64_t k_blocks = w.k_blocks();
   for (std::int64_t i = 0; i < m; ++i) {
-    const float* row = x + i * ldx;
-    for (std::int64_t nb = nb0; nb < nb1; ++nb) {
-      __m256 acc_lo = _mm256_setzero_ps();  // outputs j = 0..7
-      __m256 acc_hi = _mm256_setzero_ps();  // outputs j = 8..15
-      for (std::int64_t kb = 0; kb < k_blocks; ++kb) {
-        const auto* tile = reinterpret_cast<const float*>(w.tile_ptr(nb, kb));
-        const std::int64_t p_valid =
-            std::min<std::int64_t>(kKBlockF32, k - kb * kKBlockF32);
-        for (std::int64_t p = 0; p < p_valid; ++p) {
-          const __m256 vx = _mm256_set1_ps(row[kb * kKBlockF32 + p]);
-          acc_lo = _mm256_fmadd_ps(vx, _mm256_load_ps(tile + p * kNBlock), acc_lo);
-          acc_hi = _mm256_fmadd_ps(vx, _mm256_load_ps(tile + p * kNBlock + 8), acc_hi);
-        }
-      }
-      const std::int64_t n0 = nb * kNBlock;
-      const std::int64_t n_valid = std::min<std::int64_t>(kNBlock, w.n() - n0);
-      alignas(32) float out_buf[kNBlock];
-      _mm256_store_ps(out_buf, acc_lo);
-      _mm256_store_ps(out_buf + 8, acc_hi);
-      float* out = y + i * ldy + n0;
-      for (std::int64_t j = 0; j < n_valid; ++j) {
-        out[j] = accumulate ? out[j] + out_buf[j] : out_buf[j];
-      }
-    }
+    ForBlockGroups<4>(nb0, nb1, [&](auto group, std::int64_t nb) {
+      Avx2F32Blocks<decltype(group)::value>(x + i * ldx, w, nb, y + i * ldy, accumulate);
+    });
   }
 }
+
 
 }  // namespace
 

@@ -16,6 +16,9 @@
 // the bf16 sequence; f32 is a per-output ascending-k fma chain; the int8/int4
 // integer dot is exact and its f32 rescale is a fixed mul/mul/add per
 // k-block), so all selectable variants produce bit-identical results. The
+// sequence is per output element: a kernel may interleave the chains of
+// different outputs (the native row kernels run several n-blocks per pass
+// over k) as long as each chain keeps its own ops in its own order. The
 // kernel-variant registry (kernel_registry.h) is the authoritative table of
 // {kind, impl} entries with availability predicates and per-variant scratch
 // sizing; GemmPacked resolves through it.

@@ -69,8 +69,9 @@ std::size_t RowKernelScratchBytes(const PackedMatrix& w) {
     return 0;
   }
   if (w.dtype() == DType::kBF16) {
-    // One repacked bf16 activation row, k padded to full blocks.
-    return kb * kKBlockBf16 * sizeof(std::uint16_t) + kCacheLineBytes;
+    // One activation row widened to f32 after bf16 rounding, k padded to
+    // full blocks.
+    return kb * kKBlockBf16 * sizeof(float) + kCacheLineBytes;
   }
   // Quantized: per-block scales + one quantized activation row.
   return kb * sizeof(float) + kb * static_cast<std::size_t>(kKBlockInt8) +

@@ -17,6 +17,9 @@
 namespace ktx {
 
 void RopeRotation::Set(std::int64_t dim, std::int64_t pos) {
+  if (dim == dim_ && pos == pos_) {
+    return;
+  }
   if (dim != dim_) {
     freqs_.clear();
     for (std::int64_t i = 0; i + 1 < dim; i += 2) {
@@ -26,6 +29,7 @@ void RopeRotation::Set(std::int64_t dim, std::int64_t pos) {
     sin_.resize(freqs_.size());
     dim_ = dim;
   }
+  pos_ = pos;
   for (std::size_t i = 0; i < freqs_.size(); ++i) {
     const double angle = static_cast<double>(pos) * freqs_[i];
     cos_[i] = static_cast<float>(std::cos(angle));
@@ -264,6 +268,31 @@ __attribute__((target("avx2"))) inline __m256 DotLanes(const float* q, const flo
   return acc;
 }
 
+// DotLanes of q against eight keys at once,
+// acc[p] = DotLanes(q, k_rows[p] + kv_off, hd).
+// The positions run inside the d loop, so one q load serves all eight; each
+// acc[p] still adds its products in ascending d. The fixed-trip loops here
+// and below carry unroll pragmas: gcc does not unroll them at -O2 by itself,
+// and a vector array indexed by a loop counter stays in memory.
+__attribute__((target("avx2"))) inline void DotLanes8(const float* q,
+                                                      const float* const* k_rows,
+                                                      std::int64_t kv_off, std::int64_t hd,
+                                                      __m256 (&acc)[8]) {
+  const float* k[8];
+#pragma GCC unroll 8
+  for (int p = 0; p < 8; ++p) {
+    k[p] = k_rows[p] + kv_off;
+    acc[p] = _mm256_setzero_ps();
+  }
+  for (std::int64_t d = 0; d < hd; d += 8) {
+    const __m256 qd = _mm256_loadu_ps(q + d);
+#pragma GCC unroll 8
+    for (int p = 0; p < 8; ++p) {
+      acc[p] = _mm256_add_ps(acc[p], _mm256_mul_ps(qd, _mm256_loadu_ps(k[p] + d)));
+    }
+  }
+}
+
 // LaneDot::Sum of one lane vector: ((l0 + l4) + (l1 + l5)) + ((l2 + l6) + (l3 + l7)).
 __attribute__((target("avx2"))) inline float FoldLanes(__m256 acc) {
   __m128 s = _mm_add_ps(_mm256_castps256_ps128(acc), _mm256_extractf128_ps(acc, 1));
@@ -274,8 +303,9 @@ __attribute__((target("avx2"))) inline float FoldLanes(__m256 acc) {
 
 // FoldLanes of eight lane vectors at once, result lane p = FoldLanes(a[p]).
 // Per position the adds are FoldLanes's, in the same order.
-__attribute__((target("avx2"))) inline __m256 FoldLanes8(const __m256* a) {
+__attribute__((target("avx2"))) inline __m256 FoldLanes8(const __m256 (&a)[8]) {
   __m256 s[4];  // s[i] = [a[2i].lo + a[2i].hi | a[2i+1].lo + a[2i+1].hi]
+#pragma GCC unroll 4
   for (int i = 0; i < 4; ++i) {
     s[i] = _mm256_add_ps(_mm256_permute2f128_ps(a[2 * i], a[2 * i + 1], 0x20),
                          _mm256_permute2f128_ps(a[2 * i], a[2 * i + 1], 0x31));
@@ -299,7 +329,11 @@ __attribute__((target("avx2"))) inline float MaxLanes(__m256 v) {
 // NaN score (max_ps(score, running) keeps `running` on NaN, as std::max does),
 // and a +0/-0 tie can only reach SoftmaxExp(score - max) as +-0, which is
 // exactly 1 either way. The softmax denominator stays serial per head; the V
-// sums of the H heads run side by side, so their add chains overlap.
+// sums of the H heads run side by side, so their add chains overlap. Scores
+// come eight positions at a time from DotLanes8. Every loop over heads,
+// positions or fold steps has a fixed trip count and is unrolled, so the
+// per-head and per-position vectors (acc, running, acc0/acc1, inv) live in
+// registers rather than in stack arrays.
 template <int H>
 __attribute__((target("avx2"))) void AttendHeadsAvx2(const GqaGroup& g, int h0) {
   const std::int64_t hd = g.head_dim;
@@ -308,6 +342,7 @@ __attribute__((target("avx2"))) void AttendHeadsAvx2(const GqaGroup& g, int h0) 
   float* scores[H];
   float max_s[H];
   __m256 running[H];
+#pragma GCC unroll 2
   for (int h = 0; h < H; ++h) {
     q[h] = g.q + (h0 + h) * hd;
     scores[h] = g.scores + (h0 + h) * len;
@@ -316,25 +351,27 @@ __attribute__((target("avx2"))) void AttendHeadsAvx2(const GqaGroup& g, int h0) 
   const __m256 scale = _mm256_set1_ps(g.scale);
   std::int64_t j = 0;
   for (; j + 8 <= len; j += 8) {
+#pragma GCC unroll 2
     for (int h = 0; h < H; ++h) {
       __m256 acc[8];
-      for (int p = 0; p < 8; ++p) {
-        acc[p] = DotLanes(q[h], g.k_rows[j + p] + g.kv_off, hd);
-      }
+      DotLanes8(q[h], g.k_rows + j, g.kv_off, hd, acc);
       const __m256 block = _mm256_mul_ps(FoldLanes8(acc), scale);
       _mm256_storeu_ps(scores[h] + j, block);
       running[h] = _mm256_max_ps(block, running[h]);
     }
   }
+#pragma GCC unroll 2
   for (int h = 0; h < H; ++h) {
     max_s[h] = MaxLanes(running[h]);
   }
   for (; j < len; ++j) {
+#pragma GCC unroll 2
     for (int h = 0; h < H; ++h) {
       scores[h][j] = FoldLanes(DotLanes(q[h], g.k_rows[j] + g.kv_off, hd)) * g.scale;
       max_s[h] = std::max(max_s[h], scores[h][j]);
     }
   }
+#pragma GCC unroll 2
   for (int h = 0; h < H; ++h) {
     const __m256 vmax = _mm256_set1_ps(max_s[h]);
     for (j = 0; j + 8 <= len; j += 8) {
@@ -349,6 +386,7 @@ __attribute__((target("avx2"))) void AttendHeadsAvx2(const GqaGroup& g, int h0) 
   // each output element sums its weighted values in ascending j. The first
   // pass also accumulates each head's denominator.
   float denom[H];
+#pragma GCC unroll 2
   for (int h = 0; h < H; ++h) {
     denom[h] = 0.0f;
   }
@@ -357,6 +395,7 @@ __attribute__((target("avx2"))) void AttendHeadsAvx2(const GqaGroup& g, int h0) 
     const bool pair = d0 + 16 <= hd;
     __m256 acc0[H];
     __m256 acc1[H];
+#pragma GCC unroll 2
     for (int h = 0; h < H; ++h) {
       acc0[h] = _mm256_setzero_ps();
       acc1[h] = _mm256_setzero_ps();
@@ -365,6 +404,7 @@ __attribute__((target("avx2"))) void AttendHeadsAvx2(const GqaGroup& g, int h0) 
       const float* v = g.v_rows[j] + g.kv_off + d0;
       const __m256 v0 = _mm256_loadu_ps(v);
       const __m256 v1 = pair ? _mm256_loadu_ps(v + 8) : _mm256_setzero_ps();
+#pragma GCC unroll 2
       for (int h = 0; h < H; ++h) {
         const __m256 w = _mm256_set1_ps(scores[h][j]);
         acc0[h] = _mm256_add_ps(acc0[h], _mm256_mul_ps(w, v0));
@@ -374,6 +414,7 @@ __attribute__((target("avx2"))) void AttendHeadsAvx2(const GqaGroup& g, int h0) 
         }
       }
     }
+#pragma GCC unroll 2
     for (int h = 0; h < H; ++h) {
       if (d0 == 0) {
         inv[h] = _mm256_set1_ps(1.0f / denom[h]);

@@ -56,7 +56,9 @@ struct AttentionProjections {
 // many heads as share the position. The inverse-frequency table (pow() costs
 // far more than the rotation) is kept here and rebuilt only when `dim`
 // changes, so a rotation reused across rows and layers sets each position
-// without locks, lookups or allocations.
+// without locks, lookups or allocations. Setting the (dim, pos) it already
+// holds costs nothing: a batch-1 decode step sets one position in every
+// layer.
 class RopeRotation {
  public:
   void Set(std::int64_t dim, std::int64_t pos);
@@ -64,6 +66,7 @@ class RopeRotation {
 
  private:
   std::int64_t dim_ = -1;
+  std::int64_t pos_ = -1;
   std::vector<double> freqs_;
   std::vector<float> cos_;
   std::vector<float> sin_;

@@ -63,6 +63,29 @@ TEST(RopeTest, RelativePositionProperty) {
   }
 }
 
+// A rotation reused across positions, as the engine reuses one across rows
+// and layers, skips the recompute when the position repeats; every Set must
+// still leave exactly the cos/sin a fresh rotation computes.
+TEST(RopeTest, ReusedRotationMatchesFreshRopeBitForBit) {
+  Rng rng(2);
+  RopeRotation rotation;
+  const std::int64_t positions[] = {5, 5, 6, 5, 5, 0, 511, 511, 6};
+  for (const std::int64_t dim : {16, 8}) {
+    for (const std::int64_t pos : positions) {
+      float reused[16];
+      for (float& f : reused) {
+        f = rng.NextGaussian();
+      }
+      float fresh[16];
+      std::memcpy(fresh, reused, sizeof(fresh));
+      rotation.Set(dim, pos);
+      rotation.Apply(reused);
+      ApplyRope(fresh, dim, pos);
+      EXPECT_EQ(std::memcmp(reused, fresh, sizeof(fresh)), 0) << "dim=" << dim << " pos=" << pos;
+    }
+  }
+}
+
 class AttentionKindTest : public ::testing::TestWithParam<AttentionKind> {
  protected:
   MoeModelConfig Config() const {
@@ -297,7 +320,7 @@ struct GqaCase {
 TEST(GqaCoreTest, EverySpellingMatchesTheScalarReferenceBitForBit) {
   constexpr int kKvHeads = 2;
   for (const std::int64_t hd : {8, 16, 24}) {
-    for (const std::int64_t len : {1, 7, 8, 9, 129, 512}) {
+    for (const std::int64_t len : {1, 7, 8, 9, 129, 224, 512}) {
       for (const int group : {1, 2}) {
         // Key magnitudes per case: unit scale; large scores (the softmax
         // saturates); and a spread wide enough that most exps underflow

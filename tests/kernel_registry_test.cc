@@ -6,9 +6,13 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "src/common/align.h"
 #include "src/common/rng.h"
 #include "src/cpu/cpu_features.h"
 #include "src/cpu/gemm.h"
@@ -26,6 +30,18 @@ float MaxAbsDiff(const std::vector<float>& a, const std::vector<float>& b) {
     max_diff = std::max(max_diff, std::abs(a[i] - b[i]));
   }
   return max_diff;
+}
+
+// Index of the first element whose bit pattern differs, or -1. Unlike a
+// float compare, this tells -0 from +0 and compares NaNs by payload.
+std::int64_t FirstBitMismatch(const std::vector<float>& a, const std::vector<float>& b) {
+  EXPECT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < std::min(a.size(), b.size()); ++i) {
+    if (std::memcmp(&a[i], &b[i], sizeof(float)) != 0) {
+      return static_cast<std::int64_t>(i);
+    }
+  }
+  return -1;
 }
 
 TEST(KernelRegistryTest, RegistersSixDocumentedVariants) {
@@ -55,47 +71,77 @@ TEST(KernelRegistryTest, RegistersSixDocumentedVariants) {
 // dtype, including band-restricted and accumulate calls.
 TEST(KernelRegistryTest, ForcedMatrixBitIdenticalToEmulatedReference) {
   Rng rng(42);
-  // Deliberately ragged shapes: n and k not multiples of the tile sizes so
-  // every kernel's tail-handling is inside the comparison.
-  const std::int64_t n = 75;
-  const std::int64_t k = 90;
-  const Tensor wf = Tensor::Randn({n, k}, rng);
-  for (DType dtype : {DType::kF32, DType::kBF16, DType::kI8, DType::kI4}) {
-    auto packed = PackedMatrix::Pack(wf, dtype);
-    ASSERT_TRUE(packed.ok());
-    const PackedMatrix& w = packed.value();
-    for (std::int64_t m : {std::int64_t{1}, std::int64_t{3}, std::int64_t{16},
-                           std::int64_t{33}}) {
-      const Tensor x = Tensor::Randn({m, k}, rng);
-      // Reference stream: the portable emulation.
-      std::vector<float> ref(static_cast<std::size_t>(m * n), -1.0f);
-      EmulatedGemm(x.f32(), m, k, w, ref.data(), n, /*accumulate=*/false, 0, w.n_blocks(),
-                   nullptr, 0);
-      std::vector<float> ref_acc = ref;
-      EmulatedGemm(x.f32(), m, k, w, ref_acc.data(), n, /*accumulate=*/true, 0,
-                   w.n_blocks(), nullptr, 0);
-      // Band-restricted reference: middle n-blocks only, rest untouched.
-      const std::int64_t nb0 = 1;
-      const std::int64_t nb1 = std::max<std::int64_t>(nb0 + 1, w.n_blocks() - 1);
-      std::vector<float> ref_band(static_cast<std::size_t>(m * n), 7.0f);
-      EmulatedGemm(x.f32(), m, k, w, ref_band.data(), n, false, nb0, nb1, nullptr, 0);
+  // Every n-block count from 1 to 9, so the native row kernels' grouped
+  // passes (several n-blocks per pass over k) run full groups, every
+  // leftover group size and both together. n and k are mostly not multiples
+  // of the tile sizes, so every kernel's tail handling is inside the
+  // comparison too.
+  for (std::int64_t n_blocks = 1; n_blocks <= 9; ++n_blocks) {
+    const std::int64_t n = n_blocks * kNBlock - 3 * (n_blocks % 3);
+    for (const std::int64_t k : {std::int64_t{48}, std::int64_t{90}}) {
+      const Tensor wf = Tensor::Randn({n, k}, rng);
+      for (DType dtype : {DType::kF32, DType::kBF16, DType::kI8, DType::kI4}) {
+        auto packed = PackedMatrix::Pack(wf, dtype);
+        ASSERT_TRUE(packed.ok());
+        const PackedMatrix& w = packed.value();
+        ASSERT_EQ(w.n_blocks(), n_blocks);
+        for (std::int64_t m : {1, 2, 3, 4, 5, 16, 33}) {
+          const Tensor x = Tensor::Randn({m, k}, rng);
+          const std::string shape = " dtype=" + std::string(DTypeName(dtype)) +
+                                    " n=" + std::to_string(n) + " k=" + std::to_string(k) +
+                                    " m=" + std::to_string(m);
+          // Reference stream: the portable emulation.
+          std::vector<float> ref(static_cast<std::size_t>(m * n), -1.0f);
+          EmulatedGemm(x.f32(), m, k, w, ref.data(), n, /*accumulate=*/false, 0, n_blocks,
+                       nullptr, 0);
+          std::vector<float> ref_acc = ref;
+          EmulatedGemm(x.f32(), m, k, w, ref_acc.data(), n, /*accumulate=*/true, 0, n_blocks,
+                       nullptr, 0);
+          // Band windows [nb0, nb1), including ones that start or end inside
+          // a group of a grouped pass. The decode widths (m <= 5) take every
+          // window; the wide ones one middle window.
+          std::vector<std::pair<std::int64_t, std::int64_t>> windows;
+          for (std::int64_t nb0 = 0; nb0 < n_blocks; ++nb0) {
+            for (std::int64_t nb1 = nb0 + 1; nb1 <= n_blocks; ++nb1) {
+              if (m <= 5 || (nb0 == std::min<std::int64_t>(1, n_blocks - 1) &&
+                             nb1 == std::max<std::int64_t>(nb0 + 1, n_blocks - 1))) {
+                windows.emplace_back(nb0, nb1);
+              }
+            }
+          }
+          std::vector<std::vector<float>> ref_bands;
+          for (const auto& [nb0, nb1] : windows) {
+            ref_bands.emplace_back(static_cast<std::size_t>(m * n), 7.0f);
+            EmulatedGemm(x.f32(), m, k, w, ref_bands.back().data(), n, false, nb0, nb1,
+                         nullptr, 0);
+          }
 
-      for (const KernelVariant& v : KernelRegistry()) {
-        if (!v.available() || !v.supports_dtype(dtype)) {
-          continue;
+          for (const KernelVariant& v : KernelRegistry()) {
+            if (!v.available() || !v.supports_dtype(dtype)) {
+              continue;
+            }
+            SCOPED_TRACE(std::string(v.name) + shape);
+            // A caller-provided region of the variant's declared size, as the
+            // MoE workspace passes.
+            AlignedBuffer scratch(std::max<std::size_t>(v.scratch_bytes(w), 1));
+            std::vector<float> got(static_cast<std::size_t>(m * n), -1.0f);
+            v.gemm(x.f32(), m, k, w, got.data(), n, false, 0, n_blocks, scratch.data(),
+                   v.scratch_bytes(w));
+            EXPECT_EQ(FirstBitMismatch(got, ref), -1);
+            // accumulate: y += result on top of the first pass.
+            v.gemm(x.f32(), m, k, w, got.data(), n, true, 0, n_blocks, scratch.data(),
+                   v.scratch_bytes(w));
+            EXPECT_EQ(FirstBitMismatch(got, ref_acc), -1);
+            // Band-restricted: only [nb0, nb1) written, sentinel elsewhere.
+            for (std::size_t b = 0; b < windows.size(); ++b) {
+              std::vector<float> band(static_cast<std::size_t>(m * n), 7.0f);
+              v.gemm(x.f32(), m, k, w, band.data(), n, false, windows[b].first,
+                     windows[b].second, scratch.data(), v.scratch_bytes(w));
+              EXPECT_EQ(FirstBitMismatch(band, ref_bands[b]), -1)
+                  << "band [" << windows[b].first << ", " << windows[b].second << ")";
+            }
+          }
         }
-        SCOPED_TRACE(std::string(v.name) + " dtype=" + std::string(DTypeName(dtype)) +
-                     " m=" + std::to_string(m));
-        std::vector<float> got(static_cast<std::size_t>(m * n), -1.0f);
-        v.gemm(x.f32(), m, k, w, got.data(), n, false, 0, w.n_blocks(), nullptr, 0);
-        EXPECT_EQ(MaxAbsDiff(got, ref), 0.0f);
-        // accumulate: y += result on top of the first pass.
-        v.gemm(x.f32(), m, k, w, got.data(), n, true, 0, w.n_blocks(), nullptr, 0);
-        EXPECT_EQ(MaxAbsDiff(got, ref_acc), 0.0f);
-        // Band-restricted: only [nb0, nb1) written, sentinel elsewhere.
-        std::vector<float> band(static_cast<std::size_t>(m * n), 7.0f);
-        v.gemm(x.f32(), m, k, w, band.data(), n, false, nb0, nb1, nullptr, 0);
-        EXPECT_EQ(MaxAbsDiff(band, ref_band), 0.0f);
       }
     }
   }

@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <pthread.h>
 #include <sys/resource.h>
+#include <time.h>
 
 #include <algorithm>
 #include <atomic>
@@ -67,6 +69,57 @@ TEST(ParkingTest, SpinningWorkersPickUpSubmittedTasks) {
   const auto budget_ns = std::chrono::nanoseconds(kSpinBudget).count();
   EXPECT_LT(latency_ns[10], budget_ns / 2)
       << "median Submit-to-run latency " << latency_ns[10] << " ns";
+}
+
+double ThreadClockMicros(clockid_t clock) {
+  timespec ts{};
+  clock_gettime(clock, &ts);
+  return static_cast<double>(ts.tv_sec) * 1e6 + static_cast<double>(ts.tv_nsec) * 1e-3;
+}
+
+TEST(ParkingTest, EveryWorkerWokenByARunSpinsAgain) {
+  // A run wakes every parked worker, and every woken worker must go back to
+  // its spin, whether it still found work in that run or not, so the next of
+  // a burst of back-to-back runs finds it awake. Here the run is two empty
+  // tasks: often the first woken worker and the caller claim both before the
+  // second worker gets a CPU. A spinning worker shows as CPU time on its own
+  // thread clock while this thread sleeps.
+  ThreadPool pool(2);
+  std::vector<clockid_t> clocks(pool.num_threads());
+  std::atomic<std::size_t> arrived{0};
+  for (std::size_t i = 0; i < clocks.size(); ++i) {
+    // Each task waits for the other, so each worker runs exactly one.
+    pool.Submit([&] {
+      pthread_getcpuclockid(pthread_self(), &clocks[static_cast<std::size_t>(pool.CurrentSlot())]);
+      arrived.fetch_add(1);
+      while (arrived.load() < clocks.size()) {
+        std::this_thread::yield();
+      }
+    });
+  }
+  pool.Wait();
+  std::vector<double> laziest_us;  // per run: the least CPU any worker spent
+  for (int trial = 0; trial < 21; ++trial) {
+    // Past the spin budget both workers are parked.
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    std::vector<double> cpu0;
+    for (const clockid_t clock : clocks) {
+      cpu0.push_back(ThreadClockMicros(clock));
+    }
+    pool.ParallelRun([](void*, std::size_t, std::size_t) {}, nullptr, 2, 1);
+    std::this_thread::sleep_for(2 * kSpinBudget);
+    double least = 1e30;
+    for (std::size_t w = 0; w < clocks.size(); ++w) {
+      least = std::min(least, ThreadClockMicros(clocks[w]) - cpu0[w]);
+    }
+    laziest_us.push_back(least);
+  }
+  std::nth_element(laziest_us.begin(), laziest_us.begin() + 10, laziest_us.end());
+  // Two spinners sharing one core each burn about half a budget; a worker
+  // that goes back to sleep burns a few microseconds.
+  const double budget_us = static_cast<double>(kSpinBudget.count());
+  EXPECT_GE(laziest_us[10], 0.15 * budget_us)
+      << "median CPU of the least busy worker after a run: " << laziest_us[10] << " us";
 }
 
 }  // namespace
