@@ -1,12 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <pthread.h>
+#include <sched.h>
+
+#include <cstring>
 #include <memory>
 #include <set>
+#include <thread>
 
 #include "src/common/rng.h"
 #include "src/model/config.h"
 #include "src/model/gating.h"
 #include "src/model/reference_model.h"
+#include "src/model/weights.h"
 
 namespace ktx {
 namespace {
@@ -131,6 +137,113 @@ TEST(GatingTest, SlotsSortedByDescendingScore) {
         EXPECT_GE(r.weight(t, s - 1), r.weight(t, s) - 1e-6f) << c.name;
       }
     }
+  }
+}
+
+// --- Weight synthesis ----------------------------------------------------------
+
+// FNV-1a over every tensor of a model in a fixed order: rank, dims, then the
+// payload bytes. An absent tensor contributes its rank of 0.
+class WeightsHasher {
+ public:
+  void Add(const Tensor& t) {
+    Bytes(static_cast<std::uint64_t>(t.rank()));
+    for (std::int64_t d : t.shape()) {
+      Bytes(d);
+    }
+    const auto* p = reinterpret_cast<const unsigned char*>(t.raw());
+    for (std::size_t i = 0; i < t.byte_size(); ++i) {
+      Byte(p[i]);
+    }
+  }
+  std::uint64_t hash() const { return h_; }
+
+ private:
+  template <typename T>
+  void Bytes(T v) {
+    unsigned char b[sizeof(T)];
+    std::memcpy(b, &v, sizeof(T));
+    for (unsigned char c : b) {
+      Byte(c);
+    }
+  }
+  void Byte(unsigned char c) {
+    h_ ^= c;
+    h_ *= 0x100000001b3ULL;
+  }
+  std::uint64_t h_ = 0xcbf29ce484222325ULL;
+};
+
+std::uint64_t HashWeights(const ModelWeights& w) {
+  WeightsHasher h;
+  h.Add(w.embedding);
+  h.Add(w.final_norm);
+  h.Add(w.lm_head);
+  for (const LayerWeights& lw : w.layers) {
+    for (const Tensor* t :
+         {&lw.attn_norm, &lw.ffn_norm, &lw.attn.wq, &lw.attn.wk, &lw.attn.wv, &lw.attn.w_dq,
+          &lw.attn.w_uq, &lw.attn.w_dkv, &lw.attn.w_uk, &lw.attn.w_uv, &lw.attn.wo,
+          &lw.dense_gate, &lw.dense_up, &lw.dense_down, &lw.router, &lw.router_bias,
+          &lw.shared_gate, &lw.shared_up, &lw.shared_down}) {
+      h.Add(*t);
+    }
+    for (std::size_t e = 0; e < lw.expert_gate.size(); ++e) {
+      h.Add(lw.expert_gate[e]);
+      h.Add(lw.expert_up[e]);
+      h.Add(lw.expert_down[e]);
+    }
+  }
+  return h.hash();
+}
+
+struct GoldenWeights {
+  MoeModelConfig config;
+  std::uint64_t seed;
+  std::uint64_t hash;
+};
+
+// Pinned generated bytes. Synthesis stands in for a checkpoint load, so every
+// golden output downstream (logits, tokens, perplexities) rests on these;
+// TinyMlaConfig covers the MLA and grouped-sigmoid branches.
+std::vector<GoldenWeights> Goldens() {
+  return {{SmallMoeConfig(), 7, 0x328a49a82fb62f21ULL},
+          {TinyMoeConfig(), 7, 0x7700560af3a9952cULL},
+          {TinyMlaConfig(), 7, 0x424cd1bf26c46856ULL}};
+}
+
+TEST(WeightsTest, GeneratedBytesMatchGolden) {
+  for (const GoldenWeights& g : Goldens()) {
+    EXPECT_EQ(HashWeights(ModelWeights::Generate(g.config, g.seed)), g.hash) << g.config.name;
+  }
+}
+
+// A thread whose affinity mask holds one CPU generates serially; its bytes
+// must equal the golden ones all the same.
+TEST(WeightsTest, OneCpuThreadGeneratesTheSameBytes) {
+  cpu_set_t process_mask;
+  CPU_ZERO(&process_mask);
+  ASSERT_EQ(sched_getaffinity(0, sizeof(process_mask), &process_mask), 0);
+  int cpu = 0;
+  while (!CPU_ISSET(cpu, &process_mask)) {
+    ++cpu;
+  }
+  std::vector<std::uint64_t> hashes;
+  std::thread worker([&] {
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(cpu, &one);
+    if (pthread_setaffinity_np(pthread_self(), sizeof(one), &one) != 0) {
+      return;
+    }
+    for (const GoldenWeights& g : Goldens()) {
+      hashes.push_back(HashWeights(ModelWeights::Generate(g.config, g.seed)));
+    }
+  });
+  worker.join();
+  const std::vector<GoldenWeights> goldens = Goldens();
+  ASSERT_EQ(hashes.size(), goldens.size()) << "could not pin the generating thread";
+  for (std::size_t i = 0; i < goldens.size(); ++i) {
+    EXPECT_EQ(hashes[i], goldens[i].hash) << goldens[i].config.name;
   }
 }
 
