@@ -1,5 +1,8 @@
 #include "src/common/thread_pool.h"
 
+#include <pthread.h>
+#include <sched.h>
+
 #include <algorithm>
 #include <cstdio>
 
@@ -16,13 +19,30 @@ namespace {
 thread_local const ThreadPool* tls_pool = nullptr;
 thread_local int tls_slot = -1;
 
+// The CPUs of the calling thread's affinity mask, ascending.
+std::vector<int> AffinityCpus() {
+  std::vector<int> cpus;
+  cpu_set_t mask;
+  CPU_ZERO(&mask);
+  if (sched_getaffinity(0, sizeof(mask), &mask) == 0) {
+    for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
+      if (CPU_ISSET(cpu, &mask)) {
+        cpus.push_back(cpu);
+      }
+    }
+  }
+  return cpus;
+}
+
 }  // namespace
 
-ThreadPool::ThreadPool(std::size_t num_threads) {
+ThreadPool::ThreadPool(std::size_t num_threads, bool pin_workers) {
   const std::size_t n = std::max<std::size_t>(1, num_threads);
+  const std::vector<int> cpus = pin_workers ? AffinityCpus() : std::vector<int>{};
   threads_.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
-    threads_.emplace_back([this, i] { WorkerLoop(i); });
+    const int cpu = cpus.empty() ? -1 : cpus[i % cpus.size()];
+    threads_.emplace_back([this, i, cpu] { WorkerLoop(i, cpu); });
   }
   std::unique_lock<std::mutex> lock(mu_);
   done_cv_.wait(lock, [this, n] { return started_ == n; });
@@ -128,7 +148,13 @@ void ThreadPool::ParallelRun(RunFn fn, void* ctx, std::size_t n, std::size_t chu
   run_cursor_.store((gen + 1) << kRunIndexBits, std::memory_order_release);  // close (even)
 }
 
-void ThreadPool::WorkerLoop(std::size_t slot) {
+void ThreadPool::WorkerLoop(std::size_t slot, int cpu) {
+  if (cpu >= 0) {
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(cpu, &one);
+    pthread_setaffinity_np(pthread_self(), sizeof(one), &one);  // best effort
+  }
   tls_pool = this;
   tls_slot = static_cast<int>(slot);
   {
@@ -236,5 +262,7 @@ void ThreadPool::ParallelFor(std::size_t n, const std::function<void(std::size_t
   PforCtx ctx{&fn};
   ParallelRun(&PforBody, &ctx, n, /*chunk=*/1);
 }
+
+std::size_t AffinityCpuCount() { return std::max<std::size_t>(1, AffinityCpus().size()); }
 
 }  // namespace ktx

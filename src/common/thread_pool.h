@@ -62,7 +62,13 @@ class ThreadPool {
   // finished its one-time setup (tracer registration, which allocates), so
   // no setup work lands inside a caller's later allocation-free window.
   // Workers are joined on destruction.
-  explicit ThreadPool(std::size_t num_threads);
+  //
+  // With `pin_workers`, worker i binds itself to the i-th CPU (wrapping) of
+  // the creating thread's affinity mask. A scheduler that does not balance
+  // load across CPUs (a cpuset with load balancing off) leaves unpinned
+  // threads on their creator's CPU, where N workers share one core; a
+  // short-lived pool that must use every CPU pins.
+  explicit ThreadPool(std::size_t num_threads, bool pin_workers = false);
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
@@ -108,7 +114,8 @@ class ThreadPool {
   static constexpr int kRunIndexBits = 40;
   static constexpr std::uint64_t kRunIndexMask = (std::uint64_t{1} << kRunIndexBits) - 1;
 
-  void WorkerLoop(std::size_t slot);
+  // `cpu` >= 0 binds the worker to that CPU first.
+  void WorkerLoop(std::size_t slot, int cpu);
   // Claims and executes chunks of the currently open run (if any). Returns
   // true if at least one chunk was executed.
   bool HelpRun();
@@ -156,6 +163,11 @@ class ThreadPool {
   mutable std::mutex fault_mu_;
   Status fault_;
 };
+
+// CPUs in the calling thread's affinity mask (sched_getaffinity), at least 1:
+// how many threads a one-shot parallel build can keep busy. A thread pinned to
+// one CPU gets 1, which callers take as "run serially".
+std::size_t AffinityCpuCount();
 
 }  // namespace ktx
 

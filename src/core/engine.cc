@@ -244,12 +244,12 @@ void HybridEngine::BuildCpuExperts() {
   moe_opts.moe = options_.moe;
   moe_opts.mode = options_.numa_mode;
   if (options_.numa_mode == NumaMode::kTensorParallel) {
-    auto tp = TpExperts::Build(gate, up, down, cold_dtype, options_.numa_shards);
+    auto tp = TpExperts::Build(gate, up, down, cold_dtype, options_.numa_shards, pool_.get());
     KTX_CHECK(tp.ok()) << tp.status().ToString();
     numa_moe_ = std::make_shared<const NumaMoe>(
         nullptr, std::make_shared<const TpExperts>(std::move(*tp)), pool_.get(), moe_opts);
   } else {
-    auto flat = PackedExperts::Pack(gate, up, down, cold_dtype);
+    auto flat = PackedExperts::Pack(gate, up, down, cold_dtype, pool_.get());
     KTX_CHECK(flat.ok()) << flat.status().ToString();
     numa_moe_ = std::make_shared<const NumaMoe>(
         std::make_shared<const PackedExperts>(std::move(*flat)), nullptr, pool_.get(),

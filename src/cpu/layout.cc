@@ -28,8 +28,16 @@ std::size_t TileBytesFor(DType dtype) {
 }  // namespace
 
 StatusOr<PackedMatrix> PackedMatrix::Pack(const Tensor& w, DType dtype) {
+  return PackColumns(w, 0, w.rank() == 2 ? w.dim(1) : 0, dtype);
+}
+
+StatusOr<PackedMatrix> PackedMatrix::PackColumns(const Tensor& w, std::int64_t col_begin,
+                                                 std::int64_t col_end, DType dtype) {
   if (w.rank() != 2 || w.dtype() != DType::kF32) {
     return InvalidArgumentError("PackedMatrix::Pack expects a rank-2 f32 tensor");
+  }
+  if (col_begin < 0 || col_end > w.dim(1) || col_begin >= col_end) {
+    return InvalidArgumentError("PackedMatrix::PackColumns: column range out of bounds");
   }
   if (dtype != DType::kF32 && dtype != DType::kBF16 && dtype != DType::kI8 &&
       dtype != DType::kI4) {
@@ -37,7 +45,7 @@ StatusOr<PackedMatrix> PackedMatrix::Pack(const Tensor& w, DType dtype) {
   }
   PackedMatrix pm;
   pm.n_ = w.dim(0);
-  pm.k_ = w.dim(1);
+  pm.k_ = col_end - col_begin;
   pm.dtype_ = dtype;
   pm.k_block_ = KBlockFor(dtype);
   pm.n_blocks_ = (pm.n_ + kNBlock - 1) / kNBlock;
@@ -46,12 +54,13 @@ StatusOr<PackedMatrix> PackedMatrix::Pack(const Tensor& w, DType dtype) {
   pm.tiles_ = AlignedBuffer(
       static_cast<std::size_t>(pm.n_blocks_ * pm.k_blocks_) * pm.tile_bytes_, kCacheLineBytes);
 
-  const float* src = w.f32();
+  const float* src = w.f32() + col_begin;
+  const std::int64_t ld = w.dim(1);
   auto w_at = [&](std::int64_t nrow, std::int64_t kcol) -> float {
     if (nrow >= pm.n_ || kcol >= pm.k_) {
       return 0.0f;
     }
-    return src[nrow * pm.k_ + kcol];
+    return src[nrow * ld + kcol];
   };
 
   if (dtype == DType::kF32) {
@@ -97,10 +106,8 @@ StatusOr<PackedMatrix> PackedMatrix::Pack(const Tensor& w, DType dtype) {
   std::int32_t* col_sums = pm.col_sums_.i32();
   const int qmax = dtype == DType::kI8 ? 127 : 7;
   // Quantize row-major first, then scatter into tile layout.
-  std::vector<std::int8_t> qrow(static_cast<std::size_t>(pm.k_blocks_ * pm.k_block_));
-  std::vector<std::vector<std::int8_t>> qvals(
-      static_cast<std::size_t>(pm.n_),
-      std::vector<std::int8_t>(static_cast<std::size_t>(pm.k_blocks_ * pm.k_block_), 0));
+  const std::int64_t k_padded = pm.k_blocks_ * pm.k_block_;
+  std::vector<std::int8_t> qvals(static_cast<std::size_t>(pm.n_ * k_padded), 0);
   for (std::int64_t nrow = 0; nrow < pm.n_; ++nrow) {
     for (std::int64_t kb = 0; kb < pm.k_blocks_; ++kb) {
       float max_abs = 0.0f;
@@ -114,7 +121,7 @@ StatusOr<PackedMatrix> PackedMatrix::Pack(const Tensor& w, DType dtype) {
         const int v =
             static_cast<int>(std::lrintf(w_at(nrow, kb * pm.k_block_ + i) / scale));
         const std::int8_t q = static_cast<std::int8_t>(std::clamp(v, -qmax, qmax));
-        qvals[static_cast<std::size_t>(nrow)][static_cast<std::size_t>(kb * pm.k_block_ + i)] = q;
+        qvals[static_cast<std::size_t>(nrow * k_padded + kb * pm.k_block_ + i)] = q;
         sum += q;
       }
       col_sums[nrow * pm.k_blocks_ + kb] = sum;
@@ -124,7 +131,7 @@ StatusOr<PackedMatrix> PackedMatrix::Pack(const Tensor& w, DType dtype) {
     if (nrow >= pm.n_) {
       return 0;
     }
-    return qvals[static_cast<std::size_t>(nrow)][static_cast<std::size_t>(kcol)];
+    return qvals[static_cast<std::size_t>(nrow * k_padded + kcol)];
   };
 
   for (std::int64_t nb = 0; nb < pm.n_blocks_; ++nb) {

@@ -41,6 +41,11 @@ class PackedMatrix {
   // (scalar, AVX2, AVX-512) walks in the same per-output k order, which is
   // what makes the f32 path bit-exact across implementations (gemm.h).
   static StatusOr<PackedMatrix> Pack(const Tensor& w, DType dtype);
+  // Packs columns [col_begin, col_end) of W straight from its rows, with the
+  // bytes Pack gives for a copy of those columns: the K slice a row-parallel
+  // shard owns (tensor_parallel.h), without an f32 copy.
+  static StatusOr<PackedMatrix> PackColumns(const Tensor& w, std::int64_t col_begin,
+                                            std::int64_t col_end, DType dtype);
 
   std::int64_t n() const { return n_; }
   std::int64_t k() const { return k_; }

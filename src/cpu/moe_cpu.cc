@@ -18,28 +18,75 @@ namespace ktx {
 
 StatusOr<PackedExperts> PackedExperts::Pack(const std::vector<Tensor>& gate,
                                             const std::vector<Tensor>& up,
-                                            const std::vector<Tensor>& down, DType dtype) {
+                                            const std::vector<Tensor>& down, DType dtype,
+                                            ThreadPool* pool) {
+  KTX_ASSIGN_OR_RETURN(std::vector<PackedExperts> packed,
+                       PackShards(gate, up, down, dtype, /*shards=*/1, pool));
+  return std::move(packed[0]);
+}
+
+StatusOr<std::vector<PackedExperts>> PackedExperts::PackShards(const std::vector<Tensor>& gate,
+                                                               const std::vector<Tensor>& up,
+                                                               const std::vector<Tensor>& down,
+                                                               DType dtype, int shards,
+                                                               ThreadPool* pool) {
   if (gate.empty() || gate.size() != up.size() || gate.size() != down.size()) {
     return InvalidArgumentError("PackedExperts::Pack: mismatched expert tensor lists");
   }
-  PackedExperts pe;
-  pe.inter_ = gate[0].dim(0);
-  pe.hidden_ = gate[0].dim(1);
-  pe.dtype_ = dtype;
-  pe.experts_.reserve(gate.size());
+  if (gate[0].rank() != 2) {
+    return InvalidArgumentError("PackedExperts::Pack: inconsistent expert shapes");
+  }
+  const std::int64_t inter = gate[0].dim(0);
+  const std::int64_t hidden = gate[0].dim(1);
   for (std::size_t e = 0; e < gate.size(); ++e) {
-    if (gate[e].dim(0) != pe.inter_ || gate[e].dim(1) != pe.hidden_ ||
-        up[e].dim(0) != pe.inter_ || up[e].dim(1) != pe.hidden_ ||
-        down[e].dim(0) != pe.hidden_ || down[e].dim(1) != pe.inter_) {
+    if (gate[e].shape() != gate[0].shape() || up[e].shape() != gate[0].shape() ||
+        down[e].shape() != std::vector<std::int64_t>{hidden, inter}) {
       return InvalidArgumentError("PackedExperts::Pack: inconsistent expert shapes");
     }
-    PackedExpert px;
-    KTX_ASSIGN_OR_RETURN(px.gate, PackedMatrix::Pack(gate[e], dtype));
-    KTX_ASSIGN_OR_RETURN(px.up, PackedMatrix::Pack(up[e], dtype));
-    KTX_ASSIGN_OR_RETURN(px.down, PackedMatrix::Pack(down[e], dtype));
-    pe.experts_.push_back(std::move(px));
+    for (const Tensor* t : {&gate[e], &up[e], &down[e]}) {
+      if (t->dtype() != DType::kF32) {
+        return InvalidArgumentError("PackedExperts::Pack expects f32 tensors");
+      }
+    }
   }
-  return pe;
+  if (shards < 1 || inter % shards != 0) {
+    return InvalidArgumentError("PackedExperts::PackShards: inter must split into shards");
+  }
+  const std::int64_t slice = inter / shards;
+  const std::size_t experts = gate.size();
+  std::vector<PackedExperts> packed(static_cast<std::size_t>(shards));
+  for (PackedExperts& pe : packed) {
+    pe.inter_ = slice;
+    pe.hidden_ = hidden;
+    pe.dtype_ = dtype;
+    pe.experts_.resize(experts);
+  }
+  // Task i packs expert i % experts of shard i / experts into its own slot.
+  std::vector<Status> status(packed.size() * experts);
+  const auto pack = [&](std::size_t i) {
+    const std::size_t e = i % experts;
+    const std::int64_t r0 = static_cast<std::int64_t>(i / experts) * slice;
+    PackedExpert& px = packed[i / experts].experts_[e];
+    status[i] = [&]() -> Status {
+      KTX_ASSIGN_OR_RETURN(px.gate, PackedMatrix::Pack(gate[e].Slice(r0, slice), dtype));
+      KTX_ASSIGN_OR_RETURN(px.up, PackedMatrix::Pack(up[e].Slice(r0, slice), dtype));
+      KTX_ASSIGN_OR_RETURN(px.down, PackedMatrix::PackColumns(down[e], r0, r0 + slice, dtype));
+      return OkStatus();
+    }();
+  };
+  if (pool != nullptr) {
+    pool->ParallelFor(status.size(), pack);
+  } else {
+    for (std::size_t i = 0; i < status.size(); ++i) {
+      pack(i);
+    }
+  }
+  for (const Status& st : status) {
+    if (!st.ok()) {
+      return st;
+    }
+  }
+  return packed;
 }
 
 std::size_t PackedExperts::total_bytes() const {

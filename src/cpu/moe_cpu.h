@@ -75,10 +75,24 @@ struct PackedExpert {
 class PackedExperts {
  public:
   // Packs `num_experts` expert FFNs from f32 tensors. gate/up: [inter, hidden],
-  // down: [hidden, inter].
+  // down: [hidden, inter]. With a pool the experts pack in parallel; the
+  // bytes never depend on it.
   static StatusOr<PackedExperts> Pack(const std::vector<Tensor>& gate,
                                       const std::vector<Tensor>& up,
-                                      const std::vector<Tensor>& down, DType dtype);
+                                      const std::vector<Tensor>& down, DType dtype,
+                                      ThreadPool* pool = nullptr);
+
+  // Packs every expert split into `shards` equal slices of `inter`, the
+  // tensor-parallel layout (tensor_parallel.h): shard s holds Gate/Up rows
+  // [s*inter/shards, (s+1)*inter/shards) and the matching Down columns, each
+  // packed straight from the source tensors with no f32 copy. Each
+  // (shard, expert) pair is one task on `pool`, or all run on the calling
+  // thread when it is null; the bytes never depend on which.
+  static StatusOr<std::vector<PackedExperts>> PackShards(const std::vector<Tensor>& gate,
+                                                         const std::vector<Tensor>& up,
+                                                         const std::vector<Tensor>& down,
+                                                         DType dtype, int shards,
+                                                         ThreadPool* pool = nullptr);
 
   int num_experts() const { return static_cast<int>(experts_.size()); }
   std::int64_t hidden() const { return hidden_; }

@@ -45,6 +45,21 @@ struct ModelWeights {
   Tensor lm_head;     // [vocab, hidden]
   std::vector<LayerWeights> layers;
 
+  // Draws every weight from seeded random streams split off one root Rng:
+  //   * the embedding stream, root.Split(0xE0B): embedding, then lm_head;
+  //   * one stream per layer, root.Split(l + 1): attention, then the dense
+  //     FFN or the router, router bias and shared expert, in that order;
+  //   * one stream per routed expert, split off its layer's stream once that
+  //     stream has drawn the shared weights: Split(e + 100), gate, up, down.
+  // Rng::Split is const and a stream's values depend only on its own state,
+  // so the streams are independent once their seeds are known. Generate
+  // fills them in two parallel phases, the layer streams and then the
+  // embedding and expert streams, on a pool pinned across the calling
+  // thread's CPUs (serially when it has one). Each tensor is filled by the
+  // same stream in the same order as a serial loop would, so the bytes never
+  // depend on the thread count; model_test pins them with a golden hash.
+  // Every tensor is allocated on the calling thread, so the model's memory
+  // comes from one malloc arena.
   static ModelWeights Generate(const MoeModelConfig& config, std::uint64_t seed);
 };
 

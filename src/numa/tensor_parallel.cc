@@ -1,58 +1,29 @@
 #include "src/numa/tensor_parallel.h"
 
-#include <cstring>
-
 #include "src/common/logging.h"
 #include "src/cpu/tile.h"
 
 namespace ktx {
 
-namespace {
-
-// Copies columns [c0, c1) of a rank-2 f32 tensor.
-Tensor SliceColumns(const Tensor& t, std::int64_t c0, std::int64_t c1) {
-  const std::int64_t rows = t.dim(0);
-  const std::int64_t cols = t.dim(1);
-  KTX_CHECK(c0 >= 0 && c1 <= cols && c0 < c1);
-  Tensor out({rows, c1 - c0}, DType::kF32);
-  for (std::int64_t r = 0; r < rows; ++r) {
-    std::memcpy(out.f32() + r * (c1 - c0), t.f32() + r * cols + c0,
-                static_cast<std::size_t>(c1 - c0) * sizeof(float));
-  }
-  return out;
-}
-
-}  // namespace
-
 StatusOr<TpExperts> TpExperts::Build(const std::vector<Tensor>& gate,
                                      const std::vector<Tensor>& up,
-                                     const std::vector<Tensor>& down, DType dtype, int shards) {
-  if (gate.empty() || shards < 1) {
-    return InvalidArgumentError("TpExperts::Build: need experts and shards >= 1");
+                                     const std::vector<Tensor>& down, DType dtype, int shards,
+                                     ThreadPool* pool) {
+  if (gate.empty() || shards < 1 || gate[0].rank() != 2) {
+    return InvalidArgumentError("TpExperts::Build: need rank-2 experts and shards >= 1");
   }
-  const std::int64_t inter = gate[0].dim(0);
-  const std::int64_t hidden = gate[0].dim(1);
-  if (inter % shards != 0) {
-    return InvalidArgumentError("TpExperts::Build: inter must divide evenly across shards");
-  }
-  const std::int64_t slice = inter / shards;
+  // PackShards rejects an `inter` that does not divide evenly.
+  const std::int64_t slice = gate[0].dim(0) / shards;
   if (slice % kNBlock != 0) {
     return InvalidArgumentError("TpExperts::Build: shard slice must be 16-aligned");
   }
+  KTX_ASSIGN_OR_RETURN(std::vector<PackedExperts> packed,
+                       PackedExperts::PackShards(gate, up, down, dtype, shards, pool));
   TpExperts tp;
-  tp.hidden_ = hidden;
+  tp.hidden_ = gate[0].dim(1);
   tp.inter_per_shard_ = slice;
-  for (int s = 0; s < shards; ++s) {
-    std::vector<Tensor> g_s;
-    std::vector<Tensor> u_s;
-    std::vector<Tensor> d_s;
-    for (std::size_t e = 0; e < gate.size(); ++e) {
-      g_s.push_back(gate[e].Slice(s * slice, slice).Clone());
-      u_s.push_back(up[e].Slice(s * slice, slice).Clone());
-      d_s.push_back(SliceColumns(down[e], s * slice, (s + 1) * slice));
-    }
-    KTX_ASSIGN_OR_RETURN(PackedExperts packed, PackedExperts::Pack(g_s, u_s, d_s, dtype));
-    tp.shards_.push_back(std::make_shared<const PackedExperts>(std::move(packed)));
+  for (PackedExperts& shard : packed) {
+    tp.shards_.push_back(std::make_shared<const PackedExperts>(std::move(shard)));
   }
   return tp;
 }

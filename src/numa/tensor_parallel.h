@@ -32,10 +32,14 @@ namespace ktx {
 class TpExperts {
  public:
   // gate/up: [inter, hidden] per expert; down: [hidden, inter]. `inter` must
-  // split into `shards` equal, 16-aligned slices.
+  // split into `shards` equal, 16-aligned slices. Each shard packs straight
+  // from the source tensors (Gate/Up from a row range, Down from a column
+  // range; PackedExperts::PackShards), one task per (shard, expert) on
+  // `pool` when given. The packed bytes equal a serial build's.
   static StatusOr<TpExperts> Build(const std::vector<Tensor>& gate,
                                    const std::vector<Tensor>& up,
-                                   const std::vector<Tensor>& down, DType dtype, int shards);
+                                   const std::vector<Tensor>& down, DType dtype, int shards,
+                                   ThreadPool* pool = nullptr);
 
   int shards() const { return static_cast<int>(shards_.size()); }
   const PackedExperts& shard(int s) const { return *shards_[static_cast<std::size_t>(s)]; }

@@ -36,10 +36,7 @@ Tensor Tensor::Full(std::vector<std::int64_t> shape, float value) {
 
 Tensor Tensor::Randn(std::vector<std::int64_t> shape, Rng& rng, float stddev, DType dtype) {
   Tensor t(std::move(shape), DType::kF32);
-  float* p = t.f32();
-  for (std::int64_t i = 0; i < t.numel(); ++i) {
-    p[i] = rng.NextGaussian() * stddev;
-  }
+  t.FillRandn(rng, stddev);
   if (dtype == DType::kF32) {
     return t;
   }
@@ -51,6 +48,13 @@ Tensor Tensor::Randn(std::vector<std::int64_t> shape, Rng& rng, float stddev, DT
   }
   KTX_LOG(Fatal) << "Randn: unsupported dtype " << DTypeName(dtype);
   return t;
+}
+
+void Tensor::FillRandn(Rng& rng, float stddev) {
+  float* p = f32();
+  for (std::int64_t i = 0; i < numel_; ++i) {
+    p[i] = rng.NextGaussian() * stddev;
+  }
 }
 
 Tensor Tensor::Clone() const {

@@ -34,6 +34,10 @@ class Tensor {
   // Gaussian(0, stddev) floats; other dtypes via conversion.
   static Tensor Randn(std::vector<std::int64_t> shape, Rng& rng, float stddev = 1.0f,
                       DType dtype = DType::kF32);
+  // Overwrites an allocated f32 tensor with the values Randn draws from the
+  // same stream state, so a tensor can be allocated on one thread and filled
+  // on another.
+  void FillRandn(Rng& rng, float stddev);
 
   const std::vector<std::int64_t>& shape() const { return shape_; }
   std::int64_t dim(std::size_t i) const { return shape_.at(i); }

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <pthread.h>
+#include <sched.h>
+
 #include <algorithm>
 #include <atomic>
 #include <cmath>
@@ -211,6 +214,37 @@ TEST(ThreadPoolTest, SubmitAndWait) {
   }
   pool.Wait();
   EXPECT_EQ(counter.load(), 100);
+}
+
+TEST(ThreadPoolTest, PinnedWorkersTakeOneCpuEachFromTheMask) {
+  cpu_set_t process_mask;
+  CPU_ZERO(&process_mask);
+  ASSERT_EQ(sched_getaffinity(0, sizeof(process_mask), &process_mask), 0);
+  const std::size_t cpus = AffinityCpuCount();
+  EXPECT_EQ(cpus, static_cast<std::size_t>(CPU_COUNT(&process_mask)));
+  ThreadPool pool(cpus, /*pin_workers=*/true);
+  std::vector<cpu_set_t> masks(cpus);
+  std::atomic<std::size_t> arrived{0};
+  for (std::size_t i = 0; i < cpus; ++i) {
+    // Each task waits for the others, so each worker runs exactly one.
+    pool.Submit([&] {
+      cpu_set_t& mask = masks[static_cast<std::size_t>(pool.CurrentSlot())];
+      CPU_ZERO(&mask);
+      pthread_getaffinity_np(pthread_self(), sizeof(mask), &mask);
+      arrived.fetch_add(1);
+      while (arrived.load() < cpus) {
+        std::this_thread::yield();
+      }
+    });
+  }
+  pool.Wait();
+  cpu_set_t covered;
+  CPU_ZERO(&covered);
+  for (const cpu_set_t& mask : masks) {
+    EXPECT_EQ(CPU_COUNT(&mask), 1);
+    CPU_OR(&covered, &covered, &mask);
+  }
+  EXPECT_TRUE(CPU_EQUAL(&covered, &process_mask)) << "workers do not cover the mask";
 }
 
 TEST(ThreadPoolTest, FaultLatchIsStickyUntilTaken) {

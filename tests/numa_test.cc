@@ -2,6 +2,7 @@
 
 #include <cstring>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -152,6 +153,81 @@ TEST_F(TpFixture, QuantizedShardsStayAccurate) {
   Tensor ref({kTokens, kHidden}, DType::kF32);
   RefMoeForward(gate_, up_, down_, x_.f32(), kTokens, routing_, 0, 2, ref.f32());
   EXPECT_LT(RelativeError(out, ref), 0.06f);
+}
+
+// Payload bytes, scales and column sums of two packs are identical.
+void ExpectSamePack(const PackedMatrix& a, const PackedMatrix& b) {
+  ASSERT_EQ(a.n(), b.n());
+  ASSERT_EQ(a.k(), b.k());
+  ASSERT_EQ(a.dtype(), b.dtype());
+  ASSERT_EQ(a.payload_bytes(), b.payload_bytes());
+  EXPECT_EQ(std::memcmp(a.payload().data(), b.payload().data(), a.payload_bytes()), 0);
+  ASSERT_EQ(a.quantized(), b.quantized());
+  if (!a.quantized()) {
+    return;
+  }
+  ASSERT_EQ(a.scales().byte_size(), b.scales().byte_size());
+  EXPECT_EQ(std::memcmp(a.scales().raw(), b.scales().raw(), a.scales().byte_size()), 0);
+  int col_sum_mismatches = 0;
+  for (std::int64_t r = 0; r < a.n(); ++r) {
+    for (std::int64_t kb = 0; kb < a.k_blocks(); ++kb) {
+      col_sum_mismatches += a.col_sum(r, kb) != b.col_sum(r, kb) ? 1 : 0;
+    }
+  }
+  EXPECT_EQ(col_sum_mismatches, 0);
+}
+
+void ExpectSameExperts(const PackedExperts& a, const PackedExperts& b) {
+  ASSERT_EQ(a.num_experts(), b.num_experts());
+  for (int e = 0; e < a.num_experts(); ++e) {
+    ExpectSamePack(a.expert(e).gate, b.expert(e).gate);
+    ExpectSamePack(a.expert(e).up, b.expert(e).up);
+    ExpectSamePack(a.expert(e).down, b.expert(e).down);
+  }
+}
+
+// An f32 copy of columns [c0, c1) of a rank-2 tensor.
+Tensor CopyColumns(const Tensor& t, std::int64_t c0, std::int64_t c1) {
+  Tensor out({t.dim(0), c1 - c0}, DType::kF32);
+  for (std::int64_t r = 0; r < t.dim(0); ++r) {
+    std::memcpy(out.f32() + r * (c1 - c0), t.f32() + r * t.dim(1) + c0,
+                static_cast<std::size_t>(c1 - c0) * sizeof(float));
+  }
+  return out;
+}
+
+TEST_F(TpFixture, ParallelPackingIsByteIdentical) {
+  ThreadPool pool(3);
+  for (const DType dtype : {DType::kBF16, DType::kI8, DType::kI4}) {
+    for (const int shards : {1, 2}) {
+      SCOPED_TRACE(std::string(DTypeName(dtype)) + " x" + std::to_string(shards));
+      auto serial = TpExperts::Build(gate_, up_, down_, dtype, shards);
+      auto parallel = TpExperts::Build(gate_, up_, down_, dtype, shards, &pool);
+      ASSERT_TRUE(serial.ok() && parallel.ok());
+      ASSERT_EQ(parallel->shards(), shards);
+      const std::int64_t slice = kInter / shards;
+      for (int s = 0; s < shards; ++s) {
+        ExpectSameExperts(serial->shard(s), parallel->shard(s));
+        // Each shard packs from views of the source tensors; the bytes equal
+        // packing f32 copies of its Gate/Up rows and Down columns.
+        std::vector<Tensor> g;
+        std::vector<Tensor> u;
+        std::vector<Tensor> d;
+        for (int e = 0; e < kExperts; ++e) {
+          g.push_back(gate_[e].Slice(s * slice, slice).Clone());
+          u.push_back(up_[e].Slice(s * slice, slice).Clone());
+          d.push_back(CopyColumns(down_[e], s * slice, (s + 1) * slice));
+        }
+        auto copied = PackedExperts::Pack(g, u, d, dtype);
+        ASSERT_TRUE(copied.ok());
+        ExpectSameExperts(*copied, parallel->shard(s));
+      }
+    }
+    auto flat_serial = PackedExperts::Pack(gate_, up_, down_, dtype);
+    auto flat_parallel = PackedExperts::Pack(gate_, up_, down_, dtype, &pool);
+    ASSERT_TRUE(flat_serial.ok() && flat_parallel.ok());
+    ExpectSameExperts(*flat_serial, *flat_parallel);
+  }
 }
 
 // The fused tensor-parallel forward against the per-shard algorithm it
