@@ -15,8 +15,7 @@
 // With --trace, the whole run is recorded by the in-process tracer: one
 // lifecycle track per request (submit -> queued -> prefill -> decode ->
 // preempt/resume -> retire, with the finish reason and deadline slack),
-// engine prefill/decode spans, CPU MoE sweep spans, expert-cache promotion
-// spans, and KV pool instants. Load the file at https://ui.perfetto.dev.
+// engine prefill/decode spans, CPU MoE sweep spans, and KV pool instants. Load the file at https://ui.perfetto.dev.
 
 #include <algorithm>
 #include <cstdio>
@@ -49,13 +48,9 @@ int main(int argc, char** argv) {
   options.cpu_weight_dtype = ktx::DType::kI8;
   options.n_deferred = 2;
   options.prefill_chunk = 32;  // small chunks so the long prompt interleaves
-  // Hotness-aware expert placement: the hottest quarter of the routed experts
-  // (across all MoE layers) serve from the vGPU-resident cache; cold experts
-  // run CPU-side from the 4-bit quantized table.
-  options.placement.enabled = true;
-  options.placement.capacity = config.num_moe_layers() * config.num_experts / 4;
-  options.placement.cold_dtype = ktx::DType::kI4;
-  options.placement.update_interval = 4;
+  // Per-(layer, expert) activation counts, for the hottest-experts line.
+  ktx::ExpertProfiler profiler(config.num_moe_layers(), config.num_experts);
+  options.profiler = &profiler;
   // Paged KV with prefix caching: preempted requests resume by adopting their
   // own cached blocks, and repeated prompts share prefix blocks copy-on-write.
   options.kv_pool_blocks = 512;
@@ -187,36 +182,15 @@ int main(int argc, char** argv) {
               static_cast<long long>(engine.device().stats().graph_launches.load()),
               static_cast<long long>(engine.counters().moe_requests));
 
-  // Expert placement: cache hit rate, management traffic, and the routed-slot
-  // hot/cold split the CPU operator saw.
-  const ktx::MoeStats moe = engine.moe_stats();
-  std::printf("expert cache: %lld/%lld slot hits (%.1f%%), %lld promotions, "
-              "%lld demotions, %d/%d resident, %.1f KiB vGPU, %.1f KiB cold "
-              "weight traffic avoided\n",
-              static_cast<long long>(stats.expert_cache_hits),
-              static_cast<long long>(stats.expert_cache_lookups),
-              stats.expert_cache_hit_rate * 100.0,
-              static_cast<long long>(stats.expert_promotions),
-              static_cast<long long>(stats.expert_demotions),
-              engine.expert_cache_stats().resident, engine.expert_cache_stats().capacity,
-              static_cast<double>(stats.expert_hot_bytes) / 1024.0,
-              static_cast<double>(stats.expert_cold_bytes_saved) / 1024.0);
-  std::printf("moe split: %lld hot rows served from cache, %lld cold rows on CPU\n",
-              static_cast<long long>(moe.hot_rows), static_cast<long long>(moe.cold_rows));
-  if (const ktx::ExpertPlacementManager* cache = engine.expert_cache()) {
-    // Per-expert activation counts: the popularity signal the EMA follows.
-    std::vector<std::pair<long long, int>> hottest;
-    for (int e = 0; e < cache->num_experts(); ++e) {
-      hottest.emplace_back(static_cast<long long>(cache->activation_count(e)), e);
-    }
-    std::sort(hottest.rbegin(), hottest.rend());
-    std::printf("hottest experts (global id: activations):");
-    for (int i = 0; i < 8 && i < static_cast<int>(hottest.size()); ++i) {
-      std::printf(" %d:%lld", hottest[static_cast<std::size_t>(i)].second,
-                  hottest[static_cast<std::size_t>(i)].first);
-    }
-    std::printf("\n");
+  // The popularity signal an offline placement plan (core/profiling.h) reads.
+  std::printf("hottest experts (layer.expert: activations):");
+  const std::vector<std::pair<int, int>> ranked = profiler.RankedExperts();
+  for (std::size_t i = 0; i < 8 && i < ranked.size(); ++i) {
+    const auto [layer, expert] = ranked[i];
+    std::printf(" %d.%d:%lld", layer, expert,
+                static_cast<long long>(profiler.count(layer, expert)));
   }
+  std::printf("\n");
 
   if (!trace_path.empty()) {
     ktx::trace::SetEnabled(false);

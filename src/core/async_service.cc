@@ -73,8 +73,7 @@ void AsyncMoeService::ControlLoop() {
     MoeRequest* r = *request;
     if (r->slot_end > r->slot_begin) {
       MoeStats local;
-      moe_->Forward(r->x, r->tokens, *r->routing, r->slot_begin, r->slot_end, r->y, &local,
-                    r->hot);
+      moe_->Forward(r->x, r->tokens, *r->routing, r->slot_begin, r->slot_end, r->y, &local);
       {
         std::lock_guard<std::mutex> lock(stats_mu_);
         ++stats_.requests;
@@ -86,8 +85,7 @@ void AsyncMoeService::ControlLoop() {
         stats_.avx2_calls += local.avx2_calls;
         stats_.scalar_calls += local.scalar_calls;
         stats_.useful_flops += local.useful_flops;
-        stats_.hot_rows += local.hot_rows;
-        stats_.cold_rows += local.cold_rows;
+        stats_.routed_rows += local.routed_rows;
         stats_.max_tokens_per_expert =
             std::max(stats_.max_tokens_per_expert, local.max_tokens_per_expert);
       }

@@ -40,9 +40,6 @@ struct MoeRequest {
   int slot_begin = 0;
   int slot_end = 0;
   float* y = nullptr;
-  // Optional hot-expert rows (expert cache): slots flagged served skip the
-  // CPU expert path. The view and its buffers must stay alive until done.
-  const HotSlots* hot = nullptr;
   std::atomic<bool> done{false};
 
   void Reset() { done.store(false, std::memory_order_relaxed); }

@@ -45,15 +45,6 @@ struct HybridEngine::DecodeBuffers {
   MoeRouting routing[2];
   Tensor logits;  // [m, vocab]
 
-  // Hot-expert cache slots (sized only when placement is enabled): per
-  // parity, served flags [m * top_k] and hot rows [planes][m * top_k, hidden]
-  // the placement manager fills inside the submit callback. Parity-indexed
-  // for the same reason as ffn_in: the deferred request of layer k still
-  // reads them while layer k+1's submit refills the other parity.
-  std::vector<std::uint8_t> hot_served[2];
-  std::vector<float> hot_rows[2];
-  HotSlots hot_view[2];
-
   // One immediate + one deferred request per layer index.
   std::vector<std::unique_ptr<MoeRequest>> imm_requests;
   std::vector<std::unique_ptr<MoeRequest>> def_requests;
@@ -83,18 +74,7 @@ struct HybridEngine::DecodeBuffers {
     return status;
   }
 
-  DecodeBuffers(const MoeModelConfig& config, std::int64_t tokens, int hot_planes = 0)
-      : m(tokens) {
-    if (hot_planes > 0) {
-      const std::int64_t slots = tokens * config.top_k;
-      for (int p = 0; p < 2; ++p) {
-        hot_served[p].assign(static_cast<std::size_t>(slots), 0);
-        hot_rows[p].assign(static_cast<std::size_t>(hot_planes * slots * config.hidden), 0.0f);
-        hot_view[p].served = hot_served[p].data();
-        hot_view[p].rows = hot_rows[p].data();
-        hot_view[p].shard_stride = slots * config.hidden;
-      }
-    }
+  DecodeBuffers(const MoeModelConfig& config, std::int64_t tokens) : m(tokens) {
     token_ids.resize(static_cast<std::size_t>(tokens), 0);
     row_pos.resize(static_cast<std::size_t>(tokens), 0);
     row_caches.resize(static_cast<std::size_t>(tokens), nullptr);
@@ -181,9 +161,6 @@ HybridEngine::HybridEngine(MoeModelConfig config, std::shared_ptr<const ModelWei
   // Pre-size the MoE forward workspaces at the decode shape so the steady
   // decode loop performs zero heap allocations from the first token.
   service_->Reserve(std::max<std::int64_t>(8, options_.max_batch), /*max_slots=*/config_.top_k);
-  if (placement_ != nullptr) {
-    placement_->Reserve(std::max<std::int64_t>(8, options_.max_batch), config_.top_k);
-  }
 }
 
 std::unique_ptr<KvCache> HybridEngine::NewKvCache() const {
@@ -235,33 +212,21 @@ void HybridEngine::BuildCpuExperts() {
       down.push_back(lw->expert_down[static_cast<std::size_t>(e)]);
     }
   }
-  // With placement enabled the CPU table holds the COLD experts' precision
-  // (default kI4: the fused dequantize-into-GEMM path streams ~4x fewer
-  // weight bytes than f32); hot experts are packed separately below.
-  const DType cold_dtype =
-      options_.placement.enabled ? options_.placement.cold_dtype : options_.cpu_weight_dtype;
   NumaMoe::Options moe_opts;
   moe_opts.moe = options_.moe;
   moe_opts.mode = options_.numa_mode;
   if (options_.numa_mode == NumaMode::kTensorParallel) {
-    auto tp = TpExperts::Build(gate, up, down, cold_dtype, options_.numa_shards, pool_.get());
+    auto tp = TpExperts::Build(gate, up, down, options_.cpu_weight_dtype,
+                               options_.numa_shards, pool_.get());
     KTX_CHECK(tp.ok()) << tp.status().ToString();
     numa_moe_ = std::make_shared<const NumaMoe>(
         nullptr, std::make_shared<const TpExperts>(std::move(*tp)), pool_.get(), moe_opts);
   } else {
-    auto flat = PackedExperts::Pack(gate, up, down, cold_dtype, pool_.get());
+    auto flat = PackedExperts::Pack(gate, up, down, options_.cpu_weight_dtype, pool_.get());
     KTX_CHECK(flat.ok()) << flat.status().ToString();
     numa_moe_ = std::make_shared<const NumaMoe>(
         std::make_shared<const PackedExperts>(std::move(*flat)), nullptr, pool_.get(),
         moe_opts);
-  }
-  if (options_.placement.enabled) {
-    // Hot staging defaults to cpu_weight_dtype: with cold_dtype matching it,
-    // enabling the cache is then bit-identical to the unplaced baseline.
-    const DType hot_dtype = options_.placement.hot_dtype.value_or(options_.cpu_weight_dtype);
-    placement_ = std::make_unique<ExpertPlacementManager>(
-        gate, up, down, hot_dtype, cold_dtype, options_.numa_mode, options_.numa_shards,
-        options_.moe, devices_[0].get(), options_.placement);
   }
 }
 
@@ -388,7 +353,7 @@ void HybridEngine::EnqueueForward(DecodeBuffers* bufs, std::int64_t m, bool allo
     MoeRequest* imm = bufs->imm_requests[static_cast<std::size_t>(l)].get();
     MoeRequest* def = bufs->def_requests[static_cast<std::size_t>(l)].get();
     stream->LaunchHostFunc([this, bufs, p, l, ffn_in, imm, def, immediate_end,
-                             expert_base, hidden, live, batched] {
+                             expert_base, hidden, live] {
       const std::int64_t rows = live();
       // Routing ids are per-layer; offset them into the packed global table.
       // Routing is recomputed by the gating kernel on every (re)play, so the
@@ -400,29 +365,6 @@ void HybridEngine::EnqueueForward(DecodeBuffers* bufs, std::int64_t m, bool allo
       for (int& id : routing.expert_ids) {
         id += expert_base;
       }
-      // Expert placement: popularity feeds the EMA from every pass; serving
-      // from the vGPU-resident cache is decode-only (batched). ServeHot runs
-      // per request window so the per-window expert grouping — and the ARI
-      // kernel-kind it implies — matches the CPU operator's. All of this
-      // happens at exec time behind slot indirection (imm/def->hot), so
-      // promotions and demotions never invalidate the captured graph.
-      const HotSlots* hot = nullptr;
-      if (placement_ != nullptr) {
-        placement_->Record(routing);
-        if (batched) {
-          std::memset(bufs->hot_served[p].data(), 0,
-                      static_cast<std::size_t>(rows * routing.top_k));
-          placement_->ServeHot(ffn_in, rows, routing, 0, immediate_end,
-                               bufs->hot_served[p].data(), bufs->hot_rows[p].data(),
-                               bufs->hot_view[p].shard_stride);
-          if (immediate_end < config_.top_k) {
-            placement_->ServeHot(ffn_in, rows, routing, immediate_end, config_.top_k,
-                                 bufs->hot_served[p].data(), bufs->hot_rows[p].data(),
-                                 bufs->hot_view[p].shard_stride);
-          }
-          hot = &bufs->hot_view[p];
-        }
-      }
       std::memset(bufs->moe_cpu_out[p].f32(), 0,
                   static_cast<std::size_t>(rows * hidden) * sizeof(float));
       imm->Reset();
@@ -432,7 +374,6 @@ void HybridEngine::EnqueueForward(DecodeBuffers* bufs, std::int64_t m, bool allo
       imm->slot_begin = 0;
       imm->slot_end = immediate_end;
       imm->y = bufs->moe_cpu_out[p].f32();
-      imm->hot = hot;
       service_->Submit(imm);
       ++counters_.moe_requests;
       if (immediate_end < config_.top_k) {
@@ -445,7 +386,6 @@ void HybridEngine::EnqueueForward(DecodeBuffers* bufs, std::int64_t m, bool allo
         def->slot_begin = immediate_end;
         def->slot_end = config_.top_k;
         def->y = bufs->defer_out[p].f32();
-        def->hot = hot;
         service_->Submit(def);
         ++counters_.moe_requests;
       }
@@ -625,8 +565,7 @@ void HybridEngine::EnsureDecodeCapacity(std::int64_t rows) {
     decode_graph_ = VGraph();
     graph_ready_ = false;
   }
-  decode_bufs_ = std::make_unique<DecodeBuffers>(
-      config_, capacity, placement_ != nullptr ? placement_->planes() : 0);
+  decode_bufs_ = std::make_unique<DecodeBuffers>(config_, capacity);
   // Decode windows grow every step; reserving the longest one keeps the
   // attention kernel allocation-free for the session's whole life.
   decode_bufs_->attn_scratch.Reserve(config_, capacity, config_.max_seq);
@@ -694,13 +633,6 @@ StatusOr<Tensor> HybridEngine::RunDecodeBatch(const std::vector<SessionToken>& b
   ++counters_.decode_steps;
   counters_.decode_tokens += b;
   counters_.max_decode_batch = std::max(counters_.max_decode_batch, b);
-  // Rebalance the expert cache between steps: all streams are synced, so no
-  // ServeHot is in flight and residency stays constant within a step.
-  // Promotions issued here overlap the NEXT decode steps on the transfer
-  // stream; kLoading experts keep falling back to the CPU until then.
-  if (placement_ != nullptr) {
-    placement_->MaybeRebalance();
-  }
   return bufs->logits.Slice(0, b).Clone();
 }
 
@@ -1024,10 +956,6 @@ StatusOr<Tensor> HybridEngine::TryDecodeBatch(const std::vector<SessionToken>& b
 
 std::int64_t HybridEngine::position(int session) const {
   return sessions_.at(static_cast<std::size_t>(session))->position();
-}
-
-ExpertCacheStats HybridEngine::expert_cache_stats() const {
-  return placement_ != nullptr ? placement_->stats() : ExpertCacheStats{};
 }
 
 std::vector<int> HybridEngine::GenerateGreedy(const std::vector<int>& prompt, int max_new) {

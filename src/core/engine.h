@@ -51,7 +51,6 @@
 
 #include "src/common/status.h"
 #include "src/core/async_service.h"
-#include "src/core/expert_cache.h"
 #include "src/core/profiling.h"
 #include "src/cpu/kernel_calibrate.h"
 #include "src/gpu/vcuda.h"
@@ -135,14 +134,6 @@ struct EngineOptions {
   // MoE layer's routing decisions are recorded — the offline-profiling hook
   // for popularity-based placement. Must outlive the engine.
   ExpertProfiler* profiler = nullptr;
-  // Hotness-aware expert placement (core/expert_cache.h). When enabled, the
-  // CPU cold table is packed at placement.cold_dtype (default kI4: the fused
-  // dequantize-into-GEMM path streams ~4x fewer bytes than f32) and the
-  // hottest experts are served from a vGPU-resident cache at
-  // placement.hot_dtype (default cpu_weight_dtype, which keeps the hot path
-  // bit-identical to the unplaced baseline). Decode-path only; promotions
-  // run asynchronously and never block a step.
-  ExpertPlacementOptions placement;
 };
 
 struct EngineCounters {
@@ -372,11 +363,6 @@ class HybridEngine {
   // Startup kernel-calibration result. table is empty (and from_cache false)
   // unless options.calibrate_kernels was set.
   const KernelCalibrationResult& kernel_calibration() const { return calibration_; }
-  // Expert placement cache (null when options.placement is disabled).
-  const ExpertPlacementManager* expert_cache() const { return placement_.get(); }
-  ExpertPlacementManager* expert_cache() { return placement_.get(); }
-  // Zero stats when placement is disabled.
-  ExpertCacheStats expert_cache_stats() const;
 
  private:
   struct DecodeBuffers;
@@ -436,9 +422,6 @@ class HybridEngine {
   std::unique_ptr<ThreadPool> pool_;
   std::shared_ptr<const NumaMoe> numa_moe_;
   std::unique_ptr<AsyncMoeService> service_;
-  // Hot-expert cache; null unless options.placement.enabled. Declared after
-  // devices_/streams_ so its transfer stream drains before the device dies.
-  std::unique_ptr<ExpertPlacementManager> placement_;
 
   std::unique_ptr<KvBlockPool> kv_pool_;  // null = private per-session storage
   std::vector<std::unique_ptr<KvCache>> sessions_;

@@ -577,7 +577,7 @@ void Avx2GemmInt8Impl(const float* x, std::int64_t m, std::int64_t ldx, const Pa
 // AVX-512 f32 kernel on the k-major kF32 layout. Per output lane the op
 // sequence is one vfmadd per k step in ascending k order — exactly the
 // std::fma sequence the scalar emulation performs — so results are
-// bit-identical across all three tiers (the expert-cache hot-path identity).
+// bit-identical across all three tiers.
 // G n-blocks (up to eight) run in one pass over k, one accumulator each,
 // sharing every broadcast of x[k]: G independent chains hide the FMA latency
 // a single 16-output chain is bound by, and no chain changes.

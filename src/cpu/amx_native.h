@@ -45,8 +45,8 @@ void NativeAvx2GemmInt8(const float* x, std::int64_t m, std::int64_t ldx,
 
 // f32 kernels on the k-major kF32 layout. Both perform the identical per-lane
 // fma sequence as the scalar emulation (gemm.cc), so all three tiers are
-// bit-exact with each other — the invariant the expert cache's hot path
-// depends on. Neither uses scratch; the parameters exist for signature parity.
+// bit-exact with each other. Neither uses scratch; the parameters exist for
+// signature parity.
 void NativeAvx512GemmF32(const float* x, std::int64_t m, std::int64_t ldx,
                          const PackedMatrix& w, float* y, std::int64_t ldy, bool accumulate,
                          std::int64_t nb_begin, std::int64_t nb_end, void* scratch = nullptr,

@@ -48,9 +48,7 @@ void EmulatedGemmBf16(const float* x, std::int64_t m, std::int64_t ldx, const Pa
 // exactly one canonical op sequence for f32 — per output lane, ascending k,
 // one fused multiply-add per step — and every backend (this scalar loop via
 // std::fma, the AVX-512 and AVX2 kernels via vfmadd) performs it identically,
-// so all tiers produce bit-identical results. That identity is what lets the
-// expert cache serve a GPU-resident hot replica of an f32 expert without
-// perturbing the logits relative to the unplaced baseline.
+// so all tiers produce bit-identical results.
 void EmulatedGemmF32(const float* x, std::int64_t m, std::int64_t ldx, const PackedMatrix& w,
                      float* y, std::int64_t ldy, bool accumulate, std::int64_t nb0,
                      std::int64_t nb1) {

@@ -195,8 +195,6 @@ struct MoeWorkspace {
   std::int64_t band_blocks = 0;
 
   // --- call constants, set before dispatch ---
-  const float* hot_rows = nullptr;  // [S][tokens * top_k, hidden] when hot slots exist
-  std::int64_t hot_stride = 0;      // floats between hot shard planes
   float* y = nullptr;
   std::int64_t tokens = 0;
   std::int64_t slots = 0;  // slot window width W
@@ -337,13 +335,7 @@ void ExecReduce(MoeWorkspace* ws, std::int64_t s, std::int64_t band) {
     const std::int64_t base = t * ws->slots;
     for (std::int64_t j = 0; j < ws->slots; ++j) {
       const std::int64_t src = ws->contrib_src[static_cast<std::size_t>(base + j)];
-      // Negative src encodes a hot-served slot: -(t*top_k + s) - 1 indexes the
-      // pre-computed hot row. The add happens at the same position in the same
-      // slot order either way, so hot/cold placement cannot change the
-      // per-token summation order.
-      const float* row = src >= 0 ? staged + src * hidden
-                                  : ws->hot_rows + s * ws->hot_stride + (-src - 1) * hidden;
-      AxpyInPlace(ws->y + t * hidden, row,
+      AxpyInPlace(ws->y + t * hidden, staged + src * hidden,
                   ws->contrib_w[static_cast<std::size_t>(base + j)], hidden);
     }
   }
@@ -546,8 +538,7 @@ void CpuMoe::Reserve(std::int64_t max_tokens, int max_slots) const {
 }
 
 void CpuMoe::Forward(const float* x, std::int64_t tokens, const MoeRouting& routing,
-                     int slot_begin, int slot_end, float* y, MoeStats* stats,
-                     const HotSlots* hot) const {
+                     int slot_begin, int slot_end, float* y, MoeStats* stats) const {
   KTX_CHECK_EQ(tokens, routing.tokens);
   KTX_CHECK(slot_begin >= 0 && slot_end <= routing.top_k && slot_begin <= slot_end);
   const std::int64_t window = slot_end - slot_begin;
@@ -558,26 +549,16 @@ void CpuMoe::Forward(const float* x, std::int64_t tokens, const MoeRouting& rout
   const std::int64_t hidden = ws->hidden;
   const auto num_shards = static_cast<std::int64_t>(shards_.size());
   const int num_experts = shards_[0]->num_experts();
-  const std::uint8_t* served = hot != nullptr ? hot->served : nullptr;
-  const int top_k = routing.top_k;
 
   trace::ScopedSpan moe_span("moe", "cpu_moe_forward", "tokens", tokens);
   std::lock_guard<std::mutex> lock(ws->mu);
   EnsureCapacity(ws, tokens, window);
 
   // --- Group tokens by expert (first-appearance order), two passes. ---------
-  // Hot-served slots never enter a group: the cold groups (and hence their
-  // token counts, kernel kinds and task shapes) are exactly what they would
-  // be if the hot experts did not exist in the batch.
   std::int32_t* goe = ws->group_of_expert.data();
   std::int64_t num_groups = 0;
-  std::int64_t hot_count = 0;
   for (std::int64_t t = 0; t < tokens; ++t) {
     for (int s = slot_begin; s < slot_end; ++s) {
-      if (served != nullptr && served[t * top_k + s] != 0) {
-        ++hot_count;
-        continue;
-      }
       const int e = routing.id(t, s);
       KTX_DCHECK(e >= 0 && e < num_experts) << "bad expert id " << e;
       std::int32_t g = goe[e];
@@ -620,10 +601,8 @@ void CpuMoe::Forward(const float* x, std::int64_t tokens, const MoeRouting& rout
   // Pass 2 also builds the per-token contribution index in routing-slot
   // order: token t's reduce sums its slots in [slot_begin, slot_end) order
   // regardless of how its experts were grouped, so the per-row result is
-  // invariant to batch composition (sequential vs batched decode). Hot slots
-  // keep their position in the index — a negative src points the reduce at
-  // the pre-computed hot row instead of a staged cold row. band_remaining's
-  // shard-0 plane counts each band's cold contributions.
+  // invariant to batch composition (sequential vs batched decode).
+  // band_remaining's shard-0 plane counts each band's contributions.
   const std::int64_t n_bands = CeilDiv(tokens, kReduceBand);
   std::int32_t* band_rem = ws->band_remaining.data();
   std::fill_n(band_rem, n_bands, 0);
@@ -631,11 +610,6 @@ void CpuMoe::Forward(const float* x, std::int64_t tokens, const MoeRouting& rout
     const std::int64_t band = t / kReduceBand;
     for (int s = slot_begin; s < slot_end; ++s) {
       const std::int64_t idx = t * window + (s - slot_begin);
-      if (served != nullptr && served[t * top_k + s] != 0) {
-        ws->contrib_src[static_cast<std::size_t>(idx)] = -(t * top_k + s) - 1;
-        ws->contrib_w[static_cast<std::size_t>(idx)] = routing.weight(t, s);
-        continue;
-      }
       const auto g = static_cast<std::size_t>(goe[routing.id(t, s)]);
       const std::int64_t pos = ws->group_off[g] + ws->group_fill[g]++;
       ws->token_rows[static_cast<std::size_t>(pos)] = t;
@@ -657,8 +631,6 @@ void CpuMoe::Forward(const float* x, std::int64_t tokens, const MoeRouting& rout
   }
 
   // --- Task counts and chaining countdowns. ---------------------------------
-  ws->hot_rows = hot != nullptr ? hot->rows : nullptr;
-  ws->hot_stride = hot != nullptr ? hot->shard_stride : 0;
   ws->y = y;
   ws->tokens = tokens;
   ws->slots = window;
@@ -690,16 +662,6 @@ void CpuMoe::Forward(const float* x, std::int64_t tokens, const MoeRouting& rout
     std::memset(ws->ready.data(), 0xFF,
                 static_cast<std::size_t>(ws->n_b + n_r) * sizeof(std::int32_t));
     ws->ready_tail = ws->n_a;
-    // A shard-0 band whose every contribution is hot has no cold producer
-    // left to publish its reduce task — pre-publish it here (plain stores:
-    // the pool's dispatch publishes them before any worker claims a slot).
-    for (std::int64_t r = 0; r < n_bands; ++r) {
-      if (band_rem[r] == 0) {
-        ws->ready[static_cast<std::size_t>(ws->ready_tail - ws->n_a)] =
-            static_cast<std::int32_t>(ws->n_a + ws->n_b + r);
-        ++ws->ready_tail;
-      }
-    }
     pool_->ParallelRun(&ChainedBody, ws, static_cast<std::size_t>(total), /*chunk=*/1);
   } else {
     // Static: three barrier-separated phases, each block-partitioned exactly
@@ -748,8 +710,7 @@ void CpuMoe::Forward(const float* x, std::int64_t tokens, const MoeRouting& rout
     stats->scalar_calls += kind_calls[static_cast<int>(KernelKind::kScalar)];
     stats->useful_flops += 6.0 * static_cast<double>(total_rows) * static_cast<double>(hidden) *
                            static_cast<double>(ws->inter * num_shards);
-    stats->hot_rows += hot_count;
-    stats->cold_rows += total_rows;
+    stats->routed_rows += total_rows;
   }
 }
 

@@ -132,26 +132,8 @@ struct MoeOptions {
   const KernelDispatchTable* dispatch = nullptr;
 };
 
-// Pre-computed hot-expert rows for one routed batch (filled by the expert
-// placement manager before the CPU forward is submitted). `served` is indexed
-// by absolute routing slot: entry (t, s) covers slot s in [0, top_k) of token
-// t, and is shared by every expert shard. `rows` holds one
-// [tokens * top_k, hidden] plane per shard, `shard_stride` floats apart: for a
-// served slot, plane p holds shard p's *unweighted* output — the full expert
-// FFN output for a one-shard CpuMoe, that shard's partial down projection for
-// a tensor-parallel one. The reduce adds a hot row in routing-slot order
-// exactly like a staged cold row, which keeps the per-token summation order
-// (and therefore the bits) identical to the unplaced baseline. Forward() skips
-// served slots entirely on the CPU expert path: no grouping, no Gate/Up/Down
-// tasks, no weight-byte traffic.
-struct HotSlots {
-  const std::uint8_t* served = nullptr;  // [tokens * top_k], 1 = served hot
-  const float* rows = nullptr;           // [shards][tokens * top_k, hidden]
-  std::int64_t shard_stride = 0;         // floats between shard planes
-};
-
 // Counts of one or more Forward() calls. Logical fields (tokens, activated
-// experts, load peak, hot/cold split) describe the request and count once per
+// experts, load peak, routed rows) describe the request and count once per
 // call however many shards it spans; mechanical fields (tasks, kernel calls,
 // flops) cover every shard.
 struct MoeStats {
@@ -176,11 +158,8 @@ struct MoeStats {
     return amx_calls + avx512_calls + avx2_calls + scalar_calls;
   }
   double useful_flops = 0.0;
-  // Expert-cache split of the routed slots: `hot_rows` were served from
-  // pre-computed hot-expert rows (no CPU expert work), `cold_rows` ran the
-  // full CPU expert path.
-  std::int64_t hot_rows = 0;
-  std::int64_t cold_rows = 0;
+  // Routed (token, slot) pairs the CPU expert path ran.
+  std::int64_t routed_rows = 0;
 };
 
 // Persistent forward workspace, defined in moe_cpu.cc. One per CpuMoe; holds
@@ -212,15 +191,12 @@ class CpuMoe {
 
   // Accumulates the weighted outputs of routing slots [slot_begin, slot_end)
   // into y[tokens, hidden] (row-major, leading dimension = hidden).
-  // x is [tokens, hidden] f32. Slots flagged in `hot` (may be null) are
-  // satisfied from the pre-computed hot rows instead of the CPU expert path.
-  // Every shard runs in one task graph; y receives shard 0's contributions in
-  // slot order, then shard 1's, and so on — the sum a serial per-shard loop
-  // would produce. Concurrent calls on one CpuMoe serialize on the shared
-  // workspace.
+  // x is [tokens, hidden] f32. Every shard runs in one task graph; y receives
+  // shard 0's contributions in slot order, then shard 1's, and so on — the sum
+  // a serial per-shard loop would produce. Concurrent calls on one CpuMoe
+  // serialize on the shared workspace.
   void Forward(const float* x, std::int64_t tokens, const MoeRouting& routing, int slot_begin,
-               int slot_end, float* y, MoeStats* stats = nullptr,
-               const HotSlots* hot = nullptr) const;
+               int slot_end, float* y, MoeStats* stats = nullptr) const;
 
   // All slots at once.
   void Forward(const float* x, std::int64_t tokens, const MoeRouting& routing, float* y,

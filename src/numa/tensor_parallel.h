@@ -74,14 +74,10 @@ class NumaMoe {
   NumaMoe(std::shared_ptr<const PackedExperts> flat, std::shared_ptr<const TpExperts> tp,
           ThreadPool* pool, Options options);
 
-  // Accumulates routed-expert outputs into y[tokens, hidden]. Slots flagged
-  // in `hot` (may be null) are satisfied from pre-computed hot-expert rows:
-  // one plane per TP shard (its partial down projections), or plane 0 with
-  // the full expert outputs in the other modes.
+  // Accumulates routed-expert outputs into y[tokens, hidden].
   void Forward(const float* x, std::int64_t tokens, const MoeRouting& routing, int slot_begin,
-               int slot_end, float* y, MoeStats* stats = nullptr,
-               const HotSlots* hot = nullptr) const {
-    moe_.Forward(x, tokens, routing, slot_begin, slot_end, y, stats, hot);
+               int slot_end, float* y, MoeStats* stats = nullptr) const {
+    moe_.Forward(x, tokens, routing, slot_begin, slot_end, y, stats);
   }
 
   // Pre-sizes the forward workspace (see CpuMoe::Reserve) so the decode loop

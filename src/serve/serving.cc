@@ -864,17 +864,6 @@ void ServingLoop::SampleKvStats() {
   }
 }
 
-void ServingLoop::SampleExpertCacheStats() {
-  const ExpertCacheStats cache = engine_->expert_cache_stats();
-  stats_.expert_cache_lookups = cache.lookups;
-  stats_.expert_cache_hits = cache.hits;
-  stats_.expert_cache_hit_rate = cache.hit_rate();
-  stats_.expert_promotions = cache.promotions;
-  stats_.expert_demotions = cache.demotions;
-  stats_.expert_hot_bytes = cache.hot_bytes;
-  stats_.expert_cold_bytes_saved = cache.cold_bytes_saved;
-}
-
 void ServingLoop::DecodeActive() {
   if (active_.empty()) {
     return;
@@ -958,7 +947,6 @@ int ServingLoop::RunOnce() {
   // Pool occupancy peaks while rows are live — sample before retirements
   // next sweep return their blocks.
   SampleKvStats();
-  SampleExpertCacheStats();
   return static_cast<int>(completed_.size() - before);
 }
 
@@ -988,13 +976,6 @@ void ServingLoop::Stats::AppendJson(JsonWriter& w) const {
   w.Field("prefix_hit_rate", prefix_hit_rate);
   w.Field("kv_blocks_in_use", kv_blocks_in_use);
   w.Field("kv_utilization", kv_utilization);
-  w.Field("expert_cache_lookups", expert_cache_lookups);
-  w.Field("expert_cache_hits", expert_cache_hits);
-  w.Field("expert_cache_hit_rate", expert_cache_hit_rate);
-  w.Field("expert_promotions", expert_promotions);
-  w.Field("expert_demotions", expert_demotions);
-  w.Field("expert_hot_bytes", expert_hot_bytes);
-  w.Field("expert_cold_bytes_saved", expert_cold_bytes_saved);
   w.EndObject();
 }
 
@@ -1016,7 +997,6 @@ std::vector<GenerationResult> ServingLoop::RunToCompletion() {
     RunOnce();
   }
   SampleKvStats();  // final counter values (hit rate, tokens reused)
-  SampleExpertCacheStats();
   return TakeResults();
 }
 

@@ -248,19 +248,6 @@ class ServingLoop {
     double prefix_hit_rate = 0.0;
     std::int64_t kv_blocks_in_use = 0;
     double kv_utilization = 0.0;
-    // Expert-placement cache telemetry, sampled once per sweep (all zero when
-    // the engine runs without placement). Lookups/hits count routed slots:
-    // a hit is a slot served from the vGPU-resident hot-expert cache instead
-    // of streaming cold expert weights on the CPU — cold_bytes_saved is the
-    // weight traffic those hits avoided. Promotions/demotions count the
-    // cache-management transfers issued by the EMA rebalancer.
-    std::int64_t expert_cache_lookups = 0;
-    std::int64_t expert_cache_hits = 0;
-    double expert_cache_hit_rate = 0.0;
-    std::int64_t expert_promotions = 0;
-    std::int64_t expert_demotions = 0;
-    std::int64_t expert_hot_bytes = 0;
-    std::int64_t expert_cold_bytes_saved = 0;
 
     // Appends this snapshot as a JSON object on `w` (histograms as
     // {count, mean_s, min_s, max_s, p50_s, p95_s, p99_s}). The single
@@ -444,9 +431,6 @@ class ServingLoop {
   // stats_ (peak-tracking for blocks in use). No-op without a shared pool
   // except for prefix_tokens_reused, which mirrors the engine counter.
   void SampleKvStats();
-  // Mirrors the engine's expert-cache counters into stats_ (no-op values
-  // when placement is disabled).
-  void SampleExpertCacheStats();
   // Closes the row's open lifecycle span (if any) and opens `phase` on its
   // request track; phase == nullptr just closes. No-ops when tracing is off.
   void TracePhase(Active* row, const char* phase);

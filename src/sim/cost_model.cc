@@ -201,36 +201,4 @@ double PcieSeconds(double bytes, const PcieSpec& pcie) {
   return pcie.latency_us * 1e-6 + bytes / (pcie.bw_gbs * 1e9 * pcie.efficiency);
 }
 
-double PlacedMoeDecodeSeconds(CpuKernelClass kc, std::int64_t m, std::int64_t activated_experts,
-                              std::int64_t hidden, std::int64_t inter, double hit_rate,
-                              DType cold_dtype, DType hot_dtype, const CpuSpec& cpu,
-                              const GpuSpec& gpu, NumaMode mode) {
-  if (m <= 0 || activated_experts <= 0) {
-    return 0.0;
-  }
-  hit_rate = std::clamp(hit_rate, 0.0, 1.0);
-  const double cold_experts = (1.0 - hit_rate) * static_cast<double>(activated_experts);
-  const double hot_experts = hit_rate * static_cast<double>(activated_experts);
-
-  // Cold half: expert FFNs on the CPU at cold_dtype. Three weight-streaming
-  // GEMMs per expert (gate/up [inter, hidden], down [hidden, inter]); the
-  // decode regime is memory-bound, so fewer cold bytes translate ~linearly.
-  const double bw = EffectiveCpuBandwidthGbs(cpu, mode, static_cast<int>(activated_experts));
-  const double cf = EffectiveCpuComputeFraction(cpu, mode, static_cast<int>(activated_experts));
-  const double per_cold = CpuGemmSeconds(kc, m, inter, hidden, cold_dtype, cpu, bw, cf) * 2.0 +
-                          CpuGemmSeconds(kc, m, hidden, inter, cold_dtype, cpu, bw, cf);
-  const double cpu_time = cold_experts * per_cold + CpuOpOverheadSeconds(kc);
-
-  // Hot half: cache-resident experts on the GPU roofline at hot_dtype — also
-  // memory-bound at decode widths.
-  const double weight_bytes = static_cast<double>(
-      DTypeBytes(hot_dtype, static_cast<std::size_t>(3 * inter * hidden)));
-  const double flops = 2.0 * 3.0 * static_cast<double>(m) * static_cast<double>(inter) *
-                       static_cast<double>(hidden);
-  const double gpu_time = hot_experts * GpuOpSeconds(flops, weight_bytes, gpu);
-
-  // The halves overlap inside the asynchronous submit window.
-  return std::max(cpu_time, gpu_time);
-}
-
 }  // namespace ktx

@@ -68,20 +68,6 @@ double GpuOpSeconds(double flops, double bytes, const GpuSpec& gpu);
 // Host<->device transfer over PCIe.
 double PcieSeconds(double bytes, const PcieSpec& pcie);
 
-// Placement-policy hook for the hotness-aware expert cache (core/
-// expert_cache.h): decode-time cost of one MoE layer's routed experts when a
-// `hit_rate` fraction of the activated expert FFNs is served from the
-// GPU-resident cache (at `hot_dtype`) and the rest stream CPU-side weights at
-// `cold_dtype`. Each expert FFN is three [inter, hidden]-class GEMMs over
-// `m` tokens. The CPU and GPU halves overlap (the cache serve happens inside
-// the asynchronous submit window), so the layer costs the slower of the two —
-// this is the objective a placement policy minimizes when trading cache
-// capacity against quantization error.
-double PlacedMoeDecodeSeconds(CpuKernelClass kc, std::int64_t m, std::int64_t activated_experts,
-                              std::int64_t hidden, std::int64_t inter, double hit_rate,
-                              DType cold_dtype, DType hot_dtype, const CpuSpec& cpu,
-                              const GpuSpec& gpu, NumaMode mode);
-
 // Compute-peak multiplier for integer dtypes (AMX/VNNI int8 paths double
 // throughput; int4 unpacks to int8 before the MAC).
 double DtypeComputeScale(DType dtype);

@@ -438,9 +438,8 @@ TEST(LayoutTest, PackUnpackF32IsExact) {
 }
 
 TEST(GemmTest, F32BitIdenticalAcrossBackends) {
-  // The kF32 layout exists so the hot-expert cache can be enabled with zero
-  // output drift: every backend walks the identical per-output k-order fma
-  // chain, so results must match BITWISE, not just within tolerance.
+  // Every backend walks the identical per-output k-order fma chain on the
+  // kF32 layout, so results must match BITWISE, not just within tolerance.
   Rng rng(42);
   const std::tuple<std::int64_t, std::int64_t, std::int64_t> shapes[] = {
       {1, 48, 96}, {3, 35, 70}, {8, 64, 64}};

@@ -292,52 +292,35 @@ TEST_F(FusedTpTest, FusedShardsMatchSerialPerShardForwardBitForBit) {
         Rng rng(static_cast<std::uint64_t>(tokens * 7 + shards));
         const MoeRouting routing = RandomRouting(tokens, rng);
         const Tensor x = Tensor::Randn({tokens, kHidden}, rng, 0.5f);
-        const std::int64_t plane = tokens * kTopK * kHidden;
-        std::vector<std::uint8_t> served(static_cast<std::size_t>(tokens * kTopK));
-        for (std::uint8_t& f : served) {
-          f = rng.NextBounded(4) == 0 ? 1 : 0;
-        }
-        const Tensor hot_rows = Tensor::Randn({shards * tokens * kTopK, kHidden}, rng, 0.2f);
-        for (const bool with_hot : {false, true}) {
-          const HotSlots hot{served.data(), hot_rows.f32(), plane};
-          const HotSlots* hp = with_hot ? &hot : nullptr;
-          // Immediate window [0, 2) and deferred window [2, top_k).
-          for (const auto& [begin, end] : {std::pair{0, 2}, std::pair{2, kTopK}}) {
-            const Tensor y0 = Tensor::Randn({tokens, kHidden}, rng, 0.1f);
-            Tensor ref = y0.Clone();
-            for (int s = 0; s < shards; ++s) {
-              const HotSlots shard_hot{served.data(), hot_rows.f32() + s * plane, 0};
-              per_shard[static_cast<std::size_t>(s)].Forward(x.f32(), tokens, routing, begin,
-                                                             end, ref.f32(), nullptr,
-                                                             with_hot ? &shard_hot : nullptr);
-            }
-            Tensor out = y0.Clone();
-            MoeStats stats;
-            fused.Forward(x.f32(), tokens, routing, begin, end, out.f32(), &stats, hp);
-            EXPECT_EQ(std::memcmp(out.f32(), ref.f32(), ref.byte_size()), 0)
-                << "shards=" << shards << " static=" << (schedule == ScheduleKind::kStatic)
-                << " tokens=" << tokens << " hot=" << with_hot << " window=[" << begin << ","
-                << end << ")";
+        // Immediate window [0, 2) and deferred window [2, top_k).
+        for (const auto& [begin, end] : {std::pair{0, 2}, std::pair{2, kTopK}}) {
+          const Tensor y0 = Tensor::Randn({tokens, kHidden}, rng, 0.1f);
+          Tensor ref = y0.Clone();
+          for (int s = 0; s < shards; ++s) {
+            per_shard[static_cast<std::size_t>(s)].Forward(x.f32(), tokens, routing, begin, end,
+                                                           ref.f32());
+          }
+          Tensor out = y0.Clone();
+          MoeStats stats;
+          fused.Forward(x.f32(), tokens, routing, begin, end, out.f32(), &stats);
+          EXPECT_EQ(std::memcmp(out.f32(), ref.f32(), ref.byte_size()), 0)
+              << "shards=" << shards << " static=" << (schedule == ScheduleKind::kStatic)
+              << " tokens=" << tokens << " window=[" << begin << "," << end << ")";
 
-            // The request's logical counts appear once, not once per shard.
-            std::int64_t hot_slots = 0;
-            int distinct = 0;
-            std::vector<bool> seen(kExperts, false);
-            for (std::int64_t t = 0; t < tokens; ++t) {
-              for (int s = begin; s < end; ++s) {
-                if (with_hot && served[static_cast<std::size_t>(t * kTopK + s)] != 0) {
-                  ++hot_slots;
-                } else if (!seen[static_cast<std::size_t>(routing.id(t, s))]) {
-                  seen[static_cast<std::size_t>(routing.id(t, s))] = true;
-                  ++distinct;
-                }
+          // The request's logical counts appear once, not once per shard.
+          int distinct = 0;
+          std::vector<bool> seen(kExperts, false);
+          for (std::int64_t t = 0; t < tokens; ++t) {
+            for (int s = begin; s < end; ++s) {
+              if (!seen[static_cast<std::size_t>(routing.id(t, s))]) {
+                seen[static_cast<std::size_t>(routing.id(t, s))] = true;
+                ++distinct;
               }
             }
-            EXPECT_EQ(stats.tokens, tokens);
-            EXPECT_EQ(stats.activated_experts, distinct);
-            EXPECT_EQ(stats.hot_rows, hot_slots);
-            EXPECT_EQ(stats.cold_rows, tokens * (end - begin) - hot_slots);
           }
+          EXPECT_EQ(stats.tokens, tokens);
+          EXPECT_EQ(stats.activated_experts, distinct);
+          EXPECT_EQ(stats.routed_rows, tokens * (end - begin));
         }
       }
     }

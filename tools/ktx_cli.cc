@@ -294,9 +294,6 @@ int CmdTrace(const ktx::FlagParser& flags) {
       ktx::ModelWeights::Generate(config, static_cast<std::uint64_t>(flags.GetInt("seed", 1))));
   ktx::EngineOptions options;
   options.cpu_weight_dtype = ktx::DType::kI8;
-  options.placement.enabled = true;
-  options.placement.capacity = config.num_moe_layers() * config.num_experts / 4;
-  options.placement.cold_dtype = ktx::DType::kI4;
   options.kv_pool_blocks = 256;
   options.kv_block_size = 16;
   ktx::Counter* tokens_total = ktx::MetricsRegistry::Global().GetCounter("cli.tokens_total");
@@ -320,8 +317,6 @@ int CmdTrace(const ktx::FlagParser& flags) {
           std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count());
       tokens_total->Increment();
     }
-    // Engine teardown drains the transfer stream inside this scope, so async
-    // promotion end events are still recorded before tracing turns off.
   }
   ktx::trace::SetEnabled(false);
 
