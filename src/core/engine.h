@@ -100,11 +100,14 @@ struct EngineOptions {
   // KV block pool. 0 = private storage: each session owns a one-block pool
   // of max_seq rows, reserved when the session is created. > 0 = all
   // sessions draw fixed-size blocks from one shared KvBlockPool of this many
-  // blocks, committed lazily as contexts grow and shared across sessions for
+  // blocks, handed out as contexts grow and shared across sessions for
   // common prompt prefixes (copy-on-write on divergence). -1 = auto-size the
   // shared pool: one full max_seq context's worth of blocks per potential
   // session (max_sessions, else max_batch) — the same worst-case bytes as
-  // private storage, but lazily committed and shareable.
+  // private storage, but shareable. Either way the storage is reserved, not
+  // committed: the OS commits a KV page when a row in it is first written
+  // (kv_block_pool.h), so resident memory follows the rows written, not this
+  // count. Rows once written stay committed until the pool is destroyed.
   std::int64_t kv_pool_blocks = 0;
   // Tokens per KV block (shared pool only).
   std::int64_t kv_block_size = 16;

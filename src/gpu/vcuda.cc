@@ -320,7 +320,7 @@ void VStream::ExecuteOp(const Op& op) {
   }
   if (tracing && op.kind != Op::Kind::kGraph) {
     int kind = 0;
-    std::string name = "op";
+    const char* name = "op";
     switch (op.kind) {
       case Op::Kind::kKernel:
         kind = 0;
@@ -337,7 +337,7 @@ void VStream::ExecuteOp(const Op& op) {
       default:
         return;
     }
-    device_->RecordTrace(TraceEvent{std::move(name), t0, NowMicros(), kind});
+    device_->RecordTrace(TraceEvent{name, t0, NowMicros(), kind});
   }
 }
 

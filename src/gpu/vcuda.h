@@ -42,7 +42,9 @@ namespace ktx {
 // real kernel launches (Fig. 4: Fiddler issues >7000 launches per token,
 // llama.cpp ~3000 after fusion).
 struct KernelDesc {
-  std::string name;
+  // A string literal (static storage): launching, capturing and replaying
+  // copy only the pointer, so naming an op never allocates.
+  const char* name = "";
   std::function<void()> fn;  // functional body; may be empty for timing-only
   double flops = 0.0;
   double bytes = 0.0;
@@ -50,7 +52,8 @@ struct KernelDesc {
 };
 
 // One executed op, wall-clock timestamped (enable via VDevice::Options).
-// The functional analogue of an Nsight Systems timeline (§2.3).
+// The functional analogue of an Nsight Systems timeline (§2.3). Built only
+// while record_trace is on.
 struct TraceEvent {
   std::string name;
   double start_us = 0.0;

@@ -41,14 +41,14 @@ KvBlockPool::KvBlockPool(const MoeModelConfig& config, KvPoolOptions options)
   const std::int64_t rows = options_.num_blocks * options_.block_size;
   for (int l = 0; l < config_.num_layers; ++l) {
     if (config_.attention == AttentionKind::kMla) {
-      mla_ckv_.push_back(Tensor({rows, config_.kv_lora_rank}, DType::kF32));
-      mla_krope_.push_back(Tensor({rows, config_.rope_dim}, DType::kF32));
+      mla_ckv_.push_back(Tensor::ZeroPages({rows, config_.kv_lora_rank}));
+      mla_krope_.push_back(Tensor::ZeroPages({rows, config_.rope_dim}));
       bytes_per_position_ +=
           static_cast<std::size_t>(config_.kv_lora_rank + config_.rope_dim) * sizeof(float);
     } else {
       const std::int64_t kv_dim = config_.num_kv_heads * config_.head_dim;
-      gqa_k_.push_back(Tensor({rows, kv_dim}, DType::kF32));
-      gqa_v_.push_back(Tensor({rows, kv_dim}, DType::kF32));
+      gqa_k_.push_back(Tensor::ZeroPages({rows, kv_dim}));
+      gqa_v_.push_back(Tensor::ZeroPages({rows, kv_dim}));
       bytes_per_position_ += 2 * static_cast<std::size_t>(kv_dim) * sizeof(float);
     }
   }
@@ -140,6 +140,16 @@ void KvBlockPool::Unref(std::int32_t block) {
         << "registered prefix block dropped to ref count 0 without eviction";
     free_.push_back(block);
   }
+}
+
+std::vector<const Tensor*> KvBlockPool::storage() const {
+  std::vector<const Tensor*> tensors;
+  for (const auto* stream : {&gqa_k_, &gqa_v_, &mla_ckv_, &mla_krope_}) {
+    for (const Tensor& t : *stream) {
+      tensors.push_back(&t);
+    }
+  }
+  return tensors;
 }
 
 void KvBlockPool::CopyBlockRows(std::int32_t src, std::int32_t dst, std::int64_t rows) {

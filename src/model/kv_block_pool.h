@@ -4,9 +4,21 @@
 // [num_blocks * block_size, row_dim] rows for each cached stream (K and V for
 // GQA; the joint latent c_kv and the decoupled-RoPE key for MLA). Sessions
 // hold *block tables* — lists of block ids. A pool shared by an engine's
-// sessions commits memory block-by-block as contexts actually grow, and the
-// same physical block can back the shared prefix of many sessions at once;
-// a private cache owns a pool of one max_seq-row block (kv_cache.h).
+// sessions hands out blocks as contexts actually grow, and the same physical
+// block can back the shared prefix of many sessions at once; a private cache
+// owns a pool of one max_seq-row block (kv_cache.h).
+//
+// Memory commit: the row tensors sit on Tensor::ZeroPages storage, so the
+// pool reserves address space up front and the OS commits a page (zero-
+// filled) only when a row in it is first written. A pool's resident size is
+// the pages its sessions have written, not num_blocks * block bytes, and the
+// same holds for a private max_seq block, which commits only up to its
+// position. The commit is one-way: a block returned to the free list keeps
+// its pages (the LIFO free list hands the warm ones out first). The unit is
+// a page, not a block: a block smaller than a page shares pages with its
+// neighbours, and COW copies and KTXV restores commit what they write like
+// any append. Every other allocation in the engine keeps heap storage
+// (align.h says why).
 //
 // Ref counting: a block's count is the number of block-table references
 // (sessions) plus one if the prefix cache holds it. Unref to zero returns the
@@ -108,6 +120,9 @@ class KvBlockPool {
   float* v_base(int layer) { return BaseOrNull(gqa_v_, layer); }
   float* ckv_base(int layer) { return BaseOrNull(mla_ckv_, layer); }
   float* k_rope_base(int layer) { return BaseOrNull(mla_krope_, layer); }
+  // Every row-storage tensor (K, V per layer; latent, RoPE key under MLA),
+  // e.g. to count the pages the pool has committed (ResidentPages).
+  std::vector<const Tensor*> storage() const;
 
  private:
   struct CacheEntry {

@@ -10,12 +10,14 @@
 // ways to get a pool:
 //
 //   * Private: KvCache(config) owns a pool of ONE block of max_seq rows and
-//     reserves it up front — the bytes and layout of a contiguous max_seq
-//     cache, writable to max_seq without any PrepareAppend.
-//   * Shared: KvCache(config, pool) draws blocks from an engine-wide pool and
-//     commits memory lazily, block by block, as the context grows
-//     (PrepareAppend). Blocks are ref-counted, so many sessions can map the
-//     same physical blocks for a shared prompt prefix (AdoptPrefix /
+//     reserves it up front — the address space and layout of a contiguous
+//     max_seq cache, writable to max_seq without any PrepareAppend. Its
+//     memory still commits page by page as rows are written.
+//   * Shared: KvCache(config, pool) draws blocks from an engine-wide pool
+//     lazily, block by block, as the context grows (PrepareAppend); a block's
+//     pages commit when its rows are first written, and stay committed when
+//     it returns to the pool. Blocks are ref-counted, so many sessions can
+//     map the same physical blocks for a shared prompt prefix (AdoptPrefix /
 //     CloneFrom); the first append into a shared partial block triggers a
 //     copy-on-write so divergence never corrupts a sibling or the pool's
 //     prefix cache.

@@ -25,6 +25,15 @@ Tensor::Tensor(std::vector<std::int64_t> shape, DType dtype)
   buf_ = std::make_shared<AlignedBuffer>(DTypeBytes(dtype_, static_cast<std::size_t>(numel_)));
 }
 
+Tensor Tensor::ZeroPages(std::vector<std::int64_t> shape, DType dtype) {
+  Tensor t;
+  t.shape_ = std::move(shape);
+  t.numel_ = NumelOf(t.shape_);
+  t.dtype_ = dtype;
+  t.buf_ = std::make_shared<AlignedBuffer>(AlignedBuffer::ZeroPages(t.byte_size()));
+  return t;
+}
+
 Tensor Tensor::Full(std::vector<std::int64_t> shape, float value) {
   Tensor t(std::move(shape), DType::kF32);
   float* p = t.f32();

@@ -30,6 +30,9 @@ class Tensor {
   static Tensor Zeros(std::vector<std::int64_t> shape, DType dtype = DType::kF32) {
     return Tensor(std::move(shape), dtype);
   }
+  // A zero tensor on AlignedBuffer::ZeroPages storage: its pages commit on
+  // first write instead of up front (for large, slowly filled reservations).
+  static Tensor ZeroPages(std::vector<std::int64_t> shape, DType dtype = DType::kF32);
   static Tensor Full(std::vector<std::int64_t> shape, float value);
   // Gaussian(0, stddev) floats; other dtypes via conversion.
   static Tensor Randn(std::vector<std::int64_t> shape, Rng& rng, float stddev = 1.0f,

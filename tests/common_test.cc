@@ -97,6 +97,59 @@ TEST(AlignTest, MoveTransfersOwnership) {
   EXPECT_EQ(a.data(), nullptr);  // NOLINT(bugprone-use-after-move)
 }
 
+TEST(AlignTest, ZeroPagesReadZeroAndCommitOnFirstWrite) {
+  EXPECT_TRUE(AlignedBuffer::ZeroPages(0).empty());
+
+  const std::size_t page = PageBytes();
+  AlignedBuffer buf = AlignedBuffer::ZeroPages(3 * page + 100);
+  ASSERT_NE(buf.data(), nullptr);
+  EXPECT_EQ(buf.size(), 3 * page + 100);
+  EXPECT_TRUE(IsAligned(buf.data(), kCacheLineBytes));
+  EXPECT_TRUE(IsAligned(buf.data(), page));
+  // Nothing is committed until a page is written, then exactly that page.
+  EXPECT_EQ(ResidentPages(buf.data(), buf.size()), 0u);
+  buf.data()[page + 5] = std::byte{7};
+  EXPECT_EQ(ResidentPages(buf.data(), buf.size()), 1u);
+  for (std::size_t i = 0; i < buf.size(); ++i) {
+    ASSERT_EQ(static_cast<int>(buf.data()[i]), i == page + 5 ? 7 : 0) << i;
+  }
+}
+
+TEST(AlignTest, ZeroPagesSurviveMoveMoveAssignAndDestroy) {
+  AlignedBuffer a = AlignedBuffer::ZeroPages(5000);
+  a.as<int>()[1000] = 42;
+  std::byte* p = a.data();
+
+  AlignedBuffer b = std::move(a);
+  EXPECT_EQ(b.data(), p);
+  EXPECT_EQ(b.size(), 5000u);
+  EXPECT_EQ(a.data(), nullptr);  // NOLINT(bugprone-use-after-move)
+
+  // Move-assignment releases the target's mapping and takes the source's.
+  AlignedBuffer c = AlignedBuffer::ZeroPages(100);
+  c = std::move(b);
+  EXPECT_EQ(c.data(), p);
+  EXPECT_EQ(c.as<int>()[1000], 42);
+
+  // Across kinds: a heap buffer takes the mapping, a mapped one the heap
+  // block; each is released the way it was allocated.
+  AlignedBuffer heap(64);
+  heap = std::move(c);
+  EXPECT_EQ(heap.data(), p);
+  EXPECT_EQ(heap.as<int>()[1000], 42);
+  AlignedBuffer mapped = AlignedBuffer::ZeroPages(64);
+  mapped = AlignedBuffer(256);
+  EXPECT_EQ(mapped.size(), 256u);
+}
+
+TEST(AlignDeathTest, ZeroPagesOverrunFaultsOnTheGuardPage) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  AlignedBuffer buf = AlignedBuffer::ZeroPages(100);
+  volatile std::byte* end = buf.data() + AlignUp(buf.size(), PageBytes());
+  end[-1] = std::byte{1};  // the last byte of the page-rounded size is usable
+  EXPECT_DEATH(end[0] = std::byte{1}, "");
+}
+
 TEST(SpscQueueTest, FifoOrder) {
   SpscQueue<int> q(8);
   for (int i = 0; i < 8; ++i) {

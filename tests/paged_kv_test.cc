@@ -1,6 +1,7 @@
 // Paged KV cache: block pool mechanics, shared-pool vs private-block
 // bit-identity, shared-prefix reuse, copy-on-write and cross-pool forking,
-// cross-storage KV-state round-trips, and recoverable pool exhaustion.
+// cross-storage KV-state round-trips, memory committed on first write, and
+// recoverable pool exhaustion.
 //
 // The load-bearing guarantee throughout is tolerance ZERO: a shared pool is a
 // memory layout change, so every logit a shared-pool engine produces must be
@@ -10,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -367,6 +369,103 @@ TEST(PagedKvTest, KvStateRestoreRejectsCorruptAndMismatched) {
             StatusCode::kFailedPrecondition);
   // And the pristine blob still restores fine afterwards.
   EXPECT_TRUE(DeserializeKvState(bytes, config, &fresh).ok());
+}
+
+// --- memory commit ----------------------------------------------------------
+
+// Resident pages of each row-storage tensor of `pool`.
+std::vector<std::size_t> ResidentPagesPerTensor(const KvBlockPool& pool) {
+  std::vector<std::size_t> pages;
+  for (const Tensor* t : pool.storage()) {
+    pages.push_back(ResidentPages(t->raw(), t->byte_size()));
+  }
+  return pages;
+}
+
+TEST(PagedKvTest, SharedPoolCommitsOnlyTheBlocksSessionsWrite) {
+  // The perfbench fixture's geometry: a 16-row block of one K or V tensor is
+  // 16 * 64 floats, one 4 KiB page on x86-64.
+  const MoeModelConfig config = SmallMoeConfig();
+  EngineOptions opts;
+  opts.kv_pool_blocks = -1;
+  // With the prefix cache on, a retired prompt's full blocks stay cached and
+  // the next prompt draws fresh ones; this test is about the free list.
+  opts.enable_prefix_cache = false;
+  HybridEngine engine(config, WeightsFor(config), opts);
+  const KvBlockPool& pool = *engine.kv_pool();
+  ASSERT_GE(pool.storage().size(), 2u);
+
+  // (a) Construction reserves the pool but commits none of it.
+  for (std::size_t pages : ResidentPagesPerTensor(pool)) {
+    EXPECT_EQ(pages, 0u);
+  }
+
+  // (b) 40 prompt tokens and 8 decodes fill blocks 0-2 exactly.
+  auto run_session = [&](int first_token) {
+    std::vector<int> prompt(40);
+    for (int i = 0; i < 40; ++i) {
+      prompt[static_cast<std::size_t>(i)] = (first_token + 3 * i) % config.vocab;
+    }
+    engine.Prefill(prompt);
+    for (int step = 0; step < 8; ++step) {
+      engine.DecodeStep((first_token + step) % config.vocab);
+    }
+  };
+  run_session(1);
+  ASSERT_EQ(engine.position(0), 48);
+  ASSERT_EQ(pool.blocks_in_use(), 3);
+  for (std::int32_t b = 0; b < 3; ++b) {
+    ASSERT_EQ(pool.ref_count(b), 1);
+  }
+  const std::vector<std::size_t> after_first = ResidentPagesPerTensor(pool);
+  for (std::size_t i = 0; i < after_first.size(); ++i) {
+    const Tensor& t = *pool.storage()[i];
+    const std::size_t block_bytes = t.byte_size() / static_cast<std::size_t>(pool.num_blocks());
+    EXPECT_EQ(after_first[i], AlignUp(3 * block_bytes, PageBytes()) / PageBytes()) << i;
+  }
+
+  // (c) A second session as long as the first reuses the freed blocks (LIFO
+  // free list), so it commits nothing new.
+  engine.Reset(0);
+  run_session(5);
+  EXPECT_EQ(ResidentPagesPerTensor(pool), after_first);
+}
+
+TEST(PagedKvTest, PrivateBlockCommitsOnlyUpToItsPosition) {
+  // kv_pool_blocks = 0 storage: one max_seq-row block per cache, reserved at
+  // construction, committed as rows are written.
+  const MoeModelConfig config = SmallMoeConfig();
+  KvCache cache(config);
+  const std::int64_t kv_dim = config.num_kv_heads * config.head_dim;
+  const std::size_t stream_bytes =
+      static_cast<std::size_t>(config.max_seq * kv_dim) * sizeof(float);
+  const std::size_t all_pages = AlignUp(stream_bytes, PageBytes()) / PageBytes();
+  ASSERT_GT(all_pages, 4u);
+  for (int l = 0; l < config.num_layers; ++l) {
+    const KvLayerView view = cache.layer(l);
+    EXPECT_EQ(ResidentPages(view.k_row(0), stream_bytes), 0u);
+    EXPECT_EQ(ResidentPages(view.v_row(0), stream_bytes), 0u);
+  }
+
+  constexpr std::int64_t kRows = 40;
+  for (int l = 0; l < config.num_layers; ++l) {
+    const KvLayerView view = cache.layer(l);
+    for (std::int64_t pos = 0; pos < kRows; ++pos) {
+      std::fill(view.k_row(pos), view.k_row(pos) + kv_dim, 1.0f);
+      std::fill(view.v_row(pos), view.v_row(pos) + kv_dim, 2.0f);
+    }
+  }
+  cache.Advance(kRows);
+
+  const std::size_t written_pages =
+      AlignUp(static_cast<std::size_t>(kRows * kv_dim) * sizeof(float), PageBytes()) /
+      PageBytes();
+  ASSERT_LT(written_pages, all_pages);
+  for (int l = 0; l < config.num_layers; ++l) {
+    const KvLayerView view = cache.layer(l);
+    EXPECT_EQ(ResidentPages(view.k_row(0), stream_bytes), written_pages) << l;
+    EXPECT_EQ(ResidentPages(view.v_row(0), stream_bytes), written_pages) << l;
+  }
 }
 
 // --- recoverable exhaustion -------------------------------------------------

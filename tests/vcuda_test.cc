@@ -8,9 +8,9 @@
 namespace ktx {
 namespace {
 
-KernelDesc Kernel(std::string name, std::function<void()> fn, int micro = 1) {
+KernelDesc Kernel(const char* name, std::function<void()> fn, int micro = 1) {
   KernelDesc k;
-  k.name = std::move(name);
+  k.name = name;
   k.fn = std::move(fn);
   k.micro_kernels = micro;
   return k;
