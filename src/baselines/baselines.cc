@@ -8,7 +8,6 @@ EngineOptions FiddlerEngineOptions() {
   o.use_cuda_graph = false;       // PyTorch eager launches
   o.numa_mode = NumaMode::kNaiveInterleaved;
   o.gpu_micro_per_op = 29;        // ~7000 launches/token on DS-3 (Fig. 4)
-  o.device.launch_latency_us = 16.0;
   o.moe.schedule = ScheduleKind::kStatic;  // no dynamic task queue
   o.n_deferred = 0;
   return o;
@@ -20,7 +19,6 @@ EngineOptions LlamaCppEngineOptions() {
   o.use_cuda_graph = false;       // disabled to avoid re-capture overhead
   o.numa_mode = NumaMode::kNaiveInterleaved;
   o.gpu_micro_per_op = 12;        // ~3000 launches/token after fusion
-  o.device.launch_latency_us = 5.0;
   o.moe.schedule = ScheduleKind::kStatic;
   o.n_deferred = 0;
   return o;
@@ -32,7 +30,6 @@ EngineOptions KTransformersEngineOptions(int n_deferred) {
   o.use_cuda_graph = true;
   o.numa_mode = NumaMode::kTensorParallel;
   o.gpu_micro_per_op = 1;
-  o.device.launch_latency_us = 5.0;
   o.moe.schedule = ScheduleKind::kDynamic;
   o.n_deferred = n_deferred;
   return o;

@@ -1,7 +1,10 @@
 // Process-wide metrics registry: named counters, gauges, and latency
 // histograms behind one interface, with JSON and Prometheus-text snapshot
-// export. The registry is the single serialization path for every BENCH_*.json
-// and for ServingLoop::Stats::ToJson(), so emitters cannot drift apart.
+// export. Today it holds little: in src/ only the four
+// "moe.gemm_calls_*_total" counters (which duplicate MoeStats), plus the
+// "cli.*" metrics ktx_cli adds. No bench reads it, and ServingLoop::Stats
+// writes its JSON fields by hand through JsonWriter, not from here. Making
+// it the one metrics plane per engine is ROADMAP item 3.
 //
 // Naming convention: "<layer>.<what>[_total|_seconds|_bytes]", e.g.
 // "serving.requests_completed_total", "engine.graph_captures_total",

@@ -148,7 +148,7 @@ HybridEngine::HybridEngine(MoeModelConfig config, std::shared_ptr<const ModelWei
   sessions_.push_back(NewKvCache());
   active_cache_ = sessions_[0].get();
   for (int stage = 0; stage < options_.pipeline_stages; ++stage) {
-    devices_.push_back(std::make_unique<VDevice>(options_.device));
+    devices_.push_back(std::make_unique<VDevice>());
     streams_.push_back(std::make_unique<VStream>(devices_.back().get()));
   }
   pool_ = std::make_unique<ThreadPool>(static_cast<std::size_t>(options_.cpu_threads));
@@ -186,14 +186,15 @@ void HybridEngine::SyncAllStreams() {
   }
 }
 
-void HybridEngine::ChainStreams(VStream* from, VStream* to) {
+void HybridEngine::ChainStreams(VStream* from, VStream* to, std::int64_t rows) {
   // The §5 stage hand-off: the upstream device records an event after its
   // slice of the layer stack; the downstream stream's next op waits on it
-  // (plus the activation transfer, counted against the downstream device).
+  // (plus the transfer of `rows` f32 activation rows, counted against the
+  // downstream device).
   auto event = std::make_shared<VEvent>();
   from->RecordEvent(event.get());
   to->MemcpyAsync([event] { event->Wait(); },
-                  static_cast<std::int64_t>(config_.hidden) * 4, MemcpyDir::kDeviceToDevice);
+                  rows * config_.hidden * static_cast<std::int64_t>(sizeof(float)));
 }
 
 void HybridEngine::BuildCpuExperts() {
@@ -258,7 +259,7 @@ void HybridEngine::EnqueueForward(DecodeBuffers* bufs, std::int64_t m, bool allo
                       static_cast<std::size_t>(config_.hidden) * sizeof(float));
         }
       },
-      0.0, 0.0, options_.gpu_micro_per_op});
+      options_.gpu_micro_per_op, -1});
 
   for (int l = 0; l < config_.num_layers; ++l) {
     const LayerWeights* lw = &weights_->layers[static_cast<std::size_t>(l)];
@@ -267,7 +268,8 @@ void HybridEngine::EnqueueForward(DecodeBuffers* bufs, std::int64_t m, bool allo
     const int p = moe_layer ? (l - first_moe) % 2 : 0;
     VStream* layer_stream = StreamOf(l);
     if (layer_stream != stream) {
-      ChainStreams(stream, layer_stream);
+      // Pipelines run without graphs, so `m` is the live row count here.
+      ChainStreams(stream, layer_stream, m);
       stream = layer_stream;
     }
 
@@ -280,7 +282,7 @@ void HybridEngine::EnqueueForward(DecodeBuffers* bufs, std::int64_t m, bool allo
                     bufs->normed.f32() + t * config_.hidden, config_.hidden);
           }
         },
-        0.0, 0.0, options_.gpu_micro_per_op});
+        options_.gpu_micro_per_op, l});
     stream->Launch(KernelDesc{
         "attention",
         [this, bufs, pw, l, live, batched] {
@@ -308,7 +310,7 @@ void HybridEngine::EnqueueForward(DecodeBuffers* bufs, std::int64_t m, bool allo
           }
           AddInPlace(bufs->x.f32(), bufs->attn_out.f32(), rows * config_.hidden);
         },
-        0.0, 0.0, options_.gpu_micro_per_op});
+        options_.gpu_micro_per_op, l});
 
     // FFN norm writes I_k into the parity buffer for MoE layers.
     float* ffn_in = moe_layer ? bufs->ffn_in[p].f32() : bufs->normed.f32();
@@ -321,7 +323,7 @@ void HybridEngine::EnqueueForward(DecodeBuffers* bufs, std::int64_t m, bool allo
                     ffn_in + t * config_.hidden, config_.hidden);
           }
         },
-        0.0, 0.0, options_.gpu_micro_per_op});
+        options_.gpu_micro_per_op, l});
 
     if (!moe_layer) {
       stream->Launch(KernelDesc{
@@ -330,7 +332,7 @@ void HybridEngine::EnqueueForward(DecodeBuffers* bufs, std::int64_t m, bool allo
             DenseFfnAdd(pw->ffn_gate, pw->ffn_up, pw->ffn_down, ffn_in, live(), config_.hidden,
                         &bufs->ffn_scratch, bufs->x.f32());
           },
-          0.0, 0.0, options_.gpu_micro_per_op});
+          options_.gpu_micro_per_op, l});
       continue;
     }
 
@@ -345,7 +347,7 @@ void HybridEngine::EnqueueForward(DecodeBuffers* bufs, std::int64_t m, bool allo
           ComputeRouting(config_, pw->router, lw->router_bias, ffn_in, live(),
                          &bufs->gating_scratch, &bufs->routing[p]);
         },
-        0.0, 0.0, options_.gpu_micro_per_op});
+        options_.gpu_micro_per_op, l});
 
     // Submit: push immediate (and deferred) routed-expert work to the CPU.
     // One request covers the whole row batch — this is the amortization a
@@ -423,7 +425,7 @@ void HybridEngine::EnqueueForward(DecodeBuffers* bufs, std::int64_t m, bool allo
                         &bufs->ffn_scratch, bufs->moe_gpu_out.f32());
           }
         },
-        0.0, 0.0, options_.gpu_micro_per_op});
+        options_.gpu_micro_per_op, l});
 
     // Sync: wait for the immediate batch. FIFO completion implies the
     // previous layer's deferred batch is also done.
@@ -443,7 +445,7 @@ void HybridEngine::EnqueueForward(DecodeBuffers* bufs, std::int64_t m, bool allo
             AddInPlace(bufs->x.f32(), bufs->defer_out[1 - p].f32(), rows * config_.hidden);
           }
         },
-        0.0, 0.0, options_.gpu_micro_per_op});
+        options_.gpu_micro_per_op, l});
   }
 
   stream->Launch(KernelDesc{
@@ -457,7 +459,7 @@ void HybridEngine::EnqueueForward(DecodeBuffers* bufs, std::int64_t m, bool allo
         packed_->lm_head().Apply(bufs->normed.f32(), rows, config_.hidden, bufs->logits.f32(),
                                  config_.vocab);
       },
-      0.0, 0.0, options_.gpu_micro_per_op});
+      options_.gpu_micro_per_op, -1});
 }
 
 void HybridEngine::WarmSegment(const DecodeBuffers* bufs, std::int64_t rows, bool batched,

@@ -94,7 +94,6 @@ struct EngineOptions {
   // microbenchmark entirely; a missing/corrupt/stale file recalibrates and
   // rewrites it. Empty = always calibrate in-process, never touch disk.
   std::string kernel_profile_path;
-  VDevice::Options device;
   // Tokens per prefill chunk.
   std::int64_t prefill_chunk = 256;
   // KV block pool. 0 = private storage: each session owns a one-block pool
@@ -419,8 +418,9 @@ class HybridEngine {
   std::vector<std::unique_ptr<VStream>> streams_;
   int StageOf(int layer) const;
   VStream* StreamOf(int layer) { return streams_[static_cast<std::size_t>(StageOf(layer))].get(); }
-  // Blocks `to` until everything enqueued on `from` so far has executed.
-  void ChainStreams(VStream* from, VStream* to);
+  // Blocks `to` until everything enqueued on `from` so far has executed, and
+  // counts the hand-off of `rows` activation rows as a memcpy on `to`.
+  void ChainStreams(VStream* from, VStream* to, std::int64_t rows);
   void SyncAllStreams();
   std::unique_ptr<ThreadPool> pool_;
   std::shared_ptr<const NumaMoe> numa_moe_;

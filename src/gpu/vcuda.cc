@@ -1,28 +1,11 @@
 #include "src/gpu/vcuda.h"
 
 #include <algorithm>
-#include <chrono>
 
-#include "src/common/align.h"
+#include "src/common/stopwatch.h"
+#include "src/common/trace.h"
 
 namespace ktx {
-
-// --- LaunchStats -------------------------------------------------------------
-
-void LaunchStats::Reset() {
-  logical_launches = 0;
-  micro_launches = 0;
-  host_funcs = 0;
-  memcpys = 0;
-  memcpy_bytes = 0;
-  graph_launches = 0;
-  graph_replayed_nodes = 0;
-}
-
-double LaunchStats::LaunchOverheadSeconds(double per_launch_us, double graph_replay_us) const {
-  return micro_launches.load() * per_launch_us * 1e-6 +
-         graph_launches.load() * graph_replay_us * 1e-6;
-}
 
 // --- VEvent ------------------------------------------------------------------
 
@@ -40,16 +23,6 @@ void VEvent::Wait() {
   cv_.wait(lock, [this] { return signaled_; });
 }
 
-bool VEvent::Query() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return signaled_;
-}
-
-void VEvent::Reset() {
-  std::lock_guard<std::mutex> lock(mu_);
-  signaled_ = false;
-}
-
 // --- VGraph ------------------------------------------------------------------
 
 void VGraph::Launch(VStream* stream) const {
@@ -61,71 +34,6 @@ void VGraph::Launch(VStream* stream) const {
 }
 
 // --- VDevice -----------------------------------------------------------------
-
-VDevice::VDevice(Options options) : options_(options) {}
-
-VDevice::~VDevice() {
-  std::lock_guard<std::mutex> lock(alloc_mu_);
-  for (auto& [ptr, size] : allocations_) {
-    AlignedFree(ptr);
-  }
-}
-
-void* VDevice::Malloc(std::size_t bytes) {
-  const std::size_t vram = static_cast<std::size_t>(options_.spec.vram_gb * 1e9);
-  if (allocated_.load() + bytes > vram) {
-    KTX_LOG(Warning) << "vcuda: device OOM: " << bytes << " requested, "
-                     << vram - allocated_.load() << " free of " << vram;
-    return nullptr;
-  }
-  void* ptr = AlignedAlloc(bytes);
-  if (ptr != nullptr) {
-    allocated_.fetch_add(bytes);
-    std::lock_guard<std::mutex> lock(alloc_mu_);
-    allocations_.emplace_back(ptr, bytes);
-  }
-  return ptr;
-}
-
-void VDevice::Free(void* ptr) {
-  if (ptr == nullptr) {
-    return;
-  }
-  std::lock_guard<std::mutex> lock(alloc_mu_);
-  auto it = std::find_if(allocations_.begin(), allocations_.end(),
-                         [ptr](const auto& p) { return p.first == ptr; });
-  KTX_CHECK(it != allocations_.end()) << "vcuda: Free of unknown pointer";
-  allocated_.fetch_sub(it->second);
-  AlignedFree(ptr);
-  allocations_.erase(it);
-}
-
-void VDevice::RecordTrace(TraceEvent event) {
-  std::lock_guard<std::mutex> lock(trace_mu_);
-  trace_.push_back(std::move(event));
-}
-
-std::vector<TraceEvent> VDevice::TakeTrace() {
-  std::lock_guard<std::mutex> lock(trace_mu_);
-  return std::move(trace_);
-}
-
-std::string VDevice::TraceToChromeJson() {
-  std::lock_guard<std::mutex> lock(trace_mu_);
-  std::string out = "[";
-  bool first = true;
-  for (const TraceEvent& e : trace_) {
-    if (!first) {
-      out += ",";
-    }
-    first = false;
-    out += "{\"name\":\"" + e.name + "\",\"ph\":\"X\",\"ts\":" +
-           std::to_string(e.start_us) + ",\"dur\":" + std::to_string(e.end_us - e.start_us) +
-           ",\"pid\":0,\"tid\":" + std::to_string(e.kind) + "}";
-  }
-  out += "]";
-  return out;
-}
 
 void VDevice::InjectFault(std::string key, Status fault, int after_polls) {
   KTX_CHECK(!fault.ok()) << "InjectFault requires a non-OK status";
@@ -178,48 +86,37 @@ void VStream::Enqueue(Op op) {
   work_cv_.notify_one();
 }
 
-void VStream::Launch(KernelDesc kernel) {
+void VStream::Submit(VGraph::Node node) {
   if (capturing_) {
-    VGraph::Node node;
-    node.kind = VGraph::Node::Kind::kKernel;
-    node.kernel = std::move(kernel);
     pending_graph_.nodes_.push_back(std::move(node));
     return;
   }
   Op op;
-  op.kind = Op::Kind::kKernel;
-  op.kernel = std::move(kernel);
+  op.node = std::move(node);
   Enqueue(std::move(op));
+}
+
+void VStream::Launch(KernelDesc kernel) {
+  VGraph::Node node;
+  node.kernel = std::move(kernel);
+  Submit(std::move(node));
 }
 
 void VStream::LaunchHostFunc(std::function<void()> fn) {
-  if (capturing_) {
-    VGraph::Node node;
-    node.kind = VGraph::Node::Kind::kHostFunc;
-    node.host_fn = std::move(fn);
-    pending_graph_.nodes_.push_back(std::move(node));
-    return;
-  }
-  Op op;
-  op.kind = Op::Kind::kHostFunc;
-  op.fn = std::move(fn);
-  Enqueue(std::move(op));
+  VGraph::Node node;
+  node.kind = VGraph::Node::Kind::kHostFunc;
+  node.kernel.name = "host_func";
+  node.kernel.fn = std::move(fn);
+  Submit(std::move(node));
 }
 
-void VStream::MemcpyAsync(std::function<void()> copy_fn, std::int64_t bytes, MemcpyDir dir) {
-  if (capturing_) {
-    VGraph::Node node;
-    node.kind = VGraph::Node::Kind::kMemcpy;
-    node.host_fn = std::move(copy_fn);
-    node.bytes = bytes;
-    pending_graph_.nodes_.push_back(std::move(node));
-    return;
-  }
-  Op op;
-  op.kind = Op::Kind::kMemcpy;
-  op.fn = std::move(copy_fn);
-  op.bytes = bytes;
-  Enqueue(std::move(op));
+void VStream::MemcpyAsync(std::function<void()> copy_fn, std::int64_t bytes) {
+  VGraph::Node node;
+  node.kind = VGraph::Node::Kind::kMemcpy;
+  node.kernel.name = "memcpy";
+  node.kernel.fn = std::move(copy_fn);
+  node.bytes = bytes;
+  Submit(std::move(node));
 }
 
 void VStream::RecordEvent(VEvent* event) {
@@ -249,99 +146,70 @@ VGraph VStream::EndCapture() {
   return std::move(pending_graph_);
 }
 
-namespace {
-
-double NowMicros() {
-  return std::chrono::duration<double, std::micro>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
+void VStream::RunNode(const VGraph::Node& node, bool replayed) {
+  LaunchStats& stats = device_->stats();
+  switch (node.kind) {
+    case VGraph::Node::Kind::kKernel:
+      if (!replayed) {
+        stats.logical_launches.fetch_add(1);
+        stats.micro_launches.fetch_add(node.kernel.micro_kernels);
+      }
+      break;
+    case VGraph::Node::Kind::kHostFunc:
+      stats.host_funcs.fetch_add(1);
+      break;
+    case VGraph::Node::Kind::kMemcpy:
+      stats.memcpys.fetch_add(1);
+      stats.memcpy_bytes.fetch_add(node.bytes);
+      break;
+  }
+  if (node.kernel.fn) {
+    node.kernel.fn();
+  }
 }
 
-}  // namespace
+void VStream::Replay(const VGraph& graph) {
+  LaunchStats& stats = device_->stats();
+  stats.graph_launches.fetch_add(1);
+  stats.graph_replayed_nodes.fetch_add(static_cast<std::int64_t>(graph.nodes_.size()));
+  // Traced, each node's span ends where the next one starts, so a replay of
+  // n nodes reads the clock n + 1 times instead of 2n + 2.
+  const bool traced = trace::IsEnabled();
+  const std::int64_t begin_ns = traced ? SteadyNowNanos() : 0;
+  std::int64_t start_ns = begin_ns;
+  for (const VGraph::Node& node : graph.nodes_) {
+    RunNode(node, /*replayed=*/true);
+    if (traced) {
+      const std::int64_t end_ns = SteadyNowNanos();
+      trace::Emit(trace::Phase::kComplete, "vgpu", node.kernel.name, start_ns,
+                  end_ns - start_ns, 0, "layer", node.kernel.layer, nullptr);
+      start_ns = end_ns;
+    }
+  }
+  if (traced) {
+    trace::Emit(trace::Phase::kComplete, "vgpu", "graph_replay", begin_ns, start_ns - begin_ns,
+                0, "nodes", static_cast<std::int64_t>(graph.nodes_.size()), nullptr);
+  }
+}
 
 void VStream::ExecuteOp(const Op& op) {
-  LaunchStats& stats = device_->stats();
-  const bool tracing = device_->options().record_trace;
-  const double t0 = tracing ? NowMicros() : 0.0;
   switch (op.kind) {
-    case Op::Kind::kKernel:
-      stats.logical_launches.fetch_add(1);
-      stats.micro_launches.fetch_add(op.kernel.micro_kernels);
-      if (op.kernel.fn) {
-        op.kernel.fn();
-      }
+    case Op::Kind::kNode: {
+      trace::ScopedSpan span("vgpu", op.node.kernel.name, "layer", op.node.kernel.layer);
+      RunNode(op.node, /*replayed=*/false);
       break;
-    case Op::Kind::kHostFunc:
-      stats.host_funcs.fetch_add(1);
-      op.fn();
-      break;
-    case Op::Kind::kMemcpy:
-      stats.memcpys.fetch_add(1);
-      stats.memcpy_bytes.fetch_add(op.bytes);
-      if (op.fn) {
-        op.fn();
-      }
-      break;
+    }
     case Op::Kind::kEventRecord:
       op.event->Signal();
       break;
-    case Op::Kind::kGraph: {
-      stats.graph_launches.fetch_add(1);
-      const double g0 = tracing ? NowMicros() : 0.0;
-      stats.graph_replayed_nodes.fetch_add(
-          static_cast<std::int64_t>(op.graph->nodes_.size()));
-      for (const VGraph::Node& node : op.graph->nodes_) {
-        switch (node.kind) {
-          case VGraph::Node::Kind::kKernel:
-            // Replayed kernels execute without per-launch overhead; they are
-            // counted separately via graph_replayed_nodes.
-            if (node.kernel.fn) {
-              node.kernel.fn();
-            }
-            break;
-          case VGraph::Node::Kind::kHostFunc:
-            stats.host_funcs.fetch_add(1);
-            node.host_fn();
-            break;
-          case VGraph::Node::Kind::kMemcpy:
-            stats.memcpys.fetch_add(1);
-            stats.memcpy_bytes.fetch_add(node.bytes);
-            if (node.host_fn) {
-              node.host_fn();
-            }
-            break;
-        }
-      }
-      if (tracing) {
-        device_->RecordTrace(TraceEvent{"graph_replay", g0, NowMicros(), 3});
-      }
+    case Op::Kind::kGraph:
+      Replay(*op.graph);
       break;
-    }
-  }
-  if (tracing && op.kind != Op::Kind::kGraph) {
-    int kind = 0;
-    const char* name = "op";
-    switch (op.kind) {
-      case Op::Kind::kKernel:
-        kind = 0;
-        name = op.kernel.name;
-        break;
-      case Op::Kind::kHostFunc:
-        kind = 1;
-        name = "host_func";
-        break;
-      case Op::Kind::kMemcpy:
-        kind = 2;
-        name = "memcpy";
-        break;
-      default:
-        return;
-    }
-    device_->RecordTrace(TraceEvent{name, t0, NowMicros(), kind});
   }
 }
 
 void VStream::WorkerLoop() {
+  trace::SetCurrentThreadName("vgpu stream");
   for (;;) {
     Op op;
     {

@@ -11,10 +11,16 @@
 //   * launch statistics (kernel launches, micro-kernel decomposition, host
 //     funcs, graph replays) — the quantities behind Fig. 4.
 //
-// There is no GPU here: kernels are host functions with cost metadata. What
-// this preserves from real CUDA is the *scheduling semantics* — ordering,
-// asynchrony, capture legality, host interruptions — which is the layer the
-// paper's contribution lives in.
+// There is no GPU here: a kernel is a named host function that runs on the
+// stream's worker thread. What this preserves from real CUDA is the
+// *scheduling semantics* — ordering, asynchrony, capture legality, host
+// interruptions — which is the layer the paper's contribution lives in.
+//
+// Every executed op (kernel, host func, memcpy, and each node of a replayed
+// graph) emits one complete span in the "vgpu" category of the shared trace
+// recorder (src/common/trace.h), on the stream worker's track, so the vGPU
+// plane shows up on the same timeline as the engine and the CPU MoE — the
+// functional analogue of an Nsight Systems timeline (§2.3).
 
 #ifndef KTX_SRC_GPU_VCUDA_H_
 #define KTX_SRC_GPU_VCUDA_H_
@@ -33,7 +39,6 @@
 
 #include "src/common/logging.h"
 #include "src/common/status.h"
-#include "src/sim/hardware.h"
 
 namespace ktx {
 
@@ -42,23 +47,13 @@ namespace ktx {
 // real kernel launches (Fig. 4: Fiddler issues >7000 launches per token,
 // llama.cpp ~3000 after fusion).
 struct KernelDesc {
-  // A string literal (static storage): launching, capturing and replaying
-  // copy only the pointer, so naming an op never allocates.
+  // A string literal (static storage): launching, capturing, replaying and
+  // tracing copy only the pointer, so naming an op never allocates. It is the
+  // op's vgpu span name.
   const char* name = "";
-  std::function<void()> fn;  // functional body; may be empty for timing-only
-  double flops = 0.0;
-  double bytes = 0.0;
+  std::function<void()> fn;  // functional body; may be empty
   int micro_kernels = 1;
-};
-
-// One executed op, wall-clock timestamped (enable via VDevice::Options).
-// The functional analogue of an Nsight Systems timeline (§2.3). Built only
-// while record_trace is on.
-struct TraceEvent {
-  std::string name;
-  double start_us = 0.0;
-  double end_us = 0.0;
-  int kind = 0;  // 0 kernel, 1 host func, 2 memcpy, 3 graph
+  int layer = -1;  // model layer, the vgpu span's "layer" arg; -1 = none
 };
 
 struct LaunchStats {
@@ -69,23 +64,15 @@ struct LaunchStats {
   std::atomic<std::int64_t> memcpy_bytes{0};
   std::atomic<std::int64_t> graph_launches{0};
   std::atomic<std::int64_t> graph_replayed_nodes{0};
-
-  void Reset();
-  // Total front-end occupancy implied by the counted launches, given a
-  // per-launch latency. Graph launches cost one replay each regardless of
-  // node count — the point of the optimization.
-  double LaunchOverheadSeconds(double per_launch_us, double graph_replay_us) const;
 };
 
 class VEvent {
  public:
   void Signal();
-  void Wait();          // blocks until signaled
-  bool Query() const;   // non-blocking
-  void Reset();
+  void Wait();  // blocks until signaled
 
  private:
-  mutable std::mutex mu_;
+  std::mutex mu_;
   std::condition_variable cv_;
   bool signaled_ = false;
 };
@@ -96,54 +83,30 @@ class VStream;
 class VGraph {
  public:
   std::size_t num_nodes() const { return nodes_.size(); }
-  bool empty() const { return nodes_.empty(); }
 
   // Replays the whole graph on `stream` as a single enqueue.
   void Launch(VStream* stream) const;
 
  private:
   friend class VStream;
+  // One kernel, host func or memcpy. Host funcs and memcpys keep their body
+  // in kernel.fn under the literal span name "host_func" / "memcpy".
   struct Node {
-    enum class Kind { kKernel, kHostFunc, kMemcpy } kind;
+    enum class Kind { kKernel, kHostFunc, kMemcpy } kind = Kind::kKernel;
     KernelDesc kernel;
-    std::function<void()> host_fn;
-    std::int64_t bytes = 0;
+    std::int64_t bytes = 0;  // kMemcpy only
   };
   std::vector<Node> nodes_;
 };
 
-enum class MemcpyDir { kHostToDevice, kDeviceToHost, kDeviceToDevice };
-
+// A device: the launch statistics and the armed faults its streams share.
 class VDevice {
  public:
-  struct Options {
-    GpuSpec spec = A100_40GB();
-    double launch_latency_us = 5.0;   // per logical launch (Fig. 4)
-    double graph_replay_us = 3.0;     // per graph replay
-    bool record_trace = false;        // wall-clock-timestamp every op
-  };
-
-  VDevice() : VDevice(Options{}) {}
-  explicit VDevice(Options options);
-  ~VDevice();
-
+  VDevice() = default;
   VDevice(const VDevice&) = delete;
   VDevice& operator=(const VDevice&) = delete;
 
-  // "Device" memory (host-backed, allocation-tracked against VRAM capacity).
-  void* Malloc(std::size_t bytes);
-  void Free(void* ptr);
-  std::size_t allocated_bytes() const { return allocated_.load(); }
-
-  const GpuSpec& spec() const { return options_.spec; }
-  const Options& options() const { return options_; }
   LaunchStats& stats() { return stats_; }
-
-  // Trace recording (only when options().record_trace). Thread-safe.
-  void RecordTrace(TraceEvent event);
-  std::vector<TraceEvent> TakeTrace();
-  // Chrome trace-event JSON of the recorded ops (view in Perfetto).
-  std::string TraceToChromeJson();
 
   // --- Fault injection -------------------------------------------------------
   // Chaos hooks for exercising recoverable error paths. A test (or operator
@@ -159,14 +122,7 @@ class VDevice {
   bool has_armed_faults() const;
 
  private:
-  Options options_;
   LaunchStats stats_;
-  std::atomic<std::size_t> allocated_{0};
-  std::mutex alloc_mu_;
-  // ptr -> size for Free accounting.
-  std::vector<std::pair<void*, std::size_t>> allocations_;
-  std::mutex trace_mu_;
-  std::vector<TraceEvent> trace_;
   struct ArmedFault {
     Status status;
     int polls_left = 0;
@@ -184,14 +140,12 @@ class VStream {
   VStream(const VStream&) = delete;
   VStream& operator=(const VStream&) = delete;
 
-  VDevice* device() { return device_; }
-
   // Asynchronously enqueues a kernel (or records it while capturing).
   void Launch(KernelDesc kernel);
   // cudaLaunchHostFunc analog: `fn` runs on the stream worker, in order.
   void LaunchHostFunc(std::function<void()> fn);
-  // Async copy; `copy_fn` performs the actual byte movement.
-  void MemcpyAsync(std::function<void()> copy_fn, std::int64_t bytes, MemcpyDir dir);
+  // Async copy of `bytes` bytes; `copy_fn` performs the actual movement.
+  void MemcpyAsync(std::function<void()> copy_fn, std::int64_t bytes);
 
   void RecordEvent(VEvent* event);
   // Host-side wait for all previously enqueued work.
@@ -208,18 +162,29 @@ class VStream {
  private:
   friend class VGraph;
 
+  // A queued op: one node, an event record, or a whole graph replay.
   struct Op {
-    enum class Kind { kKernel, kHostFunc, kMemcpy, kEventRecord, kGraph } kind;
-    KernelDesc kernel;
-    std::function<void()> fn;
+    enum class Kind { kNode, kEventRecord, kGraph } kind = Kind::kNode;
+    VGraph::Node node;
     VEvent* event = nullptr;
-    std::int64_t bytes = 0;
     const VGraph* graph = nullptr;
   };
 
+  // Records `node` into the pending graph while capturing, else enqueues it.
+  void Submit(VGraph::Node node);
   void Enqueue(Op op);
   void WorkerLoop();
+  // Runs `op`; a node inside its vgpu span, which with tracing off costs one
+  // relaxed load.
   void ExecuteOp(const Op& op);
+  // Counts one node in the device's stats and runs its body. A replayed
+  // kernel counts no launch: the graph launch already did
+  // (graph_replayed_nodes).
+  void RunNode(const VGraph::Node& node, bool replayed);
+  // Runs every node of `graph`; traced, one vgpu span per node and one
+  // graph_replay span around them. With tracing off this costs one relaxed
+  // load per replay.
+  void Replay(const VGraph& graph);
 
   VDevice* device_;
   std::thread worker_;

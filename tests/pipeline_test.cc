@@ -72,6 +72,28 @@ TEST(PipelineTest, WorkDistributesAcrossStageDevices) {
   EXPECT_GT(engine.device(1).stats().memcpys.load(), 0);
 }
 
+TEST(PipelineTest, StageHandOffCountsEveryRowsBytes) {
+  // TinyMoe's 3 layers split 2 + 1, so each forward hands its activation
+  // rows from stage 0 to stage 1 once, as one memcpy on the stage-1 device.
+  Fixture f;
+  EngineOptions piped;
+  piped.pipeline_stages = 2;
+  HybridEngine engine(f.config, f.weights, piped);
+  const std::vector<int> prompt{3, 14, 15, 9, 26, 5};  // one prefill chunk
+  const auto p = static_cast<std::int64_t>(prompt.size());
+  const std::int64_t row_bytes = f.config.hidden * static_cast<std::int64_t>(sizeof(float));
+  const LaunchStats& stage1 = engine.device(1).stats();
+
+  engine.Prefill(prompt);
+  EXPECT_EQ(stage1.memcpys.load(), 1);
+  EXPECT_EQ(stage1.memcpy_bytes.load(), p * row_bytes);
+
+  engine.DecodeStep(7);
+  EXPECT_EQ(stage1.memcpys.load(), 2);
+  EXPECT_EQ(stage1.memcpy_bytes.load(), (p + 1) * row_bytes);
+  EXPECT_EQ(engine.device(0).stats().memcpys.load(), 0);
+}
+
 TEST(PipelineTest, PipelineDisablesGraphCapture) {
   // Cross-stream events cannot be captured (as in real CUDA); the engine
   // falls back to eager decode.

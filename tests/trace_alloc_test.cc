@@ -30,6 +30,7 @@
 
 #include "src/common/trace.h"
 #include "src/core/async_service.h"
+#include "src/gpu/vcuda.h"
 
 namespace {
 
@@ -205,6 +206,56 @@ TEST(TraceAllocTest, MoeSyncWaitSpanIsAllocationFree) {
     }
   }
   EXPECT_EQ(spans, 1001);
+  trace::Clear();
+}
+
+TEST(TraceAllocTest, TracedGraphReplayAllocatesNothingExtra) {
+  // The stream worker emits one vgpu span per replayed node plus one for the
+  // replay; the engine replays its captured decode graph once per step.
+  VDevice dev;
+  VStream stream(&dev);
+  stream.BeginCapture();
+  for (int layer = 0; layer < 4; ++layer) {
+    stream.Launch(KernelDesc{"kernel", [] {}, 1, layer});
+    stream.LaunchHostFunc([] {});
+  }
+  stream.MemcpyAsync([] {}, 64);
+  const VGraph graph = stream.EndCapture();
+
+  // Enqueueing a replay may allocate a queue chunk every few launches; the
+  // count over N launches is the same from any start offset when N is a
+  // multiple of the chunk's op capacity, and 840 is a multiple of 1..8.
+  constexpr int kReplays = 840;
+  const auto count_replays = [&] {
+    g_alloc_events.store(0, std::memory_order_relaxed);
+    g_count_allocs.store(true, std::memory_order_seq_cst);
+    for (int i = 0; i < kReplays; ++i) {
+      graph.Launch(&stream);
+      stream.Synchronize();
+    }
+    g_count_allocs.store(false, std::memory_order_seq_cst);
+    return g_alloc_events.load();
+  };
+
+  trace::SetEnabled(true);
+  trace::Clear();
+  graph.Launch(&stream);  // warm up: the worker acquires its ring
+  stream.Synchronize();
+  const std::int64_t enabled = count_replays();
+  trace::SetEnabled(false);
+  const std::int64_t disabled = count_replays();
+  EXPECT_EQ(enabled, disabled) << "traced graph replay performed extra heap allocations";
+
+  const trace::Snapshot snap = trace::TakeSnapshot();
+  std::int64_t spans = 0;
+  for (const trace::SnapshotEvent& e : snap.events) {
+    if (e.phase == trace::Phase::kComplete && std::string_view(e.cat) == "vgpu") {
+      ++spans;
+    }
+  }
+  // Every replay's spans are in the ring or counted as dropped by wraparound.
+  EXPECT_EQ(spans + snap.dropped,
+            (kReplays + 1) * static_cast<std::int64_t>(graph.num_nodes() + 1));
   trace::Clear();
 }
 

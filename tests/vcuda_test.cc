@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <string_view>
 #include <vector>
 
+#include "src/common/trace.h"
 #include "src/gpu/vcuda.h"
 
 namespace ktx {
@@ -14,18 +16,6 @@ KernelDesc Kernel(const char* name, std::function<void()> fn, int micro = 1) {
   k.fn = std::move(fn);
   k.micro_kernels = micro;
   return k;
-}
-
-TEST(VDeviceTest, MallocTracksAndFreesAgainstVram) {
-  VDevice::Options opts;
-  opts.spec.vram_gb = 1e-6;  // 1 KB of VRAM
-  VDevice dev(opts);
-  void* a = dev.Malloc(512);
-  ASSERT_NE(a, nullptr);
-  EXPECT_EQ(dev.allocated_bytes(), 512u);
-  EXPECT_EQ(dev.Malloc(4096), nullptr);  // OOM
-  dev.Free(a);
-  EXPECT_EQ(dev.allocated_bytes(), 0u);
 }
 
 TEST(VStreamTest, KernelsExecuteInFifoOrder) {
@@ -107,23 +97,13 @@ TEST(VStreamTest, StatsCountLaunchesAndMicroKernels) {
   stream.Launch(Kernel("fat", [] {}, /*micro=*/15));
   stream.Launch(Kernel("thin", [] {}, /*micro=*/1));
   stream.LaunchHostFunc([] {});
-  stream.MemcpyAsync([] {}, 1024, MemcpyDir::kHostToDevice);
+  stream.MemcpyAsync([] {}, 1024);
   stream.Synchronize();
   EXPECT_EQ(dev.stats().logical_launches.load(), 2);
   EXPECT_EQ(dev.stats().micro_launches.load(), 16);
   EXPECT_EQ(dev.stats().host_funcs.load(), 1);
   EXPECT_EQ(dev.stats().memcpys.load(), 1);
   EXPECT_EQ(dev.stats().memcpy_bytes.load(), 1024);
-}
-
-TEST(VStreamTest, LaunchOverheadAccounting) {
-  LaunchStats stats;
-  stats.micro_launches = 7000;
-  // Fig. 4: 7000 launches x 16 us = 112 ms of front-end occupancy per token.
-  EXPECT_NEAR(stats.LaunchOverheadSeconds(16.0, 3.0), 0.112, 1e-9);
-  stats.micro_launches = 0;
-  stats.graph_launches = 1;
-  EXPECT_NEAR(stats.LaunchOverheadSeconds(16.0, 3.0), 3e-6, 1e-12);
 }
 
 TEST(VGraphTest, CaptureRecordsWithoutExecuting) {
@@ -189,7 +169,7 @@ TEST(VGraphTest, MemcpyNodesReplay) {
   int dst = 0;
   int src = 9;
   stream.BeginCapture();
-  stream.MemcpyAsync([&] { dst = src; }, sizeof(int), MemcpyDir::kHostToDevice);
+  stream.MemcpyAsync([&] { dst = src; }, sizeof(int));
   VGraph graph = stream.EndCapture();
   graph.Launch(&stream);
   stream.Synchronize();
@@ -198,52 +178,148 @@ TEST(VGraphTest, MemcpyNodesReplay) {
 }
 
 
-TEST(TraceTest, RecordsExecutedOpsWithMonotoneTimestamps) {
-  VDevice::Options opts;
-  opts.record_trace = true;
-  VDevice dev(opts);
-  VStream stream(&dev);
-  stream.Launch(Kernel("alpha", [] {}));
-  stream.LaunchHostFunc([] {});
-  stream.MemcpyAsync([] {}, 64, MemcpyDir::kHostToDevice);
-  stream.BeginCapture();
-  stream.Launch(Kernel("inside_graph", [] {}));
-  VGraph graph = stream.EndCapture();
-  graph.Launch(&stream);
-  stream.Synchronize();
+// --- vgpu spans on the shared trace recorder ----------------------------------
 
-  const std::vector<TraceEvent> trace = dev.TakeTrace();
-  ASSERT_EQ(trace.size(), 4u);  // kernel, host, memcpy, graph
-  EXPECT_EQ(trace[0].name, "alpha");
-  EXPECT_EQ(trace[0].kind, 0);
-  EXPECT_EQ(trace[1].kind, 1);
-  EXPECT_EQ(trace[2].kind, 2);
-  EXPECT_EQ(trace[3].name, "graph_replay");
-  for (std::size_t i = 0; i < trace.size(); ++i) {
-    EXPECT_LE(trace[i].start_us, trace[i].end_us);
+class VgpuTraceTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    trace::SetEnabled(false);
+    trace::Clear();
+  }
+  void TearDown() override {
+    trace::SetEnabled(false);
+    trace::Clear();
+  }
+
+  // The "vgpu" spans recorded so far, in recording order (one stream worker
+  // records them all, so ring order is execution order).
+  static std::vector<trace::SnapshotEvent> VgpuSpans() {
+    std::vector<trace::SnapshotEvent> spans;
+    for (const trace::SnapshotEvent& e : trace::TakeSnapshot().events) {
+      if (e.phase == trace::Phase::kComplete && std::string_view(e.cat) == "vgpu") {
+        spans.push_back(e);
+      }
+    }
+    return spans;
+  }
+
+  // The trace tid of `stream`'s worker thread.
+  static int WorkerTid(VStream* stream) {
+    std::atomic<int> tid{-1};
+    stream->LaunchHostFunc([&] { tid = trace::CurrentThreadIndex(); });
+    stream->Synchronize();
+    return tid.load();
+  }
+};
+
+constexpr const char* kAlpha = "alpha";
+
+TEST_F(VgpuTraceTest, OneSpanPerExecutedKernelHostFuncAndMemcpy) {
+  VDevice dev;
+  VStream stream(&dev);
+  const int worker = WorkerTid(&stream);
+  trace::SetEnabled(true);
+  KernelDesc alpha = Kernel(kAlpha, [] {});
+  alpha.layer = 3;
+  stream.Launch(std::move(alpha));
+  stream.LaunchHostFunc([] {});
+  stream.MemcpyAsync([] {}, 64);
+  VEvent event;
+  stream.RecordEvent(&event);  // an event record is not an op: no span
+  stream.Synchronize();
+  trace::SetEnabled(false);
+
+  const std::vector<trace::SnapshotEvent> spans = VgpuSpans();
+  ASSERT_EQ(spans.size(), 3u);
+  // Names are the launch sites' literals, not copies.
+  EXPECT_EQ(spans[0].name, kAlpha);
+  EXPECT_STREQ(spans[1].name, "host_func");
+  EXPECT_STREQ(spans[2].name, "memcpy");
+  EXPECT_STREQ(spans[0].arg_name, "layer");
+  EXPECT_EQ(spans[0].arg_value, 3);
+  for (std::size_t i = 1; i < spans.size(); ++i) {
+    EXPECT_STREQ(spans[i].arg_name, "layer");
+    EXPECT_EQ(spans[i].arg_value, -1);
+  }
+  EXPECT_NE(worker, trace::CurrentThreadIndex());
+  for (std::size_t i = 0; i < spans.size(); ++i) {
+    EXPECT_EQ(spans[i].tid, worker) << i;
+    EXPECT_GE(spans[i].dur_ns, 0) << i;
     if (i > 0) {
-      EXPECT_GE(trace[i].start_us, trace[i - 1].start_us);
+      EXPECT_GE(spans[i].ts_ns, spans[i - 1].ts_ns + spans[i - 1].dur_ns) << i;
     }
   }
 }
 
-TEST(TraceTest, DisabledByDefaultAndJsonWellFormed) {
+TEST_F(VgpuTraceTest, ReplayedGraphEmitsEveryNodeInsideOneReplaySpan) {
+  VDevice dev;
+  VStream stream(&dev);
+  const int worker = WorkerTid(&stream);
+  trace::SetEnabled(true);
+  stream.BeginCapture();
+  for (int layer = 0; layer < 3; ++layer) {
+    KernelDesc k = Kernel("attention", [] {});
+    k.layer = layer;
+    stream.Launch(std::move(k));
+    stream.LaunchHostFunc([] {});
+  }
+  stream.MemcpyAsync([] {}, 16);
+  const VGraph graph = stream.EndCapture();
+  EXPECT_TRUE(VgpuSpans().empty());  // capture records, it does not execute
+  constexpr int kReplays = 2;
+  for (int r = 0; r < kReplays; ++r) {
+    graph.Launch(&stream);
+  }
+  stream.Synchronize();
+  trace::SetEnabled(false);
+
+  const std::vector<trace::SnapshotEvent> spans = VgpuSpans();
+  const std::size_t per_replay = graph.num_nodes() + 1;
+  ASSERT_EQ(graph.num_nodes(), 7u);
+  ASSERT_EQ(spans.size(), kReplays * per_replay);
+  for (int r = 0; r < kReplays; ++r) {
+    // The replay span ends after its nodes, so it is recorded last.
+    const trace::SnapshotEvent& replay = spans[(r + 1) * per_replay - 1];
+    EXPECT_STREQ(replay.name, "graph_replay");
+    EXPECT_STREQ(replay.arg_name, "nodes");
+    EXPECT_EQ(replay.arg_value, static_cast<std::int64_t>(graph.num_nodes()));
+    EXPECT_EQ(replay.tid, worker);
+    for (std::size_t n = 0; n < graph.num_nodes(); ++n) {
+      const trace::SnapshotEvent& node = spans[r * per_replay + n];
+      EXPECT_EQ(node.tid, worker);
+      EXPECT_GE(node.ts_ns, replay.ts_ns) << n;
+      EXPECT_LE(node.ts_ns + node.dur_ns, replay.ts_ns + replay.dur_ns) << n;
+      if (n > 0) {
+        EXPECT_GE(node.ts_ns, spans[r * per_replay + n - 1].ts_ns) << n;
+      }
+      if (n == 6) {
+        EXPECT_STREQ(node.name, "memcpy");
+      } else if (n % 2 == 0) {
+        EXPECT_STREQ(node.name, "attention");
+        EXPECT_EQ(node.arg_value, static_cast<std::int64_t>(n / 2));
+      } else {
+        EXPECT_STREQ(node.name, "host_func");
+        EXPECT_EQ(node.arg_value, -1);
+      }
+    }
+  }
+}
+
+TEST_F(VgpuTraceTest, NothingRecordedWhileTracingIsDisabled) {
   VDevice dev;
   VStream stream(&dev);
   stream.Launch(Kernel("k", [] {}));
+  stream.LaunchHostFunc([] {});
+  stream.MemcpyAsync([] {}, 8);
+  stream.BeginCapture();
+  stream.Launch(Kernel("inside_graph", [] {}));
+  const VGraph graph = stream.EndCapture();
+  graph.Launch(&stream);
   stream.Synchronize();
-  EXPECT_TRUE(dev.TakeTrace().empty());
-
-  VDevice::Options opts;
-  opts.record_trace = true;
-  VDevice traced(opts);
-  VStream s2(&traced);
-  s2.Launch(Kernel("json_me", [] {}));
-  s2.Synchronize();
-  const std::string json = traced.TraceToChromeJson();
-  EXPECT_EQ(json.front(), '[');
-  EXPECT_EQ(json.back(), ']');
-  EXPECT_NE(json.find("json_me"), std::string::npos);
+  EXPECT_TRUE(trace::TakeSnapshot().events.empty());
+  // The ops still ran and were counted.
+  EXPECT_EQ(dev.stats().logical_launches.load(), 1);
+  EXPECT_EQ(dev.stats().graph_replayed_nodes.load(), 1);
 }
 
 TEST(VDeviceFaultTest, UnknownKeyAndCleanDeviceReturnOk) {

@@ -12,8 +12,9 @@
 //             perplexity + behaviour-change of deferral/skipping (proxy)
 //   trace     [--tokens N] [--out FILE] [--metrics]
 //             run a traced generation, write a Perfetto-loadable Chrome
-//             trace, print the per-category event summary (and, with
-//             --metrics, the process metrics registry as JSON)
+//             trace, print the per-category event summary, the decode
+//             steps' span coverage and the graph-replay span check (and,
+//             with --metrics, the process metrics registry as JSON)
 //   cpuinfo   [--profile FILE]
 //             detected CPU features, every registered kernel variant with
 //             its availability/dtype support on this host, and the
@@ -27,6 +28,7 @@
 //   ktx_cli inject --rules rules.yaml --model ds3
 //   ktx_cli trace --tokens 24 --out ktx_trace.json
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -34,7 +36,9 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <utility>
+#include <vector>
 
 #include "src/baselines/baselines.h"
 #include "src/common/flags.h"
@@ -281,6 +285,102 @@ int CmdEval(const ktx::FlagParser& flags) {
   return 0;
 }
 
+struct Interval {
+  std::int64_t begin = 0;
+  std::int64_t end = 0;
+};
+
+bool Contains(const Interval& outer, const Interval& inner) {
+  return inner.begin >= outer.begin && inner.end <= outer.end;
+}
+
+// Prints the share of each decode step's wall time that the union of vgpu/*
+// and moe/* spans (on any thread) covers: the minimum and the median over
+// the graph-replay steps, skipping the step that captured the graph.
+void PrintStepCoverage(const ktx::trace::Snapshot& snap) {
+  std::vector<Interval> steps;
+  std::vector<Interval> captures;
+  std::vector<Interval> children;
+  for (const auto& ev : snap.events) {
+    if (ev.phase != ktx::trace::Phase::kComplete) {
+      continue;
+    }
+    const std::string_view cat(ev.cat);
+    const std::string_view name(ev.name);
+    const Interval span{ev.ts_ns, ev.ts_ns + ev.dur_ns};
+    if (cat == "engine" && name == "decode_batch") {
+      steps.push_back(span);
+    } else if (cat == "engine" && name == "graph_capture") {
+      captures.push_back(span);
+    } else if (cat == "vgpu" || cat == "moe") {
+      children.push_back(span);
+    }
+  }
+  std::sort(children.begin(), children.end(),
+            [](const Interval& a, const Interval& b) { return a.begin < b.begin; });
+  std::vector<double> shares;
+  for (const Interval& step : steps) {
+    if (std::any_of(captures.begin(), captures.end(),
+                    [&](const Interval& c) { return Contains(step, c); })) {
+      continue;
+    }
+    std::int64_t covered = 0;
+    std::int64_t cursor = step.begin;  // end of the union so far
+    for (const Interval& c : children) {
+      if (c.begin >= step.end) {
+        break;
+      }
+      const std::int64_t lo = std::max(c.begin, cursor);
+      const std::int64_t hi = std::min(c.end, step.end);
+      if (hi > lo) {
+        covered += hi - lo;
+        cursor = hi;
+      }
+    }
+    shares.push_back(step.end > step.begin
+                         ? static_cast<double>(covered) / static_cast<double>(step.end - step.begin)
+                         : 1.0);
+  }
+  if (shares.empty()) {
+    std::printf("decode step coverage: no replay steps traced\n");
+    return;
+  }
+  std::sort(shares.begin(), shares.end());
+  std::printf("decode step coverage by vgpu/* + moe/* spans over %zu replay steps: "
+              "min %.1f%%, median %.1f%%\n",
+              shares.size(), 100.0 * shares.front(), 100.0 * shares[shares.size() / 2]);
+}
+
+// Checks that every vgpu/graph_replay span holds, on its own thread, one vgpu
+// span per captured node (its "nodes" arg) plus itself. Returns false on a
+// mismatch.
+bool CheckReplaySpans(const ktx::trace::Snapshot& snap) {
+  int replays = 0;
+  int matching = 0;
+  for (const auto& replay : snap.events) {
+    if (replay.phase != ktx::trace::Phase::kComplete || std::string_view(replay.cat) != "vgpu" ||
+        std::string_view(replay.name) != "graph_replay") {
+      continue;
+    }
+    ++replays;
+    const Interval outer{replay.ts_ns, replay.ts_ns + replay.dur_ns};
+    std::int64_t spans = 0;
+    for (const auto& ev : snap.events) {
+      if (ev.phase == ktx::trace::Phase::kComplete && ev.tid == replay.tid &&
+          std::string_view(ev.cat) == "vgpu" &&
+          Contains(outer, Interval{ev.ts_ns, ev.ts_ns + ev.dur_ns})) {
+        ++spans;
+      }
+    }
+    matching += spans == replay.arg_value + 1 ? 1 : 0;
+  }
+  std::printf("graph replays: %d, with one vgpu span per captured node: %d\n", replays,
+              matching);
+  // A wrapped ring loses the oldest replay's first nodes; only a complete
+  // trace can be held to the count.
+  return snap.dropped > 0 || matching == replays;
+}
+
 int CmdTrace(const ktx::FlagParser& flags) {
   const std::string out_path = flags.GetString("out", "ktx_trace.json");
   const int max_tokens = static_cast<int>(flags.GetInt("tokens", 24));
@@ -336,11 +436,13 @@ int CmdTrace(const ktx::FlagParser& flags) {
   for (const auto& [kind, count] : by_kind) {
     std::printf("  %-14s %-22s %6d\n", kind.first.c_str(), kind.second.c_str(), count);
   }
+  PrintStepCoverage(snap);
+  const bool replays_ok = CheckReplaySpans(snap);
   std::printf("open the file at https://ui.perfetto.dev\n");
   if (flags.GetBool("metrics", false)) {
     std::printf("%s\n", ktx::MetricsRegistry::Global().ToJson().c_str());
   }
-  return 0;
+  return replays_ok ? 0 : 1;
 }
 
 int CmdCpuinfo(const ktx::FlagParser& flags) {
