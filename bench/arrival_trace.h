@@ -10,8 +10,8 @@
 //     alternates between a calm phase at the base rate and a burst phase at
 //     `burst_rate_multiplier` times the base rate, with exponentially
 //     distributed phase lengths. Bursts are where deadline-aware scheduling
-//     and preemption earn their keep; a plain Poisson trace at moderate load
-//     rarely queues deep enough to matter.
+//     earns its keep; a plain Poisson trace at moderate load rarely queues
+//     deep enough to matter.
 //
 // Everything is seeded (common/rng.h) so a trace — and therefore an entire
 // serving benchmark run — is reproducible bit-for-bit.

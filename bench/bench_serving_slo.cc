@@ -1,4 +1,4 @@
-// Goodput under open-loop load: FIFO vs slack-ordered vs slack+preemption.
+// Goodput under open-loop load: FIFO vs slack-ordered scheduling.
 //
 // The serving loop is driven open-loop (arrivals fire on a wall clock from a
 // seeded bursty trace, regardless of how fast the loop drains) across a sweep
@@ -12,15 +12,13 @@
 // Goodput — tokens of requests that finished within their deadline — is the
 // contested metric. FIFO burns capacity on requests that are already doomed
 // and makes interactive arrivals wait behind batch prompts; slack ordering
-// serves feasible-first and sheds the doomed; preemption additionally evicts
-// a running batch request (KV preserved bit-exactly) the moment an
-// interactive one lands. Every completed stream is checked against a solo
-// uninterrupted run of the same prompt — preemption must not change a single
-// token.
+// admits the higher class first, serves feasible-first and sheds the doomed.
+// Every completed stream is checked against a solo run of the same prompt —
+// scheduling must not change a single token.
 //
-// Emits BENCH_serving_slo.json. Acceptance: at the highest load, preemptive
-// slack scheduling delivers >= 1.5x FIFO's goodput, with zero stream
-// mismatches anywhere in the sweep.
+// Emits BENCH_serving_slo.json. Acceptance: at the highest load, slack
+// scheduling delivers >= 1.5x FIFO's goodput, with zero stream mismatches
+// anywhere in the sweep.
 
 #include <cstdint>
 #include <cstdio>
@@ -59,8 +57,8 @@ ktx::EngineOptions BenchEngineOptions() {
   eopts.max_batch = 8;
   eopts.cpu_threads = 2;
   eopts.numa_mode = ktx::NumaMode::kSingleSocket;
-  // Paged KV + prefix cache: preemption's block re-registration makes resume
-  // an adoption of the victim's own blocks. Pool sized to stay out of the way.
+  // Paged KV + prefix cache, the serving configuration. Pool sized to stay out
+  // of the way.
   eopts.kv_pool_blocks = 512;
   eopts.kv_block_size = 16;
   return eopts;
@@ -104,8 +102,6 @@ struct TrialOutcome {
   std::int64_t tokens_generated = 0;
   std::int64_t deadline_expired = 0;
   std::int64_t completed_ok = 0;
-  std::int64_t preemptions = 0;
-  std::int64_t preempt_resumes = 0;
   std::int64_t stream_mismatches = 0;
   double elapsed_s = 0.0;
   ktx::ServingLoop::Stats stats;  // full loop stats, serialized per trial
@@ -150,7 +146,7 @@ TrialOutcome RunTrial(const ktx::MoeModelConfig& config,
     }
     ++out.completed_ok;
     // Every finished stream ran to max_new_tokens (no EOS in this workload):
-    // it must equal the solo reference bit for bit, preempted or not.
+    // it must equal the solo reference bit for bit.
     const auto it = pool_of_id.find(res.id);
     if (it != pool_of_id.end() &&
         res.tokens != pool[static_cast<std::size_t>(it->second)].reference) {
@@ -161,8 +157,6 @@ TrialOutcome RunTrial(const ktx::MoeModelConfig& config,
   out.goodput_tokens = stats.goodput_tokens;
   out.tokens_generated = stats.tokens_generated;
   out.deadline_expired = stats.requests_deadline_expired;
-  out.preemptions = stats.preemptions;
-  out.preempt_resumes = stats.preempt_resumes;
   out.stats = stats;
   return out;
 }
@@ -210,10 +204,9 @@ int main() {
 
   const double loads[] = {0.5, 1.0, 2.0, 4.0, 8.0};
   const ktx::SchedulePolicy policies[] = {ktx::SchedulePolicy::kFifo,
-                                          ktx::SchedulePolicy::kSlack,
-                                          ktx::SchedulePolicy::kSlackPreempt};
-  std::printf("%-14s %6s %9s %9s %9s %8s %8s %8s %10s\n", "policy", "load", "goodput",
-              "tokens", "expired", "ok", "preempt", "resume", "mismatch");
+                                          ktx::SchedulePolicy::kSlack};
+  std::printf("%-14s %6s %9s %9s %9s %8s %10s\n", "policy", "load", "goodput", "tokens",
+              "expired", "ok", "mismatch");
 
   struct TrialRecord {
     ktx::SchedulePolicy policy;
@@ -223,7 +216,7 @@ int main() {
   std::vector<TrialRecord> records;
   std::int64_t total_mismatches = 0;
   for (const double load : loads) {
-    // One trace per load, shared verbatim by all three policies: identical
+    // One trace per load, shared verbatim by both policies: identical
     // arrival instants, classes, prompts and deadlines.
     ktx::ArrivalTraceOptions topts;
     topts.rate_rps = load * capacity_rps;
@@ -251,38 +244,31 @@ int main() {
       const TrialOutcome out = RunTrial(config, weights, policy, work, pool);
       total_mismatches += out.stream_mismatches;
       records.push_back({policy, load, out});
-      std::printf("%-14s %5.1fx %9lld %9lld %9lld %8lld %8lld %8lld %10lld\n",
+      std::printf("%-14s %5.1fx %9lld %9lld %9lld %8lld %10lld\n",
                   std::string(ktx::SchedulePolicyName(policy)).c_str(), load,
                   static_cast<long long>(out.goodput_tokens),
                   static_cast<long long>(out.tokens_generated),
                   static_cast<long long>(out.deadline_expired),
                   static_cast<long long>(out.completed_ok),
-                  static_cast<long long>(out.preemptions),
-                  static_cast<long long>(out.preempt_resumes),
                   static_cast<long long>(out.stream_mismatches));
     }
   }
 
   std::int64_t fifo_overload = 0;
   std::int64_t slack_overload = 0;
-  std::int64_t preempt_overload = 0;
   for (const TrialRecord& r : records) {
     if (r.load == loads[4]) {
       if (r.policy == ktx::SchedulePolicy::kFifo) fifo_overload = r.out.goodput_tokens;
       if (r.policy == ktx::SchedulePolicy::kSlack) slack_overload = r.out.goodput_tokens;
-      if (r.policy == ktx::SchedulePolicy::kSlackPreempt) {
-        preempt_overload = r.out.goodput_tokens;
-      }
     }
   }
   const double ratio = fifo_overload > 0
-                           ? static_cast<double>(preempt_overload) / fifo_overload
-                           : (preempt_overload > 0 ? 1e9 : 0.0);
-  std::printf("\nat %.0fx overload: fifo %lld, slack %lld, slack_preempt %lld goodput "
-              "tokens -> preempt/fifo %.2fx   stream mismatches: %lld\n",
+                           ? static_cast<double>(slack_overload) / fifo_overload
+                           : (slack_overload > 0 ? 1e9 : 0.0);
+  std::printf("\nat %.0fx overload: fifo %lld, slack %lld goodput tokens -> slack/fifo "
+              "%.2fx   stream mismatches: %lld\n",
               loads[4], static_cast<long long>(fifo_overload),
-              static_cast<long long>(slack_overload),
-              static_cast<long long>(preempt_overload), ratio,
+              static_cast<long long>(slack_overload), ratio,
               static_cast<long long>(total_mismatches));
 
   ktx::JsonWriter w;
@@ -316,8 +302,6 @@ int main() {
     w.Field("tokens_generated", r.out.tokens_generated);
     w.Field("deadline_expired", r.out.deadline_expired);
     w.Field("completed_ok", r.out.completed_ok);
-    w.Field("preemptions", r.out.preemptions);
-    w.Field("preempt_resumes", r.out.preempt_resumes);
     w.Field("stream_mismatches", r.out.stream_mismatches);
     w.Field("elapsed_s", r.out.elapsed_s);
     w.Key("stats");
@@ -329,9 +313,8 @@ int main() {
   w.BeginObject();
   w.Field("fifo", fifo_overload);
   w.Field("slack", slack_overload);
-  w.Field("slack_preempt", preempt_overload);
   w.EndObject();
-  w.Field("goodput_ratio_preempt_over_fifo_at_overload", ratio);
+  w.Field("goodput_ratio_slack_over_fifo_at_overload", ratio);
   w.Field("stream_mismatches", total_mismatches);
   w.Field("accept_goodput_ge_1p5x", ratio >= 1.5);
   w.Field("accept_streams_bit_identical", total_mismatches == 0);

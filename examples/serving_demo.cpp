@@ -14,7 +14,7 @@
 //
 // With --trace, the whole run is recorded by the in-process tracer: one
 // lifecycle track per request (submit -> queued -> prefill -> decode ->
-// preempt/resume -> retire, with the finish reason and deadline slack),
+// retire, with the finish reason and deadline slack),
 // engine prefill/decode spans, CPU MoE sweep spans, and KV pool instants. Load the file at https://ui.perfetto.dev.
 
 #include <algorithm>
@@ -51,8 +51,8 @@ int main(int argc, char** argv) {
   // Per-(layer, expert) activation counts, for the hottest-experts line.
   ktx::ExpertProfiler profiler(config.num_moe_layers(), config.num_experts);
   options.profiler = &profiler;
-  // Paged KV with prefix caching: preempted requests resume by adopting their
-  // own cached blocks, and repeated prompts share prefix blocks copy-on-write.
+  // Paged KV with prefix caching: repeated prompts share prefix blocks
+  // copy-on-write.
   options.kv_pool_blocks = 512;
   options.kv_block_size = 16;
   ktx::HybridEngine engine(config, weights, options);
@@ -60,10 +60,9 @@ int main(int argc, char** argv) {
   ktx::ServingOptions serving;
   serving.max_concurrent = 2;
   serving.prefill_budget_tokens = 32;  // one chunk per sweep between decodes
-  // Slack-ordered admission plus KV-preserving preemption: a high-priority
-  // arrival evicts a lower-priority running request (its KV bits saved and
-  // restored, so the resumed stream is unchanged) instead of queueing.
-  serving.policy = ktx::SchedulePolicy::kSlackPreempt;
+  // Slack-ordered admission: a high-priority arrival takes the next free slot
+  // ahead of every queued lower-priority request.
+  serving.policy = ktx::SchedulePolicy::kSlack;
   ktx::ServingLoop loop(&engine, serving);
 
   // A mixed workload: greedy and sampled, short and long. One request is
@@ -115,9 +114,8 @@ int main(int argc, char** argv) {
   }
 
   // Let the loop run a few sweeps, then drop in a priority-3 request while
-  // both slots are busy with priority-0 work: it does not wait its turn — it
-  // evicts the running request with the most slack (KV bits saved) and the
-  // victim resumes later with its stream unchanged.
+  // both slots are busy with priority-0 work: it does not wait its turn in
+  // the queue — the next slot a retirement frees goes to it.
   for (int sweep = 0; sweep < 3; ++sweep) {
     loop.RunOnce();
   }
@@ -127,7 +125,7 @@ int main(int argc, char** argv) {
     vip.max_new_tokens = 6;
     vip.priority = 3;
     const std::uint64_t id = loop.Submit(std::move(vip));
-    std::printf("submitted request %llu mid-stream (greedy, priority 3: preempts)\n",
+    std::printf("submitted request %llu mid-stream (greedy, priority 3: next free slot)\n",
                 static_cast<unsigned long long>(id));
   }
 
@@ -139,9 +137,6 @@ int main(int argc, char** argv) {
                 static_cast<long long>(r.prompt_tokens), reason.c_str());
     for (int t : r.tokens) {
       std::printf(" %d", t);
-    }
-    if (r.preemptions > 0) {
-      std::printf(" [preempted x%d, stream unchanged]", r.preemptions);
     }
     if (!r.ok) {
       std::printf(" [%s]", r.status.ToString().c_str());
@@ -159,15 +154,9 @@ int main(int argc, char** argv) {
               static_cast<long long>(stats.requests_failed),
               static_cast<long long>(stats.requests_deadline_expired),
               static_cast<long long>(stats.tokens_generated), stats.peak_concurrency);
-  std::printf("scheduling (%s): goodput %lld tokens within deadline | "
-              "%lld preemptions, %lld resumes, %lld KV positions preserved "
-              "(%lld adopted from the prefix cache)\n",
+  std::printf("scheduling (%s): goodput %lld tokens within deadline\n",
               std::string(ktx::SchedulePolicyName(serving.policy)).c_str(),
-              static_cast<long long>(stats.goodput_tokens),
-              static_cast<long long>(stats.preemptions),
-              static_cast<long long>(stats.preempt_resumes),
-              static_cast<long long>(stats.preempt_tokens_preserved),
-              static_cast<long long>(stats.preempt_tokens_adopted));
+              static_cast<long long>(stats.goodput_tokens));
   std::printf("prefill: %lld prompt tokens in %lld chunks (budget %lld/sweep)\n",
               static_cast<long long>(stats.prefill_tokens),
               static_cast<long long>(stats.prefill_chunks),

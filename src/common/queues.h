@@ -1,12 +1,8 @@
-// Lock-free queues used by the asynchronous CPU-GPU scheduler (paper §3.3).
+// Lock-free queue used by the asynchronous CPU-GPU scheduler (paper §3.3).
 //
 // SpscQueue: single-producer single-consumer bounded ring. The GPU-side
 // control path (running inside a vcuda host function) pushes routed-expert
 // batches; the CPU control thread pops them.
-//
-// MpmcQueue: bounded multi-producer multi-consumer queue (Vyukov-style) used
-// as the lightweight task queue that worker threads drain dynamically
-// (paper §3.2, "dynamic task scheduling ... lightweight task queue").
 
 #ifndef KTX_SRC_COMMON_QUEUES_H_
 #define KTX_SRC_COMMON_QUEUES_H_
@@ -64,81 +60,6 @@ class SpscQueue {
   std::size_t mask_ = 0;
   alignas(kCacheLineBytes) std::atomic<std::size_t> head_{0};
   alignas(kCacheLineBytes) std::atomic<std::size_t> tail_{0};
-};
-
-// Bounded MPMC queue after Dmitry Vyukov's algorithm. Each cell carries a
-// sequence number so producers and consumers claim slots without a lock.
-template <typename T>
-class MpmcQueue {
- public:
-  explicit MpmcQueue(std::size_t capacity) {
-    std::size_t cap = 2;
-    while (cap < capacity) {
-      cap <<= 1;
-    }
-    mask_ = cap - 1;
-    cells_ = std::vector<Cell>(cap);
-    for (std::size_t i = 0; i < cap; ++i) {
-      cells_[i].sequence.store(i, std::memory_order_relaxed);
-    }
-  }
-
-  bool TryPush(T value) {
-    Cell* cell;
-    std::size_t pos = enqueue_pos_.load(std::memory_order_relaxed);
-    for (;;) {
-      cell = &cells_[pos & mask_];
-      const std::size_t seq = cell->sequence.load(std::memory_order_acquire);
-      const std::intptr_t diff =
-          static_cast<std::intptr_t>(seq) - static_cast<std::intptr_t>(pos);
-      if (diff == 0) {
-        if (enqueue_pos_.compare_exchange_weak(pos, pos + 1, std::memory_order_relaxed)) {
-          break;
-        }
-      } else if (diff < 0) {
-        return false;  // full
-      } else {
-        pos = enqueue_pos_.load(std::memory_order_relaxed);
-      }
-    }
-    cell->value = std::move(value);
-    cell->sequence.store(pos + 1, std::memory_order_release);
-    return true;
-  }
-
-  std::optional<T> TryPop() {
-    Cell* cell;
-    std::size_t pos = dequeue_pos_.load(std::memory_order_relaxed);
-    for (;;) {
-      cell = &cells_[pos & mask_];
-      const std::size_t seq = cell->sequence.load(std::memory_order_acquire);
-      const std::intptr_t diff =
-          static_cast<std::intptr_t>(seq) - static_cast<std::intptr_t>(pos + 1);
-      if (diff == 0) {
-        if (dequeue_pos_.compare_exchange_weak(pos, pos + 1, std::memory_order_relaxed)) {
-          break;
-        }
-      } else if (diff < 0) {
-        return std::nullopt;  // empty
-      } else {
-        pos = dequeue_pos_.load(std::memory_order_relaxed);
-      }
-    }
-    T value = std::move(cell->value);
-    cell->sequence.store(pos + mask_ + 1, std::memory_order_release);
-    return value;
-  }
-
- private:
-  struct Cell {
-    std::atomic<std::size_t> sequence{0};
-    T value{};
-  };
-
-  std::vector<Cell> cells_;
-  std::size_t mask_ = 0;
-  alignas(kCacheLineBytes) std::atomic<std::size_t> enqueue_pos_{0};
-  alignas(kCacheLineBytes) std::atomic<std::size_t> dequeue_pos_{0};
 };
 
 }  // namespace ktx

@@ -725,55 +725,6 @@ StatusOr<std::string> HybridEngine::TrySaveKv(int session) const {
   return SerializeKvState(config_, *sessions_[static_cast<std::size_t>(session)]);
 }
 
-std::int64_t HybridEngine::RegisterSessionPrefix(int session, const std::vector<int>& history) {
-  if (kv_pool_ == nullptr || !options_.enable_prefix_cache) {
-    return 0;
-  }
-  if (!ValidateSession(session).ok()) {
-    return 0;
-  }
-  const KvCache& cache = *sessions_[static_cast<std::size_t>(session)];
-  if (static_cast<std::int64_t>(history.size()) != cache.position()) {
-    return 0;  // caller's token history does not describe this session's KV
-  }
-  const std::int64_t bs = kv_pool_->block_size();
-  const std::vector<std::uint64_t> hashes = HashTokenBlocks(history, bs);
-  const std::vector<std::int32_t>& table = cache.block_table();
-  const auto n = static_cast<std::int64_t>(hashes.size());  // full blocks only
-  for (std::int64_t b = 0; b < n; ++b) {
-    kv_pool_->RegisterPrefix(hashes[b], table[static_cast<std::size_t>(b)]);
-  }
-  return n;
-}
-
-StatusOr<std::int64_t> HybridEngine::TryRestoreKv(int session, const std::vector<int>& history,
-                                                  const std::string& blob) {
-  KTX_RETURN_IF_ERROR(ValidateSession(session).WithContext("restore_kv"));
-  KvCache& cache = *sessions_[static_cast<std::size_t>(session)];
-  if (cache.position() != 0) {
-    return FailedPreconditionError("restore_kv: session " + std::to_string(session) +
-                                   " is not empty (position " +
-                                   std::to_string(cache.position()) + ")");
-  }
-  // No chunk-grid flooring here (unlike StartPrefill): nothing is recomputed
-  // after a restore, so any whole-block run of cached history is adoptable.
-  std::int64_t adopted = 0;
-  if (kv_pool_ != nullptr && options_.enable_prefix_cache && !history.empty()) {
-    const std::vector<std::uint64_t> hashes = HashTokenBlocks(history, kv_pool_->block_size());
-    const std::vector<std::int32_t> match = kv_pool_->MatchPrefix(hashes);
-    if (!match.empty()) {
-      adopted = static_cast<std::int64_t>(match.size()) * kv_pool_->block_size();
-      cache.AdoptPrefix(match, adopted);
-    }
-  }
-  const Status restored = DeserializeKvState(blob, config_, &cache, adopted);
-  if (!restored.ok()) {
-    cache.Reset();  // the session was empty: free the adoption + any partial blocks
-    return restored.WithContext("restore_kv");
-  }
-  return adopted;
-}
-
 void HybridEngine::InjectSessionFault(int session, Status fault, int after_polls) {
   devices_[0]->InjectFault("session:" + std::to_string(session), std::move(fault),
                            after_polls);

@@ -297,31 +297,10 @@ class HybridEngine {
   bool kv_paged() const { return kv_pool_ != nullptr; }
   const KvBlockPool* kv_pool() const { return kv_pool_.get(); }
 
-  // --- KV-preserving preemption (SLO-aware serving) -------------------------
-  // A preempted request must resume with the EXACT KV bits it had. Replaying
-  // its generated tokens through prefill would reproduce them (all kernel
-  // variants are bit-identical), but at full recompute cost; preemption saves
-  // state instead of recomputing it.
-  //
-  // TrySaveKv serializes `session`'s live rows into a storage-agnostic KTXV
-  // blob (model/serialize.h) — the backstop the preempted request carries.
-  // RegisterSessionPrefix additionally re-registers the session's FULL blocks
-  // in the pool's prefix cache under the chained hash of `history` (the exact
-  // tokens whose KV the session holds: the prompt plus every decoded token
-  // fed back), so those physical blocks survive the session's Reset as
-  // evictable cache entries; returns the blocks registered (0 without a
-  // shared pool, with the prefix cache off, or when history does not match the
-  // session's position). TryRestoreKv rebuilds an empty session to the blob's
-  // position: it adopts the longest cached run of `history`'s blocks first —
-  // the same physical bits, for a ref bump — and copies only the remainder
-  // from the blob. Returns the positions adopted; kResourceExhausted (the
-  // pool cannot hold the un-adopted rows) leaves the session empty and is
-  // retryable after other rows retire. Like all prefix sharing here, adoption
-  // matches by chained 64-bit hash alone (see kv_block_pool.h).
+  // Serializes `session`'s live rows into a storage-agnostic KTXV blob
+  // (model/serialize.h): the rows by logical position, whatever blocks hold
+  // them, so two sessions' KV can be compared byte for byte.
   StatusOr<std::string> TrySaveKv(int session) const;
-  std::int64_t RegisterSessionPrefix(int session, const std::vector<int>& history);
-  StatusOr<std::int64_t> TryRestoreKv(int session, const std::vector<int>& history,
-                                      const std::string& blob);
 
   // Session-attributed fault injection (chaos testing): arms a fault on the
   // device fault plan under a per-session key. The serving loop polls

@@ -44,15 +44,6 @@ struct Cursor {
     return OkStatus();
   }
 
-  Status Skip(std::size_t n) {
-    if (pos + n > buf.size()) {
-      return OutOfRangeError("truncated checkpoint (needed " + std::to_string(n) +
-                             " bytes at offset " + std::to_string(pos) + ")");
-    }
-    pos += n;
-    return OkStatus();
-  }
-
   template <typename T>
   StatusOr<T> Get() {
     T value;
@@ -360,15 +351,10 @@ std::string SerializeKvState(const MoeModelConfig& config, const KvCache& cache)
 }
 
 Status DeserializeKvState(const std::string& bytes, const MoeModelConfig& config,
-                          KvCache* cache, std::int64_t start_pos) {
+                          KvCache* cache) {
   KTX_CHECK(cache != nullptr);
-  if (start_pos < 0) {
-    return InvalidArgumentError("kv-state restore start position " +
-                                std::to_string(start_pos) + " is negative");
-  }
-  if (cache->position() != start_pos) {
-    return FailedPreconditionError("kv-state restore expects the cache at position " +
-                                   std::to_string(start_pos) + ", found " +
+  if (cache->position() != 0) {
+    return FailedPreconditionError("kv-state restore expects an empty cache, found position " +
                                    std::to_string(cache->position()));
   }
   Cursor in{bytes};
@@ -398,20 +384,11 @@ Status DeserializeKvState(const std::string& bytes, const MoeModelConfig& config
     return InvalidArgumentError("kv-state position " + std::to_string(position) +
                                 " does not fit the target cache");
   }
-  if (start_pos > position) {
-    return InvalidArgumentError("kv-state restore start position " +
-                                std::to_string(start_pos) + " past the blob's position " +
-                                std::to_string(position));
-  }
-  KTX_RETURN_IF_ERROR(cache->PrepareAppend(position - start_pos).WithContext("kv-state restore"));
-  // Rows before start_pos are skipped, not rewritten: in the adoption path
-  // they live in blocks shared with the prefix cache, which must never be
-  // written through (the bytes there are the very ones that were serialized).
+  KTX_RETURN_IF_ERROR(cache->PrepareAppend(position).WithContext("kv-state restore"));
   auto get_rows = [&](const KvLayerView& view, float* (KvLayerView::*row)(std::int64_t) const,
                       std::int64_t dim) -> Status {
     const std::size_t row_bytes = static_cast<std::size_t>(dim) * sizeof(float);
-    KTX_RETURN_IF_ERROR(in.Skip(static_cast<std::size_t>(start_pos) * row_bytes));
-    for (std::int64_t p = start_pos; p < position; ++p) {
+    for (std::int64_t p = 0; p < position; ++p) {
       KTX_RETURN_IF_ERROR(in.Read((view.*row)(p), row_bytes));
     }
     return OkStatus();
@@ -429,7 +406,7 @@ Status DeserializeKvState(const std::string& bytes, const MoeModelConfig& config
   if (in.pos != bytes.size()) {
     return InvalidArgumentError("trailing garbage after kv-state payload");
   }
-  cache->Advance(position - start_pos);
+  cache->Advance(position);
   return OkStatus();
 }
 

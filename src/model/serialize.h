@@ -55,16 +55,12 @@ StatusOr<ModelFile> DeserializeModel(const std::string& bytes);
 // KTXV blob. Rows are gathered by logical position: the block layout and
 // block sharing never affect the bytes.
 std::string SerializeKvState(const MoeModelConfig& config, const KvCache& cache);
-// Restores a KTXV blob into `cache`, which must sit exactly at `start_pos`
-// (default 0: an empty cache) and be built for the same attention geometry;
-// rows [0, start_pos) of the blob are skipped — the caller vouches that the
-// cache already holds them (e.g. adopted from a paged prefix cache, so the
-// physical bits are the very ones that were serialized). Rows [start_pos,
-// position) are copied in; paged caches allocate blocks from their pool as
-// needed (kResourceExhausted if it cannot, position untouched). Validates
-// magic, version, geometry, and payload size.
+// Restores a KTXV blob into `cache`, which must be empty and built for the
+// same attention geometry. Every row is copied in; paged caches allocate
+// blocks from their pool as needed (kResourceExhausted if it cannot,
+// position untouched). Validates magic, version, geometry, and payload size.
 Status DeserializeKvState(const std::string& bytes, const MoeModelConfig& config,
-                          KvCache* cache, std::int64_t start_pos = 0);
+                          KvCache* cache);
 
 }  // namespace ktx
 

@@ -53,15 +53,14 @@ std::string_view SchedulePolicyName(SchedulePolicy policy) {
       return "fifo";
     case SchedulePolicy::kSlack:
       return "slack";
-    case SchedulePolicy::kSlackPreempt:
-      return "slack_preempt";
   }
   return "unknown";
 }
 
-ServingLoop::ServingLoop(HybridEngine* engine, ServingOptions options)
-    : engine_(engine), options_(options) {
+ServingLoop::ServingLoop(HybridEngine* engine, ServingOptions options, ServingClock clock)
+    : engine_(engine), options_(options), clock_(std::move(clock)) {
   KTX_CHECK(engine_ != nullptr);
+  KTX_CHECK(clock_ != nullptr);
   KTX_CHECK_GE(options_.max_concurrent, 1);
   KTX_CHECK_GE(options_.max_queue, 1);
   KTX_CHECK_GE(options_.prefill_budget_tokens, 1);
@@ -142,7 +141,6 @@ void ServingLoop::ExpireQueued(Pending&& pending, double waited_s) {
                             "s in the admission queue");
   result.finish_reason = FinishReason::kDeadline;
   result.prompt_tokens = static_cast<std::int64_t>(pending.request.prompt.size());
-  result.preemptions = pending.preemptions;
   result.queue_seconds = waited_s;
   result.total_seconds = waited_s;
   completed_.push_back(std::move(result));
@@ -153,29 +151,21 @@ void ServingLoop::ExpireQueued(Pending&& pending, double waited_s) {
                          FinishReasonCstr(FinishReason::kDeadline));
 }
 
+double ServingLoop::SecondsSince(std::int64_t since_ns) const {
+  return static_cast<double>(clock_() - since_ns) * 1e-9;
+}
+
+bool ServingLoop::Expired(const GenerationRequest& request, std::int64_t submit_ns) const {
+  return request.deadline_s > 0.0 && SecondsSince(submit_ns) > request.deadline_s;
+}
+
 void ServingLoop::SweepQueueDeadlines() {
   for (std::size_t i = 0; i < queue_.size();) {
-    const double waited_s = queue_[i].submitted.ElapsedSeconds();
+    const double waited_s = SecondsSince(queue_[i].submit_ns);
     if (queue_[i].request.deadline_s > 0.0 && waited_s > queue_[i].request.deadline_s) {
       Pending expired = std::move(queue_[i]);
       queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(i));
       ExpireQueued(std::move(expired), waited_s);
-      continue;
-    }
-    ++i;
-  }
-  for (std::size_t i = 0; i < preempted_.size();) {
-    Active& row = preempted_[i].row;
-    if (row.request.deadline_s > 0.0 &&
-        row.clock.ElapsedSeconds() > row.request.deadline_s) {
-      Preempted expired = std::move(preempted_[i]);
-      preempted_.erase(preempted_.begin() + static_cast<std::ptrdiff_t>(i));
-      // Was admitted once: the usual post-admission failure accounting.
-      FailRow(std::move(expired.row), FinishReason::kDeadline,
-              DeadlineExceededError(
-                  "deadline of " + std::to_string(expired.row.request.deadline_s) +
-                  "s expired while preempted after " +
-                  std::to_string(expired.row.result.tokens.size()) + " tokens"));
       continue;
     }
     ++i;
@@ -206,7 +196,7 @@ std::uint64_t ServingLoop::Submit(GenerationRequest request) {
   Pending pending;
   pending.id = id;
   pending.request = std::move(request);
-  pending.submitted.Reset();
+  pending.submit_ns = clock_();
   queue_.push_back(std::move(pending));
   trace::EmitAsyncBegin("request", "queued", id);
   return id;
@@ -218,14 +208,14 @@ void ServingLoop::NoteSlotTaken() {
 }
 
 void ServingLoop::NoteFirstToken(Active* active) {
-  const double now = active->clock.ElapsedSeconds();
+  const double now = SecondsSince(active->submit_ns);
   active->result.time_to_first_token_s = now;
   active->last_emit_s = now;
   stats_.ttft_s.Record(now);
 }
 
 void ServingLoop::NoteDecodedToken(Active* active) {
-  const double now = active->clock.ElapsedSeconds();
+  const double now = SecondsSince(active->submit_ns);
   stats_.tbt_s.Record(now - active->last_emit_s);
   active->last_emit_s = now;
 }
@@ -264,16 +254,8 @@ ServingLoop::SchedKey ServingLoop::MakeKey(int priority, double deadline_s, doub
 
 ServingLoop::SchedKey ServingLoop::KeyOf(const Pending& pending) const {
   return MakeKey(pending.request.priority, pending.request.deadline_s,
-                 pending.submitted.ElapsedSeconds(), EstimateQueuedSeconds(pending.request),
+                 SecondsSince(pending.submit_ns), EstimateQueuedSeconds(pending.request),
                  pending.id);
-}
-
-ServingLoop::SchedKey ServingLoop::KeyOf(const Preempted& preempted) const {
-  const Active& row = preempted.row;
-  const auto remaining = static_cast<double>(
-      row.request.max_new_tokens - static_cast<int>(row.result.tokens.size()));
-  return MakeKey(row.request.priority, row.request.deadline_s, row.clock.ElapsedSeconds(),
-                 remaining * ema_sweep_s_, row.id);
 }
 
 double ServingLoop::EstimateActiveSeconds(const Active& row) const {
@@ -289,7 +271,7 @@ double ServingLoop::EstimateActiveSeconds(const Active& row) const {
 }
 
 ServingLoop::SchedKey ServingLoop::KeyOf(const Active& row) const {
-  return MakeKey(row.request.priority, row.request.deadline_s, row.clock.ElapsedSeconds(),
+  return MakeKey(row.request.priority, row.request.deadline_s, SecondsSince(row.submit_ns),
                  EstimateActiveSeconds(row), row.id);
 }
 
@@ -329,48 +311,13 @@ int ServingLoop::BestQueuedIndex() const {
   return static_cast<int>(best);
 }
 
-int ServingLoop::BestPreemptedIndex() const {
-  if (preempted_.empty()) {
-    return -1;
-  }
-  std::size_t best = 0;
-  SchedKey best_key = KeyOf(preempted_[0]);
-  for (std::size_t i = 1; i < preempted_.size(); ++i) {
-    const SchedKey key = KeyOf(preempted_[i]);
-    if (ScheduledBefore(key, best_key)) {
-      best = i;
-      best_key = key;
-    }
-  }
-  return static_cast<int>(best);
-}
-
 // --- admission ---------------------------------------------------------------
 
 void ServingLoop::AdmitWaiting() {
   while (static_cast<int>(prefilling_.size() + active_.size()) < options_.max_concurrent) {
-    const int qi = BestQueuedIndex();
-    const int pi = BestPreemptedIndex();
-    if (qi < 0 && pi < 0) {
-      break;
-    }
-    bool take_preempted;
-    if (qi < 0) {
-      take_preempted = true;
-    } else if (pi < 0) {
-      take_preempted = false;
-    } else {
-      take_preempted = ScheduledBefore(KeyOf(preempted_[static_cast<std::size_t>(pi)]),
-                                       KeyOf(queue_[static_cast<std::size_t>(qi)]));
-    }
-    if (take_preempted) {
-      if (!ResumePreempted(static_cast<std::size_t>(pi))) {
-        break;  // pool pressure: retry after retirements free blocks
-      }
-    } else {
-      if (!AdmitPending(static_cast<std::size_t>(qi))) {
-        break;
-      }
+    const int best = BestQueuedIndex();
+    if (best < 0 || !AdmitPending(static_cast<std::size_t>(best))) {
+      break;  // empty queue, or pool pressure: retry after retirements free blocks
     }
   }
 }
@@ -378,14 +325,14 @@ void ServingLoop::AdmitWaiting() {
 bool ServingLoop::AdmitPending(std::size_t index) {
   Pending pending = std::move(queue_[index]);
   queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(index));
-  const double waited_s = pending.submitted.ElapsedSeconds();
+  const double waited_s = SecondsSince(pending.submit_ns);
   if (pending.request.deadline_s > 0.0 && waited_s > pending.request.deadline_s) {
     ExpireQueued(std::move(pending), waited_s);
     return true;
   }
   trace::EmitAsyncEnd("request", "queued", pending.id);
   Active active(pending.id, std::move(pending.request));
-  active.result.preemptions = pending.preemptions;
+  active.submit_ns = pending.submit_ns;  // metrics are measured from Submit
   if (free_sessions_.empty()) {
     auto session = engine_->TryCreateSession();
     if (!session.ok()) {
@@ -401,7 +348,6 @@ bool ServingLoop::AdmitPending(std::size_t index) {
   }
   active.result.id = active.id;
   active.result.prompt_tokens = static_cast<std::int64_t>(active.request.prompt.size());
-  active.clock = pending.submitted;  // metrics are measured from Submit
   active.result.queue_seconds = waited_s;
   // Validate everything (KV headroom for the whole prompt included) but run
   // no prefill work here: AdvancePrefill spends the sweep's budget on it.
@@ -431,191 +377,14 @@ bool ServingLoop::AdmitPending(std::size_t index) {
   return true;
 }
 
-bool ServingLoop::ResumePreempted(std::size_t index) {
-  Preempted preempted = std::move(preempted_[index]);
-  preempted_.erase(preempted_.begin() + static_cast<std::ptrdiff_t>(index));
-  int session = -1;
-  if (free_sessions_.empty()) {
-    auto created = engine_->TryCreateSession();
-    if (!created.ok()) {
-      if (created.status().code() == StatusCode::kResourceExhausted &&
-          !(prefilling_.empty() && active_.empty())) {
-        preempted_.push_front(std::move(preempted));
-        return false;  // a retirement will pool its session
-      }
-      FailRow(std::move(preempted.row), FinishReason::kBackendError,
-              created.status().WithContext("resume"));
-      return true;
-    }
-    session = *created;
-  } else {
-    session = free_sessions_.back();
-    free_sessions_.pop_back();
-    engine_->Reset(session);
-  }
-  // Bit-exact restore: adopt whatever run of the victim's own blocks is still
-  // in the prefix cache (the same physical rows it was evicted with), then
-  // copy the rest from the blob. Nothing is recomputed, so the resumed
-  // stream continues exactly as the uninterrupted one would.
-  auto adopted = engine_->TryRestoreKv(session, preempted.history, preempted.kv_blob);
-  if (!adopted.ok()) {
-    free_sessions_.push_back(session);
-    if (adopted.status().code() == StatusCode::kResourceExhausted &&
-        !(prefilling_.empty() && active_.empty())) {
-      preempted_.push_front(std::move(preempted));
-      return false;  // pool pressure: retry after retirements free blocks
-    }
-    const FinishReason reason = adopted.status().code() == StatusCode::kResourceExhausted
-                                    ? FinishReason::kKvExhausted
-                                    : FinishReason::kBackendError;
-    FailRow(std::move(preempted.row), reason, adopted.status().WithContext("resume"));
-    return true;
-  }
-  preempted.row.session = session;
-  ++stats_.preempt_resumes;
-  stats_.preempt_tokens_preserved += static_cast<std::int64_t>(preempted.history.size());
-  stats_.preempt_tokens_adopted += *adopted;
-  NoteSlotTaken();
-  // Re-joins mid-decode: its pending sampled token is consumed and fed back
-  // on this very sweep, like any decoding row.
-  TracePhase(&preempted.row, "decode");  // closes the preempted span
-  active_.push_back(std::move(preempted.row));
-  return true;
-}
-
-// --- preemption --------------------------------------------------------------
-
-void ServingLoop::MaybePreempt() {
-  if (options_.policy != SchedulePolicy::kSlackPreempt) {
-    return;
-  }
-  for (int round = 0; round < options_.max_concurrent; ++round) {
-    if (static_cast<int>(prefilling_.size() + active_.size()) < options_.max_concurrent) {
-      break;  // a free slot means admission, not preemption
-    }
-    const int qi = BestQueuedIndex();
-    const int pi = BestPreemptedIndex();
-    if (qi < 0 && pi < 0) {
-      break;
-    }
-    SchedKey waiting;
-    if (qi < 0) {
-      waiting = KeyOf(preempted_[static_cast<std::size_t>(pi)]);
-    } else if (pi < 0) {
-      waiting = KeyOf(queue_[static_cast<std::size_t>(qi)]);
-    } else {
-      const SchedKey a = KeyOf(preempted_[static_cast<std::size_t>(pi)]);
-      const SchedKey b = KeyOf(queue_[static_cast<std::size_t>(qi)]);
-      waiting = ScheduledBefore(a, b) ? a : b;
-    }
-    // Never evict running work for a request already estimated to miss its
-    // deadline: the eviction wastes the victim's sunk KV work and the
-    // usurper's tokens earn no goodput anyway.
-    if (waiting.infeasible) {
-      break;
-    }
-    // Eviction is a last resort: if any running row is expected to retire
-    // within the waiting request's slack, a slot will free in time and the
-    // victim's sunk work is kept. Infinite slack (a deadline-free VIP) means
-    // pure priority preemption — there is no urgency estimate to wait on.
-    if (waiting.slack_s != std::numeric_limits<double>::infinity()) {
-      double soonest_s = std::numeric_limits<double>::infinity();
-      for (const Active& row : prefilling_) {
-        soonest_s = std::min(soonest_s, EstimateActiveSeconds(row));
-      }
-      for (const Active& row : active_) {
-        soonest_s = std::min(soonest_s, EstimateActiveSeconds(row));
-      }
-      if (waiting.slack_s >= soonest_s) {
-        break;
-      }
-    }
-    // Victim: the LAST-scheduled running row — lowest priority class, most
-    // slack (or already infeasible, whose eviction costs the least goodput).
-    bool victim_prefilling = false;
-    std::size_t victim = 0;
-    bool have_victim = false;
-    SchedKey victim_key;
-    const auto consider = [&](const SchedKey& key, bool is_prefilling, std::size_t i) {
-      if (!have_victim || ScheduledBefore(victim_key, key)) {
-        victim_key = key;
-        victim = i;
-        victim_prefilling = is_prefilling;
-        have_victim = true;
-      }
-    };
-    for (std::size_t i = 0; i < prefilling_.size(); ++i) {
-      consider(KeyOf(prefilling_[i]), true, i);
-    }
-    for (std::size_t i = 0; i < active_.size(); ++i) {
-      consider(KeyOf(active_[i]), false, i);
-    }
-    // Strictly lower priority only: equal-priority preemption would thrash
-    // (the resumed victim would immediately justify preempting its usurper).
-    if (!have_victim || victim_key.priority >= waiting.priority) {
-      break;
-    }
-    if (victim_prefilling) {
-      PreemptPrefilling(victim);
-    } else {
-      PreemptDecoding(victim);
-    }
-    AdmitWaiting();  // the freed slot goes to the best waiting request
-  }
-}
-
-void ServingLoop::PreemptPrefilling(std::size_t index) {
-  Active row = std::move(prefilling_[index]);
-  prefilling_.erase(prefilling_.begin() + static_cast<std::ptrdiff_t>(index));
-  // Nothing sampled yet, so dropping the partial prompt KV is bit-safe: a
-  // re-prefill runs the same engine-fixed chunk grid, and the full prompt
-  // blocks already registered in the prefix cache usually make it a block
-  // adoption. The row goes back to pending with its Submit clock intact.
-  engine_->Reset(row.session);
-  ++stats_.preemptions;
-  ++row.result.preemptions;
-  RequeueAtHead(std::move(row));
-}
-
 void ServingLoop::RequeueAtHead(Active&& row) {
   free_sessions_.push_back(row.session);
   Pending back;
   back.id = row.id;
   back.request = std::move(row.request);
-  back.submitted = row.clock;  // still running since Submit
-  back.preemptions = row.result.preemptions;
+  back.submit_ns = row.submit_ns;
   TracePhase(&row, "queued");  // closes an open prefill span
   queue_.push_front(std::move(back));
-}
-
-void ServingLoop::PreemptDecoding(std::size_t index) {
-  Active row = std::move(active_[index]);
-  active_.erase(active_.begin() + static_cast<std::ptrdiff_t>(index));
-  // The KV the session holds covers the prompt plus every decoded token fed
-  // back; the pending sampled token (last_token) has produced no KV yet and
-  // travels in the row itself.
-  std::vector<int> history = row.request.prompt;
-  history.insert(history.end(), row.result.tokens.begin(), row.result.tokens.end());
-  auto blob = engine_->TrySaveKv(row.session);
-  if (!blob.ok()) {
-    FailRow(std::move(row), FinishReason::kBackendError,
-            blob.status().WithContext("preempt"));
-    return;
-  }
-  // Re-register the victim's full blocks under its token history BEFORE the
-  // session resets: the blocks stay resident as evictable cache entries, and
-  // resume adopts the very same physical bits instead of copying them back.
-  engine_->RegisterSessionPrefix(row.session, history);
-  engine_->Reset(row.session);
-  free_sessions_.push_back(row.session);
-  row.session = -1;
-  ++stats_.preemptions;
-  ++row.result.preemptions;
-  TracePhase(&row, "preempted");  // closes the decode span
-  Preempted preempted(std::move(row));
-  preempted.kv_blob = std::move(*blob);
-  preempted.history = std::move(history);
-  preempted_.push_back(std::move(preempted));
 }
 
 // --- prefill / decode --------------------------------------------------------
@@ -639,8 +408,7 @@ void ServingLoop::AdvancePrefill() {
       }
     }
     Active& row = prefilling_[best];
-    if (row.request.deadline_s > 0.0 &&
-        row.clock.ElapsedSeconds() > row.request.deadline_s) {
+    if (Expired(row.request, row.submit_ns)) {
       Active failed = std::move(row);
       prefilling_.erase(prefilling_.begin() + static_cast<std::ptrdiff_t>(best));
       FailRow(std::move(failed), FinishReason::kDeadline,
@@ -651,8 +419,7 @@ void ServingLoop::AdvancePrefill() {
                   " prompt tokens prefilled"));
       continue;
     }
-    Stopwatch chunk_clock;
-    chunk_clock.Reset();
+    const std::int64_t chunk_start_ns = clock_();
     auto advanced = engine_->TryPrefillNext(&row.cursor);
     if (!advanced.ok()) {
       const FinishReason reason =
@@ -665,7 +432,7 @@ void ServingLoop::AdvancePrefill() {
               advanced.status().WithContext("request " + std::to_string(failed.id)));
       continue;
     }
-    NoteChunkSeconds(chunk_clock.ElapsedSeconds());
+    NoteChunkSeconds(SecondsSince(chunk_start_ns));
     spent += *advanced;
     stats_.prefill_tokens += *advanced;
     ++stats_.prefill_chunks;
@@ -712,7 +479,7 @@ void ServingLoop::TracePhase(Active* row, const char* phase) {
 
 void ServingLoop::RetireRow(Active&& active) {
   active.result.ok = active.result.status.ok();
-  active.result.total_seconds = active.clock.ElapsedSeconds();
+  active.result.total_seconds = SecondsSince(active.submit_ns);
   TracePhase(&active, nullptr);
   trace::EmitAsyncEndStr(
       "request", "request", active.id, "slack_us",
@@ -767,8 +534,7 @@ void ServingLoop::SweepFailures() {
     Active& row = prefilling_[i];
     Status failure;
     FinishReason reason = FinishReason::kNone;
-    if (row.request.deadline_s > 0.0 &&
-        row.clock.ElapsedSeconds() > row.request.deadline_s) {
+    if (Expired(row.request, row.submit_ns)) {
       reason = FinishReason::kDeadline;
       failure = DeadlineExceededError(
           "deadline of " + std::to_string(row.request.deadline_s) + "s expired after " +
@@ -791,8 +557,7 @@ void ServingLoop::SweepFailures() {
   }
   for (std::size_t i = 0; i < active_.size();) {
     Active& active = active_[i];
-    if (active.request.deadline_s > 0.0 &&
-        active.clock.ElapsedSeconds() > active.request.deadline_s) {
+    if (Expired(active.request, active.submit_ns)) {
       FailActive(i, FinishReason::kDeadline,
                  DeadlineExceededError(
                      "deadline of " + std::to_string(active.request.deadline_s) +
@@ -871,8 +636,7 @@ void ServingLoop::DecodeActive() {
   KTX_TRACE_SPAN_ARG("serving", "decode_sweep", "rows", active_.size());
   // One sweep = one token per decoding request, so per-sweep seconds are the
   // scheduler's TBT estimate.
-  Stopwatch sweep_clock;
-  sweep_clock.Reset();
+  const std::int64_t sweep_start_ns = clock_();
   // One DecodeBatch sweep over every surviving request (chunked only if the
   // configured concurrency exceeds the engine's batch capacity). Prefilling
   // rows live in their own vector, so active_ is exactly the decode set.
@@ -907,7 +671,7 @@ void ServingLoop::DecodeActive() {
     stats_.peak_batch = std::max(stats_.peak_batch, static_cast<int>(rows));
     begin += rows;
   }
-  NoteSweepSeconds(sweep_clock.ElapsedSeconds());
+  NoteSweepSeconds(SecondsSince(sweep_start_ns));
 }
 
 int ServingLoop::RunOnce() {
@@ -918,14 +682,10 @@ int ServingLoop::RunOnce() {
   KTX_TRACE_SPAN("serving", "sweep");
   KTX_TRACE_COUNTER("serving", "queue_depth", queue_.size());
   KTX_TRACE_COUNTER("serving", "active_requests", prefilling_.size() + active_.size());
-  KTX_TRACE_COUNTER("serving", "preempted_requests", preempted_.size());
-  // Expired requests leave the queue (and the preempted set) before they can
-  // pin capacity or win a slot.
+  // Expired requests leave the queue before they can pin capacity or win a
+  // slot.
   SweepQueueDeadlines();
   AdmitWaiting();
-  // Under kSlackPreempt, a waiting request that outranks a running row takes
-  // its slot even though none is free.
-  MaybePreempt();
   // Spend this sweep's prefill budget before decoding: completed prompts
   // sample their first token here and decode in this very sweep (with an
   // unbounded budget, every prompt admitted this sweep does).
@@ -958,10 +718,6 @@ void ServingLoop::Stats::AppendJson(JsonWriter& w) const {
   w.Field("requests_deadline_expired", requests_deadline_expired);
   w.Field("tokens_generated", tokens_generated);
   w.Field("goodput_tokens", goodput_tokens);
-  w.Field("preemptions", preemptions);
-  w.Field("preempt_resumes", preempt_resumes);
-  w.Field("preempt_tokens_preserved", preempt_tokens_preserved);
-  w.Field("preempt_tokens_adopted", preempt_tokens_adopted);
   w.Field("decode_iterations", decode_iterations);
   w.Field("decoded_tokens", decoded_tokens);
   w.Field("prefill_tokens", prefill_tokens);

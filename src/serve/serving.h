@@ -25,36 +25,23 @@
 // across budgets: chunk boundaries are engine-fixed and sessions are
 // isolated.
 //
-// SLO-aware scheduling (ServingOptions::policy): every scheduling decision —
-// which waiting request to admit, which prefilling row gets the next budget
-// chunk, which row to preempt — orders candidates by priority class first,
-// then by *slack to deadline*: deadline_s minus elapsed time minus the
-// estimated remaining work (prefill chunks times an EMA of measured
-// per-chunk seconds, plus remaining tokens times an EMA of per-sweep decode
-// seconds). Within a priority class, requests whose deadline is already
-// estimated unreachable sort last (serving them would burn capacity a
-// feasible request could use; they expire cheaply in the queue instead of
-// expensively mid-decode). kFifo keeps pure submit order as the measurable
-// baseline. No deadline means infinite slack; ties break by submit order, so
-// a deadline-free equal-priority workload schedules exactly like FIFO.
+// SLO-aware scheduling (ServingOptions::policy): both scheduling decisions —
+// which waiting request to admit and which prefilling row gets the next
+// budget chunk — order candidates by priority class first, then by *slack
+// to deadline*: deadline_s minus elapsed time minus the estimated remaining
+// work (prefill chunks times an EMA of measured per-chunk seconds, plus
+// remaining tokens times an EMA of per-sweep decode seconds). Within a
+// priority class, requests whose deadline is already estimated unreachable
+// sort last (serving them would burn capacity a feasible request could use;
+// they expire cheaply in the queue instead of expensively mid-decode). kFifo
+// keeps pure submit order as the measurable baseline. No deadline means
+// infinite slack; ties break by submit order, so a deadline-free
+// equal-priority workload schedules exactly like FIFO.
 //
-// Preemption (kSlackPreempt): when every slot is busy and the best waiting
-// request outranks the lowest-priority running row (strictly — equal
-// priority never preempts, so no ping-pong), the victim is evicted
-// KV-preserved and re-queued in a *preempted* state. A prefilling victim
-// simply re-queues as pending (it has sampled nothing; re-running its prompt
-// through the same engine-fixed chunk grid is bit-identical by the stall-free
-// guarantee, and its full prompt blocks are usually still in the prefix
-// cache). A decoding victim must NOT re-prefill its generated tokens —
-// chunked prefill is not bitwise-identical to batch-1 decode (ARI kernel
-// dispatch differs with tokens-per-expert) — so its exact KV bits are saved:
-// serialized to a KTXV blob, and (shared pool) its full blocks re-registered
-// in the pool's prefix cache before the session resets, making resume mostly
-// a block-table adoption of the very same physical rows plus a blob copy of
-// the tail. The Sampler (with its RNG state), emitted tokens, pending sampled
-// token and Submit-anchored clock travel with the preempted entry, so a
-// resumed stream is bit-identical to an uninterrupted run. A resume that
-// cannot get blocks is retried after retirements free them.
+// A running row keeps its slot until it retires: a high-priority arrival
+// takes the next free slot, never a running row's. Slack ordering already
+// sorts infeasible requests last and lets them expire in the queue, so
+// evicting running work would only move slots between classes.
 //
 // Request lifecycle: every request ends in exactly one terminal state,
 // recorded on its GenerationResult as {ok, status, finish_reason}. Invalid
@@ -72,12 +59,18 @@
 // simple dispatcher a local deployment runs. RunOnce exposes one sweep so
 // open-loop drivers (bench/bench_serving_slo.cc) can interleave Submit with
 // the loop's progress.
+//
+// Time: every deadline, latency metric and work estimate reads one clock
+// function, passed to the constructor (SteadyNowNanos by default). Tests
+// step a fake clock by hand, so deadline outcomes do not depend on how fast
+// the host runs a step.
 
 #ifndef KTX_SRC_SERVE_SERVING_H_
 #define KTX_SRC_SERVE_SERVING_H_
 
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <limits>
 #include <string>
 #include <string_view>
@@ -93,8 +86,7 @@
 namespace ktx {
 
 // Terminal state of a request. kNone only while the request is in flight
-// (queued, prefilling, decoding, or preempted — preemption is a scheduling
-// state, not a terminal one: a preempted request resumes or expires).
+// (queued, prefilling or decoding).
 enum class FinishReason {
   kNone = 0,
   kEos,           // emitted the request's eos_token
@@ -106,11 +98,10 @@ enum class FinishReason {
 };
 std::string_view FinishReasonName(FinishReason reason);
 
-// Scheduling policy for admission order, prefill-budget order and preemption.
+// Scheduling policy for admission order and prefill-budget order.
 enum class SchedulePolicy {
-  kFifo = 0,          // pure submit order; no preemption (the baseline)
-  kSlack = 1,         // priority class, then least slack-to-deadline
-  kSlackPreempt = 2,  // kSlack + KV-preserving preemption of lower-priority rows
+  kFifo = 0,   // pure submit order (the baseline)
+  kSlack = 1,  // priority class, then least slack-to-deadline
 };
 std::string_view SchedulePolicyName(SchedulePolicy policy);
 
@@ -134,8 +125,8 @@ struct GenerationRequest {
   // and a kDeadlineExceeded status.
   double deadline_s = 0.0;
   // Scheduling class, [0, kMaxRequestPriority]; higher is more important.
-  // Under kSlackPreempt a waiting request preempts only rows of STRICTLY
-  // lower priority.
+  // Under kSlack a higher class is admitted and prefilled first; it waits
+  // for a free slot like any other request.
   int priority = 0;
 };
 
@@ -148,9 +139,6 @@ struct GenerationResult {
   Status status;
   FinishReason finish_reason = FinishReason::kNone;
   std::int64_t prompt_tokens = 0;
-  // Times this request was preempted (evicted from its slot and later
-  // resumed or expired). The token stream is unaffected by construction.
-  int preemptions = 0;
   // Wall-clock request metrics (this process; the paper-scale numbers come
   // from the timed plane). All are measured from Submit, so queue wait is
   // visible: queue_seconds <= time_to_first_token_s <= total_seconds.
@@ -183,6 +171,9 @@ struct ServingOptions {
   SchedulePolicy policy = SchedulePolicy::kSlack;
 };
 
+// Monotonic time in nanoseconds; only differences between readings matter.
+using ServingClock = std::function<std::int64_t()>;
+
 class ServingLoop {
  public:
   struct Stats {
@@ -195,9 +186,9 @@ class ServingLoop {
     // Admitted requests retired with a non-OK status.
     std::int64_t requests_failed = 0;
     // Requests whose wall-clock deadline expired, on ANY path: still queued
-    // (never admitted — counted here only), mid-prefill, mid-decode or while
-    // preempted (those also count requests_completed + requests_failed, like
-    // every post-admission failure).
+    // (never admitted — counted here only), mid-prefill or mid-decode (those
+    // also count requests_completed + requests_failed, like every
+    // post-admission failure).
     std::int64_t requests_deadline_expired = 0;
     std::int64_t tokens_generated = 0;
     // Goodput: tokens of requests that finished OK *within their deadline*
@@ -205,16 +196,6 @@ class ServingLoop {
     // contributes zero — its tokens were wasted work). The SLO counterpart
     // of tokens_generated, and the number the scheduling policies compete on.
     std::int64_t goodput_tokens = 0;
-    // Preemption telemetry (kSlackPreempt only). preemptions counts
-    // evictions; preempt_resumes counts successful re-admissions;
-    // preempt_tokens_preserved counts KV positions a resume restored without
-    // recompute (blob copy or block adoption), of which
-    // preempt_tokens_adopted came straight from the paged prefix cache as a
-    // block-table adoption of the victim's own blocks.
-    std::int64_t preemptions = 0;
-    std::int64_t preempt_resumes = 0;
-    std::int64_t preempt_tokens_preserved = 0;
-    std::int64_t preempt_tokens_adopted = 0;
     // Engine decode calls: one per DecodeBatch. Batching shows up as fewer
     // iterations for the same tokens_generated.
     std::int64_t decode_iterations = 0;
@@ -257,8 +238,10 @@ class ServingLoop {
     std::string ToJson() const;
   };
 
-  // The engine must outlive the loop.
-  explicit ServingLoop(HybridEngine* engine, ServingOptions options = {});
+  // The engine must outlive the loop. `clock` is read for every time the
+  // loop measures (deadlines, latencies, work estimates).
+  explicit ServingLoop(HybridEngine* engine, ServingOptions options = {},
+                       ServingClock clock = SteadyNowNanos);
 
   // Enqueues a request and returns its id. Never aborts: an invalid request
   // (empty prompt, out-of-vocab token, max_new_tokens < 1, negative
@@ -271,12 +254,12 @@ class ServingLoop {
   std::uint64_t Submit(GenerationRequest request);
 
   std::size_t pending() const {
-    return queue_.size() + prefilling_.size() + active_.size() + preempted_.size();
+    return queue_.size() + prefilling_.size() + active_.size();
   }
 
-  // Runs ONE scheduling sweep: queue deadline sweep, admission (+ preemption
-  // under kSlackPreempt), budgeted prefill, token consumption/retirement,
-  // failure sweep, one batched decode. A no-op when nothing is pending.
+  // Runs ONE scheduling sweep: queue deadline sweep, admission, budgeted
+  // prefill, token consumption/retirement, failure sweep, one batched
+  // decode. A no-op when nothing is pending.
   // Returns the number of requests that reached a terminal state. Open-loop
   // drivers interleave Submit with RunOnce and collect via TakeResults().
   int RunOnce();
@@ -294,10 +277,7 @@ class ServingLoop {
   struct Pending {
     std::uint64_t id = 0;
     GenerationRequest request;
-    Stopwatch submitted;  // running since Submit
-    // Carried across a mid-prefill preemption (the row re-queues as pending;
-    // its count must survive to the result).
-    int preemptions = 0;
+    std::int64_t submit_ns = 0;  // clock reading at Submit
   };
 
   // One admitted request. Lives in prefilling_ while its PrefillCursor still
@@ -311,26 +291,14 @@ class ServingLoop {
     Sampler sampler;
     PrefillCursor cursor;  // engaged while prefilling
     int last_token = -1;
-    double last_emit_s = 0.0;  // clock reading at the previous sampled token
-    Stopwatch clock;  // copied from Pending::submitted: running since Submit
+    std::int64_t submit_ns = 0;  // clock reading at Submit
+    double last_emit_s = 0.0;    // seconds since Submit at the previous sampled token
     // Name of the request's currently-open nested lifecycle span ("prefill",
-    // "decode", "preempted", "queued") on its trace track, or nullptr.
+    // "decode", "queued") on its trace track, or nullptr.
     const char* trace_phase = nullptr;
 
     Active(std::uint64_t rid, GenerationRequest req)
         : id(rid), request(std::move(req)), sampler(request.sampling) {}
-  };
-
-  // A decoding row evicted by preemption: the full Active state (sampler RNG,
-  // emitted tokens, pending sampled token, Submit clock) minus the session,
-  // plus what a bit-exact resume needs — the serialized KV and the token
-  // history it covers (prompt + every decoded token fed back).
-  struct Preempted {
-    Active row;
-    std::string kv_blob;
-    std::vector<int> history;
-
-    explicit Preempted(Active&& r) : row(std::move(r)) {}
   };
 
   // Scheduling key; see ScheduledBefore for the ordering.
@@ -349,11 +317,14 @@ class ServingLoop {
   // Terminal kDeadline for a queued (never admitted) request: counts
   // requests_deadline_expired, not requests_rejected/completed/failed.
   void ExpireQueued(Pending&& pending, double waited_s);
-  // Removes expired requests from the queue and the preempted set. Runs
-  // every sweep and from Submit when the queue is full, so expired requests
-  // never pin queue slots (the starvation bug) and preempted requests cannot
-  // wait past their deadline unnoticed.
+  // Removes expired requests from the queue. Runs every sweep and from
+  // Submit when the queue is full, so expired requests never pin queue slots
+  // (the starvation bug).
   void SweepQueueDeadlines();
+  // Seconds from the clock reading `since_ns` to now.
+  double SecondsSince(std::int64_t since_ns) const;
+  // True once a request submitted at `submit_ns` has run past its deadline.
+  bool Expired(const GenerationRequest& request, std::int64_t submit_ns) const;
 
   // --- scheduling ----------------------------------------------------------
   // Remaining-work estimates from measured EMAs (optimistic zero until the
@@ -367,42 +338,28 @@ class ServingLoop {
   SchedKey MakeKey(int priority, double deadline_s, double elapsed_s, double estimate_s,
                    std::uint64_t id) const;
   SchedKey KeyOf(const Pending& pending) const;
-  SchedKey KeyOf(const Preempted& preempted) const;
   SchedKey KeyOf(const Active& row) const;  // prefilling or decoding
   // Strict weak order: true if `a` should be scheduled before `b` under the
   // configured policy (kFifo: submit order; otherwise priority desc, feasible
   // before infeasible, slack asc, submit order).
   bool ScheduledBefore(const SchedKey& a, const SchedKey& b) const;
-  // Index of the best-scheduled entry, or -1 when empty.
+  // Index of the best-scheduled queued request, or -1 when the queue is empty.
   int BestQueuedIndex() const;
-  int BestPreemptedIndex() const;
 
-  // Fills free slots from the queue and the preempted set in scheduling
-  // order. Admission is gated on real KV headroom: private storage sizes
-  // every session to max_seq, but a shared pool is drawn on by every session,
-  // so a request whose (post-prefix-sharing) block reservation — or KV
-  // restore — fails while other rows are in flight is put back to retry
-  // after retirements free blocks; it only fails kv_exhausted when nothing in
-  // flight could ever unblock it.
+  // Fills free slots from the queue in scheduling order. Admission is gated
+  // on real KV headroom: private storage sizes every session to max_seq, but
+  // a shared pool is drawn on by every session, so a request whose
+  // (post-prefix-sharing) block reservation fails while other rows are in
+  // flight is put back to retry after retirements free blocks; it only fails
+  // kv_exhausted when nothing in flight could ever unblock it.
   void AdmitWaiting();
   // Admits queue_[index] into a free slot (erases it from the queue) as a
   // prefilling row: validates the prompt and reserves its KV, but runs no
   // forward work. Returns false when admission must stop this sweep (pool
   // pressure).
   bool AdmitPending(std::size_t index);
-  // Resumes preempted_[index]: acquires a session, restores the saved KV
-  // (adopting the victim's own still-cached blocks first), and
-  // re-joins active_ exactly where it left off. Returns false when the
-  // restore hit pool pressure and admission must stop this sweep.
-  bool ResumePreempted(std::size_t index);
-  // kSlackPreempt: while the best waiting request strictly outranks the
-  // worst-scheduled running row, evict that victim (KV-preserved for
-  // decoding rows; back to pending for prefilling rows) and re-admit.
-  void MaybePreempt();
-  void PreemptPrefilling(std::size_t index);
-  void PreemptDecoding(std::size_t index);
   // Puts an admitted row that sampled nothing back at the head of the queue
-  // as pending (its session pooled, its Submit clock intact).
+  // as pending (its session pooled, its Submit time intact).
   void RequeueAtHead(Active&& row);
 
   // Spends this sweep's prefill token budget advancing prefilling requests in
@@ -447,11 +404,11 @@ class ServingLoop {
 
   HybridEngine* engine_;
   ServingOptions options_;
+  ServingClock clock_;
   std::uint64_t next_id_ = 1;
   std::deque<Pending> queue_;
   std::vector<Active> prefilling_;   // admitted, prompt not fully processed
   std::vector<Active> active_;       // decoding
-  std::deque<Preempted> preempted_;  // evicted, waiting to resume
   std::vector<int> free_sessions_;
   std::vector<GenerationResult> completed_;
   // Measured-work EMAs feeding the slack estimate (seconds; 0 = no sample

@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "src/common/align.h"
-#include "src/common/barrier.h"
 #include "src/common/histogram.h"
 #include "src/common/metrics.h"
 #include "src/common/queues.h"
@@ -199,57 +198,6 @@ TEST(SpscQueueTest, ProducerConsumerThreads) {
   EXPECT_EQ(sum, static_cast<long long>(kItems) * (kItems - 1) / 2);
 }
 
-TEST(MpmcQueueTest, SingleThreadRoundTrip) {
-  MpmcQueue<int> q(16);
-  for (int i = 0; i < 16; ++i) {
-    EXPECT_TRUE(q.TryPush(i));
-  }
-  EXPECT_FALSE(q.TryPush(99));
-  std::vector<int> out;
-  while (auto v = q.TryPop()) {
-    out.push_back(*v);
-  }
-  ASSERT_EQ(out.size(), 16u);
-  for (int i = 0; i < 16; ++i) {
-    EXPECT_EQ(out[static_cast<std::size_t>(i)], i);
-  }
-}
-
-TEST(MpmcQueueTest, ManyProducersManyConsumers) {
-  MpmcQueue<int> q(128);
-  constexpr int kPerProducer = 5000;
-  constexpr int kProducers = 3;
-  constexpr int kConsumers = 3;
-  std::atomic<long long> sum{0};
-  std::atomic<int> received{0};
-  std::vector<std::thread> threads;
-  for (int p = 0; p < kProducers; ++p) {
-    threads.emplace_back([&q] {
-      for (int i = 0; i < kPerProducer;) {
-        if (q.TryPush(i)) {
-          ++i;
-        }
-      }
-    });
-  }
-  for (int c = 0; c < kConsumers; ++c) {
-    threads.emplace_back([&] {
-      while (received.load() < kProducers * kPerProducer) {
-        if (auto v = q.TryPop()) {
-          sum += *v;
-          received.fetch_add(1);
-        }
-      }
-    });
-  }
-  for (auto& t : threads) {
-    t.join();
-  }
-  EXPECT_EQ(received.load(), kProducers * kPerProducer);
-  EXPECT_EQ(sum.load(),
-            static_cast<long long>(kProducers) * kPerProducer * (kPerProducer - 1) / 2);
-}
-
 TEST(ThreadPoolTest, ParallelForCoversAllIndices) {
   ThreadPool pool(4);
   std::vector<std::atomic<int>> hits(257);
@@ -367,49 +315,6 @@ TEST(TaskQueueTest, BalancedWorkloadNearlyEqual) {
   const double fixed = TaskQueue::SimulateMakespan(costs, 8, ScheduleKind::kStatic);
   const double dynamic = TaskQueue::SimulateMakespan(costs, 8, ScheduleKind::kDynamic);
   EXPECT_DOUBLE_EQ(fixed, dynamic);
-}
-
-
-TEST(SpinBarrierTest, SynchronizesAllParties) {
-  constexpr std::size_t kThreads = 4;
-  constexpr int kGenerations = 50;
-  SpinBarrier barrier(kThreads);
-  std::atomic<int> phase_counter{0};
-  std::atomic<int> serial_count{0};
-  std::atomic<int> errors{0};
-  std::vector<std::thread> threads;
-  for (std::size_t t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&] {
-      for (int g = 0; g < kGenerations; ++g) {
-        const int before = phase_counter.load();
-        if (before < g) {
-          errors.fetch_add(1);  // raced ahead of a previous generation
-        }
-        if (barrier.ArriveAndWait()) {
-          serial_count.fetch_add(1);
-          phase_counter.fetch_add(1);
-        }
-        // Everyone waits for the serial thread's publication.
-        barrier.ArriveAndWait();
-        if (phase_counter.load() < g + 1) {
-          errors.fetch_add(1);
-        }
-      }
-    });
-  }
-  for (auto& th : threads) {
-    th.join();
-  }
-  EXPECT_EQ(errors.load(), 0);
-  EXPECT_EQ(serial_count.load(), kGenerations);
-  EXPECT_EQ(phase_counter.load(), kGenerations);
-}
-
-TEST(SpinBarrierTest, SinglePartyNeverBlocks) {
-  SpinBarrier barrier(1);
-  for (int i = 0; i < 10; ++i) {
-    EXPECT_TRUE(barrier.ArriveAndWait());
-  }
 }
 
 TEST(RngTest, DeterministicStreams) {

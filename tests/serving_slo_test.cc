@@ -1,10 +1,4 @@
-// SLO-aware serving: deadline-honest accounting, slack scheduling and
-// KV-preserving preemption.
-//
-// The load-bearing guarantee here is bit-identity: a preempted-and-resumed
-// request must emit EXACTLY the tokens of an uninterrupted run (tolerance 0),
-// because resume restores the saved KV bits (blob + block adoption) instead
-// of re-prefilling generated tokens through a different kernel dispatch.
+// SLO-aware serving: deadline-honest accounting and slack scheduling.
 
 #include <gtest/gtest.h>
 
@@ -156,16 +150,22 @@ TEST(SloStatsTest, PrefillExpiryCountsExpiredAndCompletedAndFailed) {
 TEST(SloStatsTest, DecodeExpiryCountsExpiredAndLateTokensEarnNoGoodput) {
   // Nearly the whole 8192-position budget under a 50 ms deadline: expires
   // mid-decode. Its sibling (no deadline) finishes OK and is the only
-  // goodput contributor.
+  // goodput contributor. The clock advances 1 ms per sweep by hand, so the
+  // deadline lands on the 52nd sweep whatever a step costs on the host.
   Fixture f;
   f.config.max_seq = 8192;
   f.engine = std::make_unique<HybridEngine>(f.config, f.weights, EngineOptions{});
-  ServingLoop loop(f.engine.get(), Concurrency(2));
+  std::int64_t now_ns = 0;
+  ServingLoop loop(f.engine.get(), Concurrency(2), [&now_ns] { return now_ns; });
   GenerationRequest doomed = Req({5, 5}, 8190);
   doomed.deadline_s = 0.05;
   const std::uint64_t doomed_id = loop.Submit(std::move(doomed));
   const std::uint64_t ok_id = loop.Submit(Req({3, 1, 4}, 6));
-  const auto results = loop.RunToCompletion();
+  while (loop.pending() > 0) {
+    loop.RunOnce();
+    now_ns += 1'000'000;
+  }
+  const auto results = loop.TakeResults();
   ASSERT_EQ(results.size(), 2u);
   EXPECT_EQ(FindResult(results, doomed_id).finish_reason, FinishReason::kDeadline);
   const GenerationResult& ok = FindResult(results, ok_id);
@@ -289,140 +289,6 @@ TEST(SloScheduleTest, DeadlineFreeWorkloadSchedulesExactlyLikeFifo) {
   for (std::size_t i = 0; i < results.size(); ++i) {
     EXPECT_EQ(results[i].id, i + 1);
   }
-}
-
-// --- KV-preserving preemption: bit-identity ----------------------------------
-
-struct PreemptCase {
-  const char* name;
-  bool mla;
-  bool graph;
-  bool paged;
-};
-
-void ExpectPreemptResumeBitIdentical(const PreemptCase& pc) {
-  SCOPED_TRACE(pc.name);
-  const MoeModelConfig config = pc.mla ? TinyMlaConfig() : TinyMoeConfig();
-  const auto weights =
-      std::make_shared<const ModelWeights>(ModelWeights::Generate(config, 60));
-  EngineOptions eopts;
-  eopts.use_cuda_graph = pc.graph;
-  if (pc.paged) {
-    eopts.kv_pool_blocks = 64;
-    eopts.kv_block_size = 4;
-  }
-  HybridEngine engine(config, weights, eopts);
-  ServingOptions sopts;
-  sopts.max_concurrent = 1;
-  sopts.policy = SchedulePolicy::kSlackPreempt;
-  ServingLoop loop(&engine, sopts);
-
-  const std::vector<int> victim_prompt = {3, 1, 4, 1, 5};
-  const int victim_new = 24;
-  GenerationRequest victim = Req(victim_prompt, victim_new);
-  const std::uint64_t victim_id = loop.Submit(std::move(victim));
-  // Let the victim prefill and decode a handful of tokens mid-stream.
-  for (int i = 0; i < 6; ++i) {
-    loop.RunOnce();
-  }
-  const std::vector<int> vip_prompt = {2, 7, 1};
-  GenerationRequest vip = Req(vip_prompt, 4);
-  vip.priority = 2;
-  const std::uint64_t vip_id = loop.Submit(std::move(vip));
-  const auto results = loop.RunToCompletion();
-  ASSERT_EQ(results.size(), 2u);
-
-  const GenerationResult& victim_result = FindResult(results, victim_id);
-  const GenerationResult& vip_result = FindResult(results, vip_id);
-  ASSERT_TRUE(victim_result.ok) << victim_result.status.message();
-  ASSERT_TRUE(vip_result.ok) << vip_result.status.message();
-  EXPECT_GE(victim_result.preemptions, 1);
-  EXPECT_GE(loop.stats().preemptions, 1);
-  EXPECT_GE(loop.stats().preempt_resumes, 1);
-  EXPECT_GE(loop.stats().preempt_tokens_preserved,
-            static_cast<std::int64_t>(victim_prompt.size()));
-  if (pc.paged) {
-    // Resume must adopt the victim's own still-resident blocks, not copy
-    // everything back through the blob.
-    EXPECT_GE(loop.stats().preempt_tokens_adopted, 4);
-  }
-
-  // Tolerance 0: the preempted stream equals the uninterrupted one exactly.
-  HybridEngine solo_victim(config, weights, eopts);
-  EXPECT_EQ(victim_result.tokens, solo_victim.GenerateGreedy(victim_prompt, victim_new));
-  HybridEngine solo_vip(config, weights, eopts);
-  EXPECT_EQ(vip_result.tokens, solo_vip.GenerateGreedy(vip_prompt, 4));
-}
-
-TEST(SloPreemptTest, ResumedStreamBitIdenticalGqaGraphContiguous) {
-  ExpectPreemptResumeBitIdentical({"gqa/graph/contiguous", false, true, false});
-}
-
-TEST(SloPreemptTest, ResumedStreamBitIdenticalGqaGraphPaged) {
-  ExpectPreemptResumeBitIdentical({"gqa/graph/paged", false, true, true});
-}
-
-TEST(SloPreemptTest, ResumedStreamBitIdenticalGqaNoGraphPaged) {
-  ExpectPreemptResumeBitIdentical({"gqa/nograph/paged", false, false, true});
-}
-
-TEST(SloPreemptTest, ResumedStreamBitIdenticalMlaGraphContiguous) {
-  ExpectPreemptResumeBitIdentical({"mla/graph/contiguous", true, true, false});
-}
-
-TEST(SloPreemptTest, ResumedStreamBitIdenticalMlaNoGraphPaged) {
-  ExpectPreemptResumeBitIdentical({"mla/nograph/paged", true, false, true});
-}
-
-TEST(SloPreemptTest, PrefillingVictimRequeuesAndStillMatchesSolo) {
-  // A victim caught mid-prefill has sampled nothing: it re-queues as pending
-  // and re-prefills through the same engine-fixed chunk grid, which is
-  // bit-identical by the stall-free guarantee.
-  MoeModelConfig config = TinyMoeConfig();
-  config.max_seq = 256;
-  const auto weights =
-      std::make_shared<const ModelWeights>(ModelWeights::Generate(config, 60));
-  EngineOptions eopts;
-  eopts.prefill_chunk = 16;
-  HybridEngine engine(config, weights, eopts);
-  ServingOptions sopts;
-  sopts.max_concurrent = 1;
-  sopts.policy = SchedulePolicy::kSlackPreempt;
-  sopts.prefill_budget_tokens = 16;  // one chunk per sweep: long prefill window
-  ServingLoop loop(&engine, sopts);
-
-  const std::vector<int> long_prompt = Prompt(96);
-  const std::uint64_t victim_id = loop.Submit(Req(long_prompt, 6));
-  loop.RunOnce();  // victim is now mid-prefill (16 of 96 tokens)
-  GenerationRequest vip = Req({2, 7, 1}, 3);
-  vip.priority = 2;
-  const std::uint64_t vip_id = loop.Submit(std::move(vip));
-  const auto results = loop.RunToCompletion();
-  ASSERT_EQ(results.size(), 2u);
-
-  const GenerationResult& victim_result = FindResult(results, victim_id);
-  ASSERT_TRUE(victim_result.ok) << victim_result.status.message();
-  EXPECT_GE(victim_result.preemptions, 1);
-  EXPECT_TRUE(FindResult(results, vip_id).ok);
-  HybridEngine solo(config, weights, eopts);
-  EXPECT_EQ(victim_result.tokens, solo.GenerateGreedy(long_prompt, 6));
-}
-
-TEST(SloPreemptTest, EqualPriorityNeverPreempts) {
-  Fixture f;
-  ServingOptions opts;
-  opts.max_concurrent = 1;
-  opts.policy = SchedulePolicy::kSlackPreempt;
-  ServingLoop loop(f.engine.get(), opts);
-  loop.Submit(Req({3, 1, 4}, 12));
-  for (int i = 0; i < 4; ++i) {
-    loop.RunOnce();
-  }
-  GenerationRequest rival = Req({2, 7, 1}, 3);
-  rival.deadline_s = 30.0;  // tighter slack, same class
-  loop.Submit(std::move(rival));
-  loop.RunToCompletion();
-  EXPECT_EQ(loop.stats().preemptions, 0);
 }
 
 // --- arrival traces ----------------------------------------------------------

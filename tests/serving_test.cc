@@ -358,21 +358,27 @@ TEST(ServingLifecycleTest, ExpiredDeadlineIsRejectedAtAdmissionWithoutPrefill) {
 
 TEST(ServingLifecycleTest, DeadlineExpiryMidBatchRetiresOnlyThatRequest) {
   // The doomed request asks for the entire 8192-position KV budget under a
-  // ~50 ms deadline: admission (sub-millisecond away) always beats the
-  // deadline, and the deadline always beats ~8k decode steps — so it is
-  // deterministically retired by the per-row sweep while its neighbor (a
-  // short request that completes well inside the deadline) keeps decoding.
-  // max_new_tokens exactly fills max_seq: any more would be rejected at
-  // Submit as a doomed capacity ask.
+  // 50 ms deadline. The loop's clock is stepped by hand, 1 ms per sweep, so
+  // admission (sweep 1) always beats the deadline, and the deadline (sweep
+  // 52) always beats ~8k decode steps — it is deterministically retired by
+  // the per-row sweep, whatever a step costs on the host, while its neighbor
+  // (a short request that completes well inside the deadline) keeps
+  // decoding. max_new_tokens exactly fills max_seq: any more would be
+  // rejected at Submit as a doomed capacity ask.
   Fixture f;
   f.config.max_seq = 8192;
   f.engine = std::make_unique<HybridEngine>(f.config, f.weights, EngineOptions{});
-  ServingLoop loop(f.engine.get(), Concurrency(2));
+  std::int64_t now_ns = 0;
+  ServingLoop loop(f.engine.get(), Concurrency(2), [&now_ns] { return now_ns; });
   GenerationRequest doomed = Req({5, 5}, 8190);
   doomed.deadline_s = 0.05;
   loop.Submit(std::move(doomed));
   loop.Submit(Req({1, 2, 3}, 5));
-  const auto results = loop.RunToCompletion();
+  while (loop.pending() > 0) {
+    loop.RunOnce();
+    now_ns += 1'000'000;
+  }
+  const auto results = loop.TakeResults();
   ASSERT_EQ(results.size(), 2u);
 
   const auto expired = std::find_if(results.begin(), results.end(),
