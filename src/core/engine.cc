@@ -50,15 +50,15 @@ struct HybridEngine::DecodeBuffers {
   std::vector<std::unique_ptr<MoeRequest>> def_requests;
 
   // Working memory of the vGPU kernels (one forward's kernels run one after
-  // another, so one set serves every layer and pipeline stage).
+  // another, so one set serves every layer).
   AttentionScratch attn_scratch;
   GatingScratch gating_scratch;
   FfnScratch ffn_scratch;
 
   // First attention failure of the in-flight step (KV overflow surfaced as a
-  // Status instead of an abort). Kernels on different pipeline streams may
-  // race to record; checked and cleared after SyncAllStreams, before any
-  // position advances — so a failed step mutates no session accounting.
+  // Status instead of an abort). Recorded on the stream worker; checked and
+  // cleared after the stream synchronizes, before any position advances — so
+  // a failed step mutates no session accounting.
   std::mutex attn_mu;
   Status attn_status;
   void RecordAttnFailure(const Status& status) {
@@ -103,8 +103,6 @@ HybridEngine::HybridEngine(MoeModelConfig config, std::shared_ptr<const ModelWei
   // §4.2: keep at least 2 immediate experts for model stability.
   KTX_CHECK_LE(options_.n_deferred, config_.top_k - 2)
       << "Expert Deferral must leave >= 2 immediate experts";
-  KTX_CHECK_GE(options_.pipeline_stages, 1);
-  KTX_CHECK_LE(options_.pipeline_stages, config_.num_layers);
   KTX_CHECK_GE(options_.max_batch, 1);
   // Keep the fallback ARI kernel-kind dispatch batch-invariant on the decode
   // path: with top-1 routing a B-row batch can put up to B tokens on one
@@ -123,10 +121,6 @@ HybridEngine::HybridEngine(MoeModelConfig config, std::shared_ptr<const ModelWei
     cal.profile_path = options_.kernel_profile_path;
     calibration_ = CalibrateOrLoad(cal);
     options_.moe.dispatch = &calibration_.table;
-  }
-  if (options_.pipeline_stages > 1) {
-    // Cross-stream events cannot be captured into a graph (as in real CUDA).
-    options_.use_cuda_graph = false;
   }
   if (options_.kv_pool_blocks != 0) {
     KvPoolOptions pool_opts;
@@ -147,10 +141,7 @@ HybridEngine::HybridEngine(MoeModelConfig config, std::shared_ptr<const ModelWei
   }
   sessions_.push_back(NewKvCache());
   active_cache_ = sessions_[0].get();
-  for (int stage = 0; stage < options_.pipeline_stages; ++stage) {
-    devices_.push_back(std::make_unique<VDevice>());
-    streams_.push_back(std::make_unique<VStream>(devices_.back().get()));
-  }
+  stream_ = std::make_unique<VStream>(&device_);
   pool_ = std::make_unique<ThreadPool>(static_cast<std::size_t>(options_.cpu_threads));
   // The vGPU plane's weights, packed once for the registry's f32 kernel; the
   // kernels run every projection over all live rows in one GEMM.
@@ -169,32 +160,9 @@ std::unique_ptr<KvCache> HybridEngine::NewKvCache() const {
 }
 
 HybridEngine::~HybridEngine() {
-  // The service must outlive nothing that still submits; streams first.
-  streams_.clear();
+  // The service must outlive nothing that still submits; the stream first.
+  stream_.reset();
   service_.reset();
-}
-
-int HybridEngine::StageOf(int layer) const {
-  const int stages = static_cast<int>(devices_.size());
-  const int per = (config_.num_layers + stages - 1) / stages;
-  return layer / per;
-}
-
-void HybridEngine::SyncAllStreams() {
-  for (auto& st : streams_) {
-    st->Synchronize();
-  }
-}
-
-void HybridEngine::ChainStreams(VStream* from, VStream* to, std::int64_t rows) {
-  // The §5 stage hand-off: the upstream device records an event after its
-  // slice of the layer stack; the downstream stream's next op waits on it
-  // (plus the transfer of `rows` f32 activation rows, counted against the
-  // downstream device).
-  auto event = std::make_shared<VEvent>();
-  from->RecordEvent(event.get());
-  to->MemcpyAsync([event] { event->Wait(); },
-                  rows * config_.hidden * static_cast<std::int64_t>(sizeof(float)));
 }
 
 void HybridEngine::BuildCpuExperts() {
@@ -237,7 +205,6 @@ void HybridEngine::EnqueueForward(DecodeBuffers* bufs, std::int64_t m, bool allo
   const int n_def = allow_deferral ? options_.n_deferred : 0;
   const int last_layer = config_.num_layers - 1;
   const int first_moe = config_.first_dense_layers;
-  VStream* stream = streams_[0].get();
 
   // In batched mode the row count is a slot, not a capture constant: every
   // kernel reads it at exec time so one captured graph serves any occupancy
@@ -246,8 +213,8 @@ void HybridEngine::EnqueueForward(DecodeBuffers* bufs, std::int64_t m, bool allo
     return batched ? bufs->active_m.load(std::memory_order_relaxed) : m;
   };
 
-  // Embedding lookup (stage 0).
-  stream->Launch(KernelDesc{
+  // Embedding lookup.
+  stream_->Launch(KernelDesc{
       "embed",
       [this, bufs, live] {
         const std::int64_t rows = live();
@@ -266,14 +233,8 @@ void HybridEngine::EnqueueForward(DecodeBuffers* bufs, std::int64_t m, bool allo
     const PackedModelWeights::Layer* pw = &packed_->layer(l);
     const bool moe_layer = config_.is_moe_layer(l);
     const int p = moe_layer ? (l - first_moe) % 2 : 0;
-    VStream* layer_stream = StreamOf(l);
-    if (layer_stream != stream) {
-      // Pipelines run without graphs, so `m` is the live row count here.
-      ChainStreams(stream, layer_stream, m);
-      stream = layer_stream;
-    }
 
-    stream->Launch(KernelDesc{
+    stream_->Launch(KernelDesc{
         "attn_norm",
         [this, bufs, lw, live] {
           const std::int64_t rows = live();
@@ -283,7 +244,7 @@ void HybridEngine::EnqueueForward(DecodeBuffers* bufs, std::int64_t m, bool allo
           }
         },
         options_.gpu_micro_per_op, l});
-    stream->Launch(KernelDesc{
+    stream_->Launch(KernelDesc{
         "attention",
         [this, bufs, pw, l, live, batched] {
           const std::int64_t rows = live();
@@ -314,7 +275,7 @@ void HybridEngine::EnqueueForward(DecodeBuffers* bufs, std::int64_t m, bool allo
 
     // FFN norm writes I_k into the parity buffer for MoE layers.
     float* ffn_in = moe_layer ? bufs->ffn_in[p].f32() : bufs->normed.f32();
-    stream->Launch(KernelDesc{
+    stream_->Launch(KernelDesc{
         "ffn_norm",
         [this, bufs, lw, ffn_in, live] {
           const std::int64_t rows = live();
@@ -326,7 +287,7 @@ void HybridEngine::EnqueueForward(DecodeBuffers* bufs, std::int64_t m, bool allo
         options_.gpu_micro_per_op, l});
 
     if (!moe_layer) {
-      stream->Launch(KernelDesc{
+      stream_->Launch(KernelDesc{
           "dense_ffn",
           [this, bufs, pw, ffn_in, live] {
             DenseFfnAdd(pw->ffn_gate, pw->ffn_up, pw->ffn_down, ffn_in, live(), config_.hidden,
@@ -341,7 +302,7 @@ void HybridEngine::EnqueueForward(DecodeBuffers* bufs, std::int64_t m, bool allo
     const int immediate_end = (n_def > 0 && !is_last) ? config_.top_k - n_def : config_.top_k;
     const int expert_base = (l - first_moe) * config_.num_experts;
 
-    stream->Launch(KernelDesc{
+    stream_->Launch(KernelDesc{
         "gating",
         [this, bufs, lw, pw, p, ffn_in, live] {
           ComputeRouting(config_, pw->router, lw->router_bias, ffn_in, live(),
@@ -354,8 +315,8 @@ void HybridEngine::EnqueueForward(DecodeBuffers* bufs, std::int64_t m, bool allo
     // batched step buys: submit/sync overhead per iteration, not per row.
     MoeRequest* imm = bufs->imm_requests[static_cast<std::size_t>(l)].get();
     MoeRequest* def = bufs->def_requests[static_cast<std::size_t>(l)].get();
-    stream->LaunchHostFunc([this, bufs, p, l, ffn_in, imm, def, immediate_end,
-                             expert_base, hidden, live] {
+    stream_->LaunchHostFunc([this, bufs, p, l, ffn_in, imm, def, immediate_end,
+                              expert_base, hidden, live] {
       const std::int64_t rows = live();
       // Routing ids are per-layer; offset them into the packed global table.
       // Routing is recomputed by the gating kernel on every (re)play, so the
@@ -396,25 +357,20 @@ void HybridEngine::EnqueueForward(DecodeBuffers* bufs, std::int64_t m, bool allo
     // The barrier's host function. While the CPU experts run, the stream
     // worker would only spin, so it first prefetches into its L2 what the
     // next vGPU segment reads (WarmSegment): layer l+1, or after the last
-    // layer the lm_head and the next step's layer 0 — when that segment runs
-    // on this stream. Ranges resolve at exec time through the row slots.
+    // layer the lm_head and the next step's layer 0. Ranges resolve at exec
+    // time through the row slots.
     const int next = is_last ? 0 : l + 1;
-    const bool warm = StreamOf(next) == stream;
-    auto sync = [this, bufs, imm, l, next, warm, is_last, live, batched] {
-      imm->SyncWait(l, [&] {
-        if (warm) {
-          WarmSegment(bufs, live(), batched, next, /*lm_head=*/is_last);
-        }
-      });
+    auto sync = [this, bufs, imm, l, next, is_last, live, batched] {
+      imm->SyncWait(l, [&] { WarmSegment(bufs, live(), batched, next, /*lm_head=*/is_last); });
     };
     if (!options_.async_overlap) {
       // Baseline semantics: block on the CPU before anything else runs on the
       // GPU — the synchronous round-trip of Fig. 1b-style systems.
-      stream->LaunchHostFunc(sync);
+      stream_->LaunchHostFunc(sync);
     }
 
     // Shared experts run on the GPU, overlapping the CPU's immediate batch.
-    stream->Launch(KernelDesc{
+    stream_->Launch(KernelDesc{
         "shared_experts",
         [this, bufs, pw, ffn_in, live] {
           const std::int64_t rows = live();
@@ -430,12 +386,12 @@ void HybridEngine::EnqueueForward(DecodeBuffers* bufs, std::int64_t m, bool allo
     // Sync: wait for the immediate batch. FIFO completion implies the
     // previous layer's deferred batch is also done.
     if (options_.async_overlap) {
-      stream->LaunchHostFunc(sync);
+      stream_->LaunchHostFunc(sync);
     }
 
     // Merge: O_k = I_k(residual, already in x) + S_k + R_k^imm + R_{k-1}^def.
     const bool has_prev_def = n_def > 0 && l > first_moe;
-    stream->Launch(KernelDesc{
+    stream_->Launch(KernelDesc{
         "merge",
         [this, bufs, p, has_prev_def, live] {
           const std::int64_t rows = live();
@@ -448,7 +404,7 @@ void HybridEngine::EnqueueForward(DecodeBuffers* bufs, std::int64_t m, bool allo
         options_.gpu_micro_per_op, l});
   }
 
-  stream->Launch(KernelDesc{
+  stream_->Launch(KernelDesc{
       "final_norm_lm_head",
       [this, bufs, live] {
         const std::int64_t rows = live();
@@ -526,7 +482,7 @@ StatusOr<std::int64_t> HybridEngine::PrefillChunk(PrefillCursor* cursor) {
   // Deferral is disabled in prefill (§4.1: prefill's expert coverage would
   // double the memory footprint).
   EnqueueForward(&bufs, m, /*allow_deferral=*/false, /*batched=*/false);
-  SyncAllStreams();
+  stream_->Synchronize();
   KTX_RETURN_IF_ERROR(bufs.TakeAttnStatus().WithContext("prefill chunk"));
   cache->Advance(m);
   counters_.prefill_tokens += m;
@@ -563,7 +519,7 @@ void HybridEngine::EnsureDecodeCapacity(std::int64_t rows) {
   if (decode_bufs_ != nullptr) {
     // The old graph's kernels point into the old buffers; nothing may be in
     // flight when they are released, and the graph must never replay again.
-    SyncAllStreams();
+    stream_->Synchronize();
     decode_graph_ = VGraph();
     graph_ready_ = false;
   }
@@ -616,18 +572,18 @@ StatusOr<Tensor> HybridEngine::RunDecodeBatch(const std::vector<SessionToken>& b
       // becomes a single replayable graph. Row count and per-row caches are
       // slots, so later batches of any width <= capacity reuse this graph.
       KTX_TRACE_SPAN_ARG("engine", "graph_capture", "batch", b);
-      streams_[0]->BeginCapture();
+      stream_->BeginCapture();
       EnqueueForward(bufs, bufs->m, /*allow_deferral=*/true, /*batched=*/true);
-      decode_graph_ = streams_[0]->EndCapture();
+      decode_graph_ = stream_->EndCapture();
       graph_ready_ = true;
       ++counters_.graph_captures;
     }
     KTX_TRACE_SPAN_ARG("engine", "graph_replay", "batch", b);
-    decode_graph_.Launch(streams_[0].get());
+    decode_graph_.Launch(stream_.get());
   } else {
     EnqueueForward(bufs, b, /*allow_deferral=*/true, /*batched=*/true);
   }
-  SyncAllStreams();
+  stream_->Synchronize();
   KTX_RETURN_IF_ERROR(bufs->TakeAttnStatus().WithContext("decode"));
   for (std::int64_t r = 0; r < b; ++r) {
     bufs->row_caches[static_cast<std::size_t>(r)]->Advance(1);
@@ -653,7 +609,7 @@ Tensor HybridEngine::VerifyStep(int session, const std::vector<int>& tokens) {
   // Eager multi-token decode: shapes vary per call, so no graph; deferral
   // applies as in single-token decode.
   EnqueueForward(&bufs, m, /*allow_deferral=*/true, /*batched=*/false);
-  SyncAllStreams();
+  stream_->Synchronize();
   const Status attn = bufs.TakeAttnStatus();
   KTX_CHECK(attn.ok()) << "KV cache overflow: " << attn.ToString();
   cache->Advance(m);
@@ -669,7 +625,7 @@ void HybridEngine::SetDeferral(int n_deferred) {
   if (n_deferred == options_.n_deferred) {
     return;
   }
-  SyncAllStreams();  // nothing may reference the old graph's split
+  stream_->Synchronize();  // nothing may reference the old graph's split
   options_.n_deferred = n_deferred;
   graph_ready_ = false;
   decode_graph_ = VGraph();
@@ -726,20 +682,19 @@ StatusOr<std::string> HybridEngine::TrySaveKv(int session) const {
 }
 
 void HybridEngine::InjectSessionFault(int session, Status fault, int after_polls) {
-  devices_[0]->InjectFault("session:" + std::to_string(session), std::move(fault),
-                           after_polls);
+  device_.InjectFault("session:" + std::to_string(session), std::move(fault), after_polls);
 }
 
 Status HybridEngine::TakeSessionFault(int session) {
-  return devices_[0]->TakeFault("session:" + std::to_string(session));
+  return device_.TakeFault("session:" + std::to_string(session));
 }
 
 void HybridEngine::InjectBackendFault(Status fault, int after_polls) {
-  devices_[0]->InjectFault("device", std::move(fault), after_polls);
+  device_.InjectFault("device", std::move(fault), after_polls);
 }
 
 Status HybridEngine::TakeBackendFault() {
-  Status device_fault = devices_[0]->TakeFault("device");
+  Status device_fault = device_.TakeFault("device");
   if (!device_fault.ok()) {
     return device_fault;
   }

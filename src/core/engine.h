@@ -70,14 +70,9 @@ struct EngineOptions {
   DType gpu_weight_dtype = DType::kBF16;
   // Expert Deferral depth D (decode only). Must leave >= 2 immediate experts.
   int n_deferred = 0;
-  // Capture the decode step into a single vcuda graph (§3.3). Only available
-  // for single-stage pipelines: host events, which chain pipeline stages,
-  // cannot be captured (mirrors real CUDA's cross-stream capture limits).
+  // Capture the decode step into a single vcuda graph (§3.3); false runs it
+  // eagerly, one launch per op.
   bool use_cuda_graph = true;
-  // Layer-wise pipeline parallelism across virtual GPUs (§5 "multi-GPU
-  // pipelining"): layers split contiguously across this many devices, with
-  // event-synchronized hand-offs at stage boundaries.
-  int pipeline_stages = 1;
   // NUMA placement for the routed experts.
   NumaMode numa_mode = NumaMode::kTensorParallel;
   int numa_shards = 2;  // tensor-parallel shards (sockets)
@@ -334,9 +329,7 @@ class HybridEngine {
 
   const MoeModelConfig& config() const { return config_; }
   const EngineOptions& options() const { return options_; }
-  VDevice& device() { return *devices_[0]; }
-  VDevice& device(int stage) { return *devices_.at(static_cast<std::size_t>(stage)); }
-  int pipeline_stages() const { return static_cast<int>(devices_.size()); }
+  VDevice& device() { return device_; }
   const EngineCounters& counters() const { return counters_; }
   std::int64_t position() const { return position(0); }
   std::int64_t position(int session) const;
@@ -391,16 +384,10 @@ class HybridEngine {
   // engine is neither copyable nor movable).
   KernelCalibrationResult calibration_;
 
-  // One virtual GPU (device + stream) per pipeline stage; stage 0 is the
-  // default. StageOf maps a layer to its stage.
-  std::vector<std::unique_ptr<VDevice>> devices_;
-  std::vector<std::unique_ptr<VStream>> streams_;
-  int StageOf(int layer) const;
-  VStream* StreamOf(int layer) { return streams_[static_cast<std::size_t>(StageOf(layer))].get(); }
-  // Blocks `to` until everything enqueued on `from` so far has executed, and
-  // counts the hand-off of `rows` activation rows as a memcpy on `to`.
-  void ChainStreams(VStream* from, VStream* to, std::int64_t rows);
-  void SyncAllStreams();
+  // The one virtual GPU: its device (launch stats, fault plan) and the stream
+  // every vGPU op runs on.
+  VDevice device_;
+  std::unique_ptr<VStream> stream_;
   std::unique_ptr<ThreadPool> pool_;
   std::shared_ptr<const NumaMoe> numa_moe_;
   std::unique_ptr<AsyncMoeService> service_;

@@ -13,7 +13,7 @@
 //     set would absorb (the fraction of routed-expert work taken off the
 //     CPU's memory bus).
 //
-// bench_ablation_placement quantifies the decode-throughput effect.
+// bench_ablations (ablation C) quantifies the decode-throughput effect.
 
 #ifndef KTX_SRC_CORE_PROFILING_H_
 #define KTX_SRC_CORE_PROFILING_H_

@@ -7,28 +7,11 @@
 
 namespace ktx {
 
-// --- VEvent ------------------------------------------------------------------
-
-void VEvent::Signal() {
-  // Notify while holding the lock: a waiter may destroy the event the moment
-  // Wait() returns, so the cv must not be touched after the flag is visible
-  // outside the critical section.
-  std::lock_guard<std::mutex> lock(mu_);
-  signaled_ = true;
-  cv_.notify_all();
-}
-
-void VEvent::Wait() {
-  std::unique_lock<std::mutex> lock(mu_);
-  cv_.wait(lock, [this] { return signaled_; });
-}
-
 // --- VGraph ------------------------------------------------------------------
 
 void VGraph::Launch(VStream* stream) const {
   KTX_CHECK(!stream->capturing()) << "graph launch inside capture is not supported";
   VStream::Op op;
-  op.kind = VStream::Op::Kind::kGraph;
   op.graph = this;
   stream->Enqueue(std::move(op));
 }
@@ -110,23 +93,6 @@ void VStream::LaunchHostFunc(std::function<void()> fn) {
   Submit(std::move(node));
 }
 
-void VStream::MemcpyAsync(std::function<void()> copy_fn, std::int64_t bytes) {
-  VGraph::Node node;
-  node.kind = VGraph::Node::Kind::kMemcpy;
-  node.kernel.name = "memcpy";
-  node.kernel.fn = std::move(copy_fn);
-  node.bytes = bytes;
-  Submit(std::move(node));
-}
-
-void VStream::RecordEvent(VEvent* event) {
-  KTX_CHECK(!capturing_) << "event record inside capture is not supported";
-  Op op;
-  op.kind = Op::Kind::kEventRecord;
-  op.event = event;
-  Enqueue(std::move(op));
-}
-
 void VStream::Synchronize() {
   KTX_CHECK(!capturing_) << "stream synchronize during graph capture (capture violation)";
   std::unique_lock<std::mutex> lock(mu_);
@@ -148,20 +114,11 @@ VGraph VStream::EndCapture() {
 
 void VStream::RunNode(const VGraph::Node& node, bool replayed) {
   LaunchStats& stats = device_->stats();
-  switch (node.kind) {
-    case VGraph::Node::Kind::kKernel:
-      if (!replayed) {
-        stats.logical_launches.fetch_add(1);
-        stats.micro_launches.fetch_add(node.kernel.micro_kernels);
-      }
-      break;
-    case VGraph::Node::Kind::kHostFunc:
-      stats.host_funcs.fetch_add(1);
-      break;
-    case VGraph::Node::Kind::kMemcpy:
-      stats.memcpys.fetch_add(1);
-      stats.memcpy_bytes.fetch_add(node.bytes);
-      break;
+  if (node.kind == VGraph::Node::Kind::kHostFunc) {
+    stats.host_funcs.fetch_add(1);
+  } else if (!replayed) {
+    stats.logical_launches.fetch_add(1);
+    stats.micro_launches.fetch_add(node.kernel.micro_kernels);
   }
   if (node.kernel.fn) {
     node.kernel.fn();
@@ -193,19 +150,12 @@ void VStream::Replay(const VGraph& graph) {
 }
 
 void VStream::ExecuteOp(const Op& op) {
-  switch (op.kind) {
-    case Op::Kind::kNode: {
-      trace::ScopedSpan span("vgpu", op.node.kernel.name, "layer", op.node.kernel.layer);
-      RunNode(op.node, /*replayed=*/false);
-      break;
-    }
-    case Op::Kind::kEventRecord:
-      op.event->Signal();
-      break;
-    case Op::Kind::kGraph:
-      Replay(*op.graph);
-      break;
+  if (op.graph != nullptr) {
+    Replay(*op.graph);
+    return;
   }
+  trace::ScopedSpan span("vgpu", op.node.kernel.name, "layer", op.node.kernel.layer);
+  RunNode(op.node, /*replayed=*/false);
 }
 
 void VStream::WorkerLoop() {

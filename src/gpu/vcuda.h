@@ -2,7 +2,6 @@
 // KTransformers depends on (paper §2.3, §3.3):
 //
 //   * streams with FIFO, asynchronous execution on a device worker thread;
-//   * events (record / wait / host sync);
 //   * cudaLaunchHostFunc-style host callbacks executed in stream order — the
 //     primitive the asynchronous scheduler hides its submit/sync barriers in;
 //   * CUDA graphs: stream capture records the op sequence instead of running
@@ -16,11 +15,11 @@
 // *scheduling semantics* — ordering, asynchrony, capture legality, host
 // interruptions — which is the layer the paper's contribution lives in.
 //
-// Every executed op (kernel, host func, memcpy, and each node of a replayed
-// graph) emits one complete span in the "vgpu" category of the shared trace
-// recorder (src/common/trace.h), on the stream worker's track, so the vGPU
-// plane shows up on the same timeline as the engine and the CPU MoE — the
-// functional analogue of an Nsight Systems timeline (§2.3).
+// Every executed op (kernel, host func, and each node of a replayed graph)
+// emits one complete span in the "vgpu" category of the shared trace recorder
+// (src/common/trace.h), on the stream worker's track, so the vGPU plane shows
+// up on the same timeline as the engine and the CPU MoE — the functional
+// analogue of an Nsight Systems timeline (§2.3).
 
 #ifndef KTX_SRC_GPU_VCUDA_H_
 #define KTX_SRC_GPU_VCUDA_H_
@@ -60,21 +59,8 @@ struct LaunchStats {
   std::atomic<std::int64_t> logical_launches{0};
   std::atomic<std::int64_t> micro_launches{0};
   std::atomic<std::int64_t> host_funcs{0};
-  std::atomic<std::int64_t> memcpys{0};
-  std::atomic<std::int64_t> memcpy_bytes{0};
   std::atomic<std::int64_t> graph_launches{0};
   std::atomic<std::int64_t> graph_replayed_nodes{0};
-};
-
-class VEvent {
- public:
-  void Signal();
-  void Wait();  // blocks until signaled
-
- private:
-  std::mutex mu_;
-  std::condition_variable cv_;
-  bool signaled_ = false;
 };
 
 class VStream;
@@ -89,12 +75,11 @@ class VGraph {
 
  private:
   friend class VStream;
-  // One kernel, host func or memcpy. Host funcs and memcpys keep their body
-  // in kernel.fn under the literal span name "host_func" / "memcpy".
+  // One kernel or host func. A host func keeps its body in kernel.fn under
+  // the literal span name "host_func".
   struct Node {
-    enum class Kind { kKernel, kHostFunc, kMemcpy } kind = Kind::kKernel;
+    enum class Kind { kKernel, kHostFunc } kind = Kind::kKernel;
     KernelDesc kernel;
-    std::int64_t bytes = 0;  // kMemcpy only
   };
   std::vector<Node> nodes_;
 };
@@ -144,10 +129,6 @@ class VStream {
   void Launch(KernelDesc kernel);
   // cudaLaunchHostFunc analog: `fn` runs on the stream worker, in order.
   void LaunchHostFunc(std::function<void()> fn);
-  // Async copy of `bytes` bytes; `copy_fn` performs the actual movement.
-  void MemcpyAsync(std::function<void()> copy_fn, std::int64_t bytes);
-
-  void RecordEvent(VEvent* event);
   // Host-side wait for all previously enqueued work.
   void Synchronize();
 
@@ -162,11 +143,9 @@ class VStream {
  private:
   friend class VGraph;
 
-  // A queued op: one node, an event record, or a whole graph replay.
+  // A queued op: one node, or a whole graph replay (graph != nullptr).
   struct Op {
-    enum class Kind { kNode, kEventRecord, kGraph } kind = Kind::kNode;
     VGraph::Node node;
-    VEvent* event = nullptr;
     const VGraph* graph = nullptr;
   };
 

@@ -290,17 +290,12 @@ Status ApplyFusedMoeKwargs(const ReplaceClause& replace, EngineOptions* options)
 StatusOr<EngineOptions> EngineOptionsFromYaml(const std::string& yaml) {
   KTX_ASSIGN_OR_RETURN(std::vector<InjectionRule> rules, ParseRules(yaml));
   EngineOptions options;
-  int max_cuda_device = 0;
   for (const InjectionRule& rule : rules) {
-    // Multi-GPU pipelining (§5) is configured by assigning modules to
-    // cuda:0..cuda:N-1; the highest index sets the stage count.
-    if (rule.replace.device.rfind("cuda:", 0) == 0) {
-      try {
-        max_cuda_device = std::max(max_cuda_device,
-                                   std::stoi(rule.replace.device.substr(5)));
-      } catch (const std::exception&) {
-        return InvalidArgumentError("bad device: " + rule.replace.device);
-      }
+    // The engine runs one virtual GPU next to the CPU, as each of the paper's
+    // deployments runs on one GPU.
+    if (rule.replace.device != "cpu" && rule.replace.device != "cuda:0") {
+      return InvalidArgumentError("unsupported device \"" + rule.replace.device +
+                                  "\": the engine runs on cpu and cuda:0 only");
     }
     const std::string cls = Unqualified(rule.replace.class_name);
     if (cls == "FusedMoE") {
@@ -315,7 +310,6 @@ StatusOr<EngineOptions> EngineOptionsFromYaml(const std::string& yaml) {
       return InvalidArgumentError("unknown replacement class: " + rule.replace.class_name);
     }
   }
-  options.pipeline_stages = max_cuda_device + 1;
   return options;
 }
 

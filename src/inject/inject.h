@@ -95,14 +95,20 @@ StatusOr<InjectionReport> ApplyRules(Module* root, const std::vector<InjectionRu
 // --- Engine bridge ---------------------------------------------------------------
 
 // Derives HybridEngine options from a rule file. Recognized:
-//   FusedMoE:     backend: AMX | AVX512 | hybrid_AMX_AVX512
-//                 data_type: BF16 | Int8 | Int4
+//   every rule:   device: cpu | cuda:0 (the engine runs one virtual GPU next
+//                 to the CPU; any other device is kInvalidArgument)
+//   FusedMoE:     backend: AMX | AVX512 | AVX2 | scalar (forced kernel kind)
+//                          | hybrid_AMX_AVX512 (ARI dispatch)
+//                          | calibrated (measured dispatch, calibrate_kernels)
+//                 kernel_profile: <path> -> kernel_profile_path
+//                 data_type: BF16 | Int8 | Int4 (also bf16, int8, q8_0, int4,
+//                            q4_0) -> cpu_weight_dtype
 //                 n_deferred_experts: <int>
 //                 numa: tensor_parallel | naive | single | expert_parallel
-//                 device (informational)
 //   MarlinLinear: data_type -> gpu_weight_dtype
-//   FlashInferMLA: device (informational)
-// Unknown replacement classes are rejected so typos fail loudly.
+//   FlashInferMLA, FlashInferAttention: nothing to configure
+// Unknown replacement classes and FusedMoE kwargs are rejected so typos fail
+// loudly.
 StatusOr<EngineOptions> EngineOptionsFromYaml(const std::string& yaml);
 
 }  // namespace ktx

@@ -97,6 +97,22 @@ TEST(CliTest, InjectAppliesRuleFile) {
   std::remove(path);
 }
 
+TEST(CliTest, InjectFailsOnARuleTheEngineCannotRun) {
+  SKIP_WITHOUT_CLI();
+  const char* path = "cli_test_cuda1_rules.yaml";
+  FILE* f = fopen(path, "w");
+  ASSERT_NE(f, nullptr);
+  fputs("- match:\n    name: \"self_attn$\"\n  replace:\n    class: FlashInferMLA\n"
+        "    device: \"cuda:1\"\n",
+        f);
+  fclose(f);
+  const RunResult r = RunCli(std::string("inject --rules ") + path + " --model ds3");
+  EXPECT_NE(r.exit_code, 0);
+  EXPECT_NE(r.output.find("cuda:1"), std::string::npos) << r.output;
+  EXPECT_EQ(r.output.find("engine: cpu="), std::string::npos) << r.output;
+  std::remove(path);
+}
+
 
 TEST(CliTest, EvalReportsPerplexityAndDivergence) {
   SKIP_WITHOUT_CLI();

@@ -1,6 +1,6 @@
 // Exhaustive engine configuration matrix: every combination of weight
-// precision, NUMA placement, deferral depth, graph mode and pipeline staging
-// must track the reference model. This is the integration sweep that guards
+// precision, NUMA placement, deferral depth and graph mode must track the
+// reference model. This is the integration sweep that guards
 // option interactions the focused tests do not cross.
 
 #include <gtest/gtest.h>
@@ -18,7 +18,6 @@ struct MatrixCase {
   NumaMode numa;
   int deferred;
   bool graph;
-  int stages;
 };
 
 class EngineMatrix : public ::testing::TestWithParam<MatrixCase> {
@@ -41,7 +40,6 @@ TEST_P(EngineMatrix, TracksReference) {
   opts.numa_mode = c.numa;
   opts.n_deferred = c.deferred;
   opts.use_cuda_graph = c.graph;
-  opts.pipeline_stages = c.stages;
   HybridEngine engine(Config(), Weights(), opts);
 
   const std::vector<int> prompt{5, 6, 7, 8};
@@ -67,7 +65,6 @@ std::string CaseName(const ::testing::TestParamInfo<MatrixCase>& info) {
   name += c.numa == NumaMode::kTensorParallel ? "_tp" : "_flat";
   name += "_d" + std::to_string(c.deferred);
   name += c.graph ? "_graph" : "_eager";
-  name += "_s" + std::to_string(c.stages);
   return name;
 }
 
@@ -77,12 +74,7 @@ std::vector<MatrixCase> AllCases() {
     for (NumaMode numa : {NumaMode::kTensorParallel, NumaMode::kNaiveInterleaved}) {
       for (int deferred : {0, 2}) {
         for (bool graph : {true, false}) {
-          for (int stages : {1, 2}) {
-            if (stages > 1 && graph) {
-              continue;  // pipeline downgrades graphs; covered by stages=2 eager
-            }
-            cases.push_back(MatrixCase{dtype, numa, deferred, graph, stages});
-          }
+          cases.push_back(MatrixCase{dtype, numa, deferred, graph});
         }
       }
     }

@@ -129,20 +129,26 @@ TEST(HybridEngineTest, DeferralDiffersFromStandardExecution) {
 }
 
 TEST(HybridEngineTest, GraphAndEagerDecodeIdentical) {
+  // With deferral the captured graph must keep the FIFO the sync protocol
+  // needs: layer k's deferred experts complete before layer k+1 merges them.
   EngineFixture f(TinyMoeConfig());
-  EngineOptions with_graph;
-  with_graph.use_cuda_graph = true;
-  EngineOptions no_graph;
-  no_graph.use_cuda_graph = false;
-  auto a = f.MakeEngine(with_graph);
-  auto b = f.MakeEngine(no_graph);
-  const std::vector<int> prompt{1, 2, 3};
-  a->Prefill(prompt);
-  b->Prefill(prompt);
-  for (int t : {10, 20, 30}) {
-    const Tensor la = a->DecodeStep(t);
-    const Tensor lb = b->DecodeStep(t);
-    EXPECT_EQ(MaxAbsDiff(la, lb), 0.0f) << "token " << t;
+  for (int n_deferred : {0, 1}) {
+    SCOPED_TRACE("n_deferred " + std::to_string(n_deferred));
+    EngineOptions with_graph;
+    with_graph.n_deferred = n_deferred;
+    with_graph.use_cuda_graph = true;
+    EngineOptions no_graph = with_graph;
+    no_graph.use_cuda_graph = false;
+    auto a = f.MakeEngine(with_graph);
+    auto b = f.MakeEngine(no_graph);
+    const std::vector<int> prompt{1, 2, 3};
+    a->Prefill(prompt);
+    b->Prefill(prompt);
+    for (int t : {10, 20, 30}) {
+      const Tensor la = a->DecodeStep(t);
+      const Tensor lb = b->DecodeStep(t);
+      EXPECT_EQ(MaxAbsDiff(la, lb), 0.0f) << "token " << t;
+    }
   }
 }
 

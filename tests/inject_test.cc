@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <sstream>
+#include <string>
+
 #include "src/inject/inject.h"
 #include "src/inject/yaml_lite.h"
 
@@ -231,25 +235,95 @@ TEST(InjectTest, EngineOptionsFromListing1) {
   EXPECT_EQ(options->gpu_weight_dtype, DType::kI4);
   EXPECT_EQ(options->n_deferred, 6);
   EXPECT_FALSE(options->moe.force_kind.has_value());  // hybrid = ARI dispatch
-  EXPECT_EQ(options->pipeline_stages, 1);             // only cuda:0 appears
 }
 
-TEST(InjectTest, MultiGpuDevicesConfigurePipeline) {
-  constexpr const char* kYaml = R"(
-- match:
-    name: "layers\\.[0-2]\\."
-  replace:
-    class: FlashInferMLA
-    device: "cuda:0"
-- match:
-    name: "layers\\.[3-5]\\."
-  replace:
-    class: FlashInferMLA
-    device: "cuda:1"
-)";
-  auto options = EngineOptionsFromYaml(kYaml);
-  ASSERT_TRUE(options.ok()) << options.status().ToString();
-  EXPECT_EQ(options->pipeline_stages, 2);
+// A one-rule file assigning FlashInferMLA to `device`.
+std::string AttentionOn(const std::string& device) {
+  return "- match:\n    name: \"self_attn$\"\n  replace:\n    class: FlashInferMLA\n"
+         "    device: \"" + device + "\"\n";
+}
+
+TEST(InjectTest, EngineOptionsAcceptCpuAndCuda0) {
+  for (const char* device : {"cpu", "cuda:0"}) {
+    auto options = EngineOptionsFromYaml(AttentionOn(device));
+    EXPECT_TRUE(options.ok()) << device << ": " << options.status().ToString();
+  }
+}
+
+TEST(InjectTest, EngineOptionsRejectEveryOtherDevice) {
+  // The engine runs one virtual GPU; a rule naming another is an error the
+  // caller sees, never an abort.
+  for (const char* device : {"cuda:1", "cuda:5", "cuda:", "cuda:0x", "cuda:00", "gpu"}) {
+    auto options = EngineOptionsFromYaml(AttentionOn(device));
+    ASSERT_FALSE(options.ok()) << device;
+    EXPECT_EQ(options.status().code(), StatusCode::kInvalidArgument) << device;
+    EXPECT_NE(options.status().message().find(std::string("\"") + device + "\""),
+              std::string::npos)
+        << options.status().ToString();
+  }
+}
+
+// Every EngineOptions field must match: the shipped rule files configure
+// exactly what they name and leave the rest at the defaults.
+void ExpectSameOptions(const EngineOptions& got, const EngineOptions& want) {
+  EXPECT_EQ(got.cpu_weight_dtype, want.cpu_weight_dtype);
+  EXPECT_EQ(got.gpu_weight_dtype, want.gpu_weight_dtype);
+  EXPECT_EQ(got.n_deferred, want.n_deferred);
+  EXPECT_EQ(got.use_cuda_graph, want.use_cuda_graph);
+  EXPECT_EQ(got.numa_mode, want.numa_mode);
+  EXPECT_EQ(got.numa_shards, want.numa_shards);
+  EXPECT_EQ(got.cpu_threads, want.cpu_threads);
+  EXPECT_EQ(got.moe.schedule, want.moe.schedule);
+  EXPECT_EQ(got.moe.ari_threshold, want.moe.ari_threshold);
+  EXPECT_EQ(got.moe.force_kind, want.moe.force_kind);
+  EXPECT_EQ(got.moe.impl, want.moe.impl);
+  EXPECT_EQ(got.moe.band_blocks, want.moe.band_blocks);
+  EXPECT_EQ(got.moe.dispatch, want.moe.dispatch);
+  EXPECT_EQ(got.calibrate_kernels, want.calibrate_kernels);
+  EXPECT_EQ(got.kernel_profile_path, want.kernel_profile_path);
+  EXPECT_EQ(got.prefill_chunk, want.prefill_chunk);
+  EXPECT_EQ(got.kv_pool_blocks, want.kv_pool_blocks);
+  EXPECT_EQ(got.kv_block_size, want.kv_block_size);
+  EXPECT_EQ(got.enable_prefix_cache, want.enable_prefix_cache);
+  EXPECT_EQ(got.max_batch, want.max_batch);
+  EXPECT_EQ(got.max_sessions, want.max_sessions);
+  EXPECT_EQ(got.async_overlap, want.async_overlap);
+  EXPECT_EQ(got.gpu_micro_per_op, want.gpu_micro_per_op);
+  EXPECT_EQ(got.profiler, want.profiler);
+}
+
+TEST(InjectTest, ShippedRuleFilesGiveTheirEngineOptions) {
+  struct Shipped {
+    const char* file;
+    DType cpu;
+    DType gpu;
+    int n_deferred;
+    bool calibrated;
+  };
+  for (const Shipped& c : {
+           Shipped{"calibrated_dispatch.yaml", DType::kBF16, DType::kBF16, 3, true},
+           Shipped{"deepseek_v2_int8.yaml", DType::kI8, DType::kI8, 4, false},
+           Shipped{"deepseek_v3_bf16.yaml", DType::kBF16, DType::kBF16, 3, false},
+           Shipped{"deepseek_v3_int4.yaml", DType::kI4, DType::kI4, 6, false},
+           Shipped{"qwen2_moe_int8.yaml", DType::kI8, DType::kBF16, 4, false},
+       }) {
+    SCOPED_TRACE(c.file);
+    std::ifstream in(std::string(KTX_CONFIGS_DIR) + "/" + c.file);
+    ASSERT_TRUE(in.good());
+    std::stringstream yaml;
+    yaml << in.rdbuf();
+    auto options = EngineOptionsFromYaml(yaml.str());
+    ASSERT_TRUE(options.ok()) << options.status().ToString();
+    EngineOptions want;
+    want.cpu_weight_dtype = c.cpu;
+    want.gpu_weight_dtype = c.gpu;
+    want.n_deferred = c.n_deferred;
+    if (c.calibrated) {
+      want.calibrate_kernels = true;
+      want.kernel_profile_path = "configs/kernel_profile.json";
+    }
+    ExpectSameOptions(*options, want);
+  }
 }
 
 TEST(InjectTest, EngineOptionsBackendOverrides) {

@@ -219,7 +219,6 @@ TEST(TraceAllocTest, TracedGraphReplayAllocatesNothingExtra) {
     stream.Launch(KernelDesc{"kernel", [] {}, 1, layer});
     stream.LaunchHostFunc([] {});
   }
-  stream.MemcpyAsync([] {}, 64);
   const VGraph graph = stream.EndCapture();
 
   // Enqueueing a replay may allocate a queue chunk every few launches; the

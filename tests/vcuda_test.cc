@@ -74,36 +74,16 @@ TEST(VStreamTest, HostFuncRunsInStreamOrder) {
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
 }
 
-TEST(VStreamTest, EventSignalsAcrossStreams) {
-  VDevice dev;
-  VStream producer(&dev);
-  VStream consumer(&dev);
-  VEvent event;
-  std::atomic<int> value{0};
-  producer.Launch(Kernel("produce", [&] { value = 42; }));
-  producer.RecordEvent(&event);
-  std::atomic<int> seen{-1};
-  consumer.LaunchHostFunc([&] {
-    event.Wait();
-    seen = value.load();
-  });
-  consumer.Synchronize();
-  EXPECT_EQ(seen.load(), 42);
-}
-
 TEST(VStreamTest, StatsCountLaunchesAndMicroKernels) {
   VDevice dev;
   VStream stream(&dev);
   stream.Launch(Kernel("fat", [] {}, /*micro=*/15));
   stream.Launch(Kernel("thin", [] {}, /*micro=*/1));
   stream.LaunchHostFunc([] {});
-  stream.MemcpyAsync([] {}, 1024);
   stream.Synchronize();
   EXPECT_EQ(dev.stats().logical_launches.load(), 2);
   EXPECT_EQ(dev.stats().micro_launches.load(), 16);
   EXPECT_EQ(dev.stats().host_funcs.load(), 1);
-  EXPECT_EQ(dev.stats().memcpys.load(), 1);
-  EXPECT_EQ(dev.stats().memcpy_bytes.load(), 1024);
 }
 
 TEST(VGraphTest, CaptureRecordsWithoutExecuting) {
@@ -163,20 +143,6 @@ TEST(VGraphTest, HostFuncsInsideGraphRunInOrder) {
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
 }
 
-TEST(VGraphTest, MemcpyNodesReplay) {
-  VDevice dev;
-  VStream stream(&dev);
-  int dst = 0;
-  int src = 9;
-  stream.BeginCapture();
-  stream.MemcpyAsync([&] { dst = src; }, sizeof(int));
-  VGraph graph = stream.EndCapture();
-  graph.Launch(&stream);
-  stream.Synchronize();
-  EXPECT_EQ(dst, 9);
-  EXPECT_EQ(dev.stats().memcpys.load(), 1);
-}
-
 
 // --- vgpu spans on the shared trace recorder ----------------------------------
 
@@ -214,7 +180,7 @@ class VgpuTraceTest : public ::testing::Test {
 
 constexpr const char* kAlpha = "alpha";
 
-TEST_F(VgpuTraceTest, OneSpanPerExecutedKernelHostFuncAndMemcpy) {
+TEST_F(VgpuTraceTest, OneSpanPerExecutedKernelAndHostFunc) {
   VDevice dev;
   VStream stream(&dev);
   const int worker = WorkerTid(&stream);
@@ -223,24 +189,18 @@ TEST_F(VgpuTraceTest, OneSpanPerExecutedKernelHostFuncAndMemcpy) {
   alpha.layer = 3;
   stream.Launch(std::move(alpha));
   stream.LaunchHostFunc([] {});
-  stream.MemcpyAsync([] {}, 64);
-  VEvent event;
-  stream.RecordEvent(&event);  // an event record is not an op: no span
   stream.Synchronize();
   trace::SetEnabled(false);
 
   const std::vector<trace::SnapshotEvent> spans = VgpuSpans();
-  ASSERT_EQ(spans.size(), 3u);
+  ASSERT_EQ(spans.size(), 2u);
   // Names are the launch sites' literals, not copies.
   EXPECT_EQ(spans[0].name, kAlpha);
   EXPECT_STREQ(spans[1].name, "host_func");
-  EXPECT_STREQ(spans[2].name, "memcpy");
   EXPECT_STREQ(spans[0].arg_name, "layer");
   EXPECT_EQ(spans[0].arg_value, 3);
-  for (std::size_t i = 1; i < spans.size(); ++i) {
-    EXPECT_STREQ(spans[i].arg_name, "layer");
-    EXPECT_EQ(spans[i].arg_value, -1);
-  }
+  EXPECT_STREQ(spans[1].arg_name, "layer");
+  EXPECT_EQ(spans[1].arg_value, -1);
   EXPECT_NE(worker, trace::CurrentThreadIndex());
   for (std::size_t i = 0; i < spans.size(); ++i) {
     EXPECT_EQ(spans[i].tid, worker) << i;
@@ -263,7 +223,6 @@ TEST_F(VgpuTraceTest, ReplayedGraphEmitsEveryNodeInsideOneReplaySpan) {
     stream.Launch(std::move(k));
     stream.LaunchHostFunc([] {});
   }
-  stream.MemcpyAsync([] {}, 16);
   const VGraph graph = stream.EndCapture();
   EXPECT_TRUE(VgpuSpans().empty());  // capture records, it does not execute
   constexpr int kReplays = 2;
@@ -275,7 +234,7 @@ TEST_F(VgpuTraceTest, ReplayedGraphEmitsEveryNodeInsideOneReplaySpan) {
 
   const std::vector<trace::SnapshotEvent> spans = VgpuSpans();
   const std::size_t per_replay = graph.num_nodes() + 1;
-  ASSERT_EQ(graph.num_nodes(), 7u);
+  ASSERT_EQ(graph.num_nodes(), 6u);
   ASSERT_EQ(spans.size(), kReplays * per_replay);
   for (int r = 0; r < kReplays; ++r) {
     // The replay span ends after its nodes, so it is recorded last.
@@ -292,9 +251,7 @@ TEST_F(VgpuTraceTest, ReplayedGraphEmitsEveryNodeInsideOneReplaySpan) {
       if (n > 0) {
         EXPECT_GE(node.ts_ns, spans[r * per_replay + n - 1].ts_ns) << n;
       }
-      if (n == 6) {
-        EXPECT_STREQ(node.name, "memcpy");
-      } else if (n % 2 == 0) {
+      if (n % 2 == 0) {
         EXPECT_STREQ(node.name, "attention");
         EXPECT_EQ(node.arg_value, static_cast<std::int64_t>(n / 2));
       } else {
@@ -310,7 +267,6 @@ TEST_F(VgpuTraceTest, NothingRecordedWhileTracingIsDisabled) {
   VStream stream(&dev);
   stream.Launch(Kernel("k", [] {}));
   stream.LaunchHostFunc([] {});
-  stream.MemcpyAsync([] {}, 8);
   stream.BeginCapture();
   stream.Launch(Kernel("inside_graph", [] {}));
   const VGraph graph = stream.EndCapture();

@@ -252,12 +252,14 @@ int CmdInject(const ktx::FlagParser& flags) {
               static_cast<int>(rules->size()), report->modules_visited,
               report->modules_replaced);
   auto options = ktx::EngineOptionsFromYaml(buffer.str());
-  if (options.ok()) {
-    std::printf("engine: cpu=%s gpu=%s deferral=%d\n",
-                std::string(ktx::DTypeName(options->cpu_weight_dtype)).c_str(),
-                std::string(ktx::DTypeName(options->gpu_weight_dtype)).c_str(),
-                options->n_deferred);
+  if (!options.ok()) {
+    std::printf("engine options error: %s\n", options.status().ToString().c_str());
+    return 1;
   }
+  std::printf("engine: cpu=%s gpu=%s deferral=%d\n",
+              std::string(ktx::DTypeName(options->cpu_weight_dtype)).c_str(),
+              std::string(ktx::DTypeName(options->gpu_weight_dtype)).c_str(),
+              options->n_deferred);
   return 0;
 }
 
