@@ -1,14 +1,9 @@
 // MoE decode hot-path microbenchmark (§3.2 / §3.3 substrate).
 //
-// Two measurements on the decode-shaped fixture (64 experts, hidden 256,
-// inter 192, top_k 8, bf16, 4 worker threads):
-//
-//   * forward latency — median wall time of CpuMoe::Forward at decode batch
-//     sizes 1/2/4/8 on the chained zero-allocation path;
-//   * dispatch overhead — ns/task to push an all-empty batch through (a) the
-//     legacy closure TaskQueue path (std::function vector, pool queue mutex)
-//     and (b) the POD TaskDesc path drained by ParallelRun's atomic cursor.
-//     The ratio is the substrate win independent of GEMM throughput.
+// Forward latency on the decode-shaped fixture (64 experts, hidden 256,
+// inter 192, top_k 8, bf16, 4 worker threads): median wall time of
+// CpuMoe::Forward at decode batch sizes 1/2/4/8 on the chained
+// zero-allocation path.
 //
 // Results are printed and also written to BENCH_moe_hotpath.json in the
 // current working directory (run from the repo root).
@@ -20,7 +15,6 @@
 #include <vector>
 
 #include "src/common/rng.h"
-#include "src/common/task_queue.h"
 #include "src/cpu/moe_cpu.h"
 
 namespace {
@@ -29,13 +23,6 @@ double MedianUs(std::vector<double>& v) {
   std::sort(v.begin(), v.end());
   return v[v.size() / 2];
 }
-
-// Best-of-N: the noise-robust statistic for pure-overhead measurements on a
-// shared/oversubscribed machine, where the median is dominated by scheduler
-// preemption rather than the code under test.
-double MinUs(const std::vector<double>& v) { return *std::min_element(v.begin(), v.end()); }
-
-void EmptyTask(void*, const ktx::TaskDesc&) {}
 
 }  // namespace
 
@@ -98,49 +85,6 @@ int main() {
     std::printf("forward tokens=%lld median_us=%.2f\n", static_cast<long long>(tokens), med);
   }
 
-  // Dispatch overhead: all-empty batches isolate the scheduling substrate.
-  std::printf("\n=== Dispatch overhead, empty tasks (closure path vs POD descriptor path) ===\n");
-  TaskQueue q(&pool);
-  struct DispatchRow {
-    std::size_t n;
-    double closure_ns, desc_ns;
-  };
-  std::vector<DispatchRow> dispatch_rows;
-  for (std::size_t n : {std::size_t{64}, std::size_t{256}, std::size_t{1024}}) {
-    std::vector<double> closure_us;
-    for (int it = 0; it < 200; ++it) {
-      std::vector<SubTask> batch;
-      batch.reserve(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        batch.push_back(SubTask{[] {}, 1.0});
-      }
-      const auto t0 = std::chrono::steady_clock::now();
-      q.Run(std::move(batch), ScheduleKind::kDynamic);
-      const auto t1 = std::chrono::steady_clock::now();
-      closure_us.push_back(std::chrono::duration<double, std::micro>(t1 - t0).count());
-    }
-    std::vector<TaskDesc> descs(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      descs[i].fn = &EmptyTask;
-      descs[i].i0 = static_cast<std::int64_t>(i);
-    }
-    std::vector<double> desc_us;
-    for (int it = 0; it < 200; ++it) {
-      const auto t0 = std::chrono::steady_clock::now();
-      q.Run(descs.data(), n, ScheduleKind::kDynamic);
-      const auto t1 = std::chrono::steady_clock::now();
-      desc_us.push_back(std::chrono::duration<double, std::micro>(t1 - t0).count());
-    }
-    const double closure_ns = MinUs(closure_us) * 1000.0 / static_cast<double>(n);
-    const double desc_ns = MinUs(desc_us) * 1000.0 / static_cast<double>(n);
-    const double closure_med_ns = MedianUs(closure_us) * 1000.0 / static_cast<double>(n);
-    const double desc_med_ns = MedianUs(desc_us) * 1000.0 / static_cast<double>(n);
-    dispatch_rows.push_back({n, closure_ns, desc_ns});
-    std::printf("dispatch n=%zu closure_ns_per_task=%.1f desc_ns_per_task=%.1f (%.2fx)"
-                "  [medians %.1f / %.1f]\n",
-                n, closure_ns, desc_ns, closure_ns / desc_ns, closure_med_ns, desc_med_ns);
-  }
-
   std::FILE* f = std::fopen("BENCH_moe_hotpath.json", "w");
   if (f != nullptr) {
     std::fprintf(f, "{\n  \"fixture\": {\"experts\": %d, \"hidden\": %lld, \"inter\": %lld, "
@@ -152,14 +96,7 @@ int main() {
       std::fprintf(f, "%s\"%lld\": %.2f", i ? ", " : "",
                    static_cast<long long>(forward_rows[i].first), forward_rows[i].second);
     }
-    std::fprintf(f, "},\n  \"dispatch_ns_per_task\": [\n");
-    for (std::size_t i = 0; i < dispatch_rows.size(); ++i) {
-      std::fprintf(f,
-                   "    {\"n\": %zu, \"closure\": %.1f, \"descriptor\": %.1f}%s\n",
-                   dispatch_rows[i].n, dispatch_rows[i].closure_ns, dispatch_rows[i].desc_ns,
-                   i + 1 < dispatch_rows.size() ? "," : "");
-    }
-    std::fprintf(f, "  ]\n}\n");
+    std::fprintf(f, "}\n}\n");
     std::fclose(f);
     std::printf("\nwrote BENCH_moe_hotpath.json\n");
   }

@@ -57,7 +57,7 @@ int main() {
               kNewTokens, decode_ms, kNewTokens / decode_ms * 1e3);
   std::printf("gpu:     %lld kernel launches during prefill, then %lld graph replays for "
               "decode (zero per-kernel launches)\n",
-              static_cast<long long>(stats.micro_launches.load()),
+              static_cast<long long>(stats.logical_launches.load()),
               static_cast<long long>(stats.graph_launches.load()));
   std::printf("cpu MoE: %lld requests, kernel mix %lld AMX / %lld AVX-512 / %lld AVX2 / "
               "%lld scalar, %.1f MFLOP of expert math\n",

@@ -7,7 +7,6 @@ EngineOptions FiddlerEngineOptions() {
   o.async_overlap = false;        // blocking per-layer round-trip
   o.use_cuda_graph = false;       // PyTorch eager launches
   o.numa_mode = NumaMode::kNaiveInterleaved;
-  o.gpu_micro_per_op = 29;        // ~7000 launches/token on DS-3 (Fig. 4)
   o.moe.schedule = ScheduleKind::kStatic;  // no dynamic task queue
   o.n_deferred = 0;
   return o;
@@ -18,7 +17,6 @@ EngineOptions LlamaCppEngineOptions() {
   o.async_overlap = false;
   o.use_cuda_graph = false;       // disabled to avoid re-capture overhead
   o.numa_mode = NumaMode::kNaiveInterleaved;
-  o.gpu_micro_per_op = 12;        // ~3000 launches/token after fusion
   o.moe.schedule = ScheduleKind::kStatic;
   o.n_deferred = 0;
   return o;
@@ -29,7 +27,6 @@ EngineOptions KTransformersEngineOptions(int n_deferred) {
   o.async_overlap = true;
   o.use_cuda_graph = true;
   o.numa_mode = NumaMode::kTensorParallel;
-  o.gpu_micro_per_op = 1;
   o.moe.schedule = ScheduleKind::kDynamic;
   o.n_deferred = n_deferred;
   return o;

@@ -45,7 +45,7 @@ ThreadPool::ThreadPool(std::size_t num_threads, bool pin_workers) {
     threads_.emplace_back([this, i, cpu] { WorkerLoop(i, cpu); });
   }
   std::unique_lock<std::mutex> lock(mu_);
-  done_cv_.wait(lock, [this, n] { return started_ == n; });
+  started_cv_.wait(lock, [this, n] { return started_ == n; });
 }
 
 ThreadPool::~ThreadPool() {
@@ -60,16 +60,6 @@ ThreadPool::~ThreadPool() {
 }
 
 int ThreadPool::CurrentSlot() const { return tls_pool == this ? tls_slot : -1; }
-
-void ThreadPool::Submit(std::function<void()> fn) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    KTX_CHECK(!stop_.load(std::memory_order_relaxed)) << "Submit after shutdown";
-    queue_.push_back(std::move(fn));
-    queued_.fetch_add(1, std::memory_order_release);
-  }
-  work_cv_.notify_one();
-}
 
 std::uint64_t ThreadPool::RunGeneration() const {
   return run_cursor_.load(std::memory_order_acquire) >> kRunIndexBits;
@@ -166,63 +156,32 @@ void ThreadPool::WorkerLoop(std::size_t slot, int cpu) {
     std::lock_guard<std::mutex> lock(mu_);
     ++started_;
   }
-  done_cv_.notify_all();
+  started_cv_.notify_all();
   for (;;) {
     if (HelpRun()) {
       continue;
     }
     // Stay hot through the gaps between a decode step's dispatches; park on
     // the condvar only once the spin budget runs out.
-    SpinUntil([this] {
-      return RunHasWork() || queued_.load(std::memory_order_acquire) > 0 ||
-             stop_.load(std::memory_order_acquire);
-    });
+    SpinUntil([this] { return RunHasWork() || stop_.load(std::memory_order_acquire); });
     if (RunHasWork()) {
       continue;
     }
-    std::function<void()> task;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      // Wake for the next run even when it has been fully claimed by the time
-      // this thread gets a CPU, and go back to the spin: a worker that only
-      // woke for a run with work left would sleep through a burst of short
-      // back-to-back runs, leaving the caller to run them alone.
-      const std::uint64_t parked_gen = RunGeneration();
-      work_cv_.wait(lock, [this, parked_gen] {
-        return stop_.load(std::memory_order_relaxed) || next_ < queue_.size() ||
-               RunHasWork() || RunGeneration() != parked_gen;
-      });
-      if (next_ < queue_.size()) {
-        task = std::move(queue_[next_++]);
-        queued_.fetch_sub(1, std::memory_order_relaxed);
-        ++in_flight_;
-        // Compact the queue when fully drained so it does not grow unbounded.
-        if (next_ == queue_.size()) {
-          queue_.clear();
-          next_ = 0;
-        }
-      } else if (stop_.load(std::memory_order_relaxed)) {
-        return;
-      } else {
-        continue;  // woken by a ParallelRun: help it, then spin again
-      }
+    std::unique_lock<std::mutex> lock(mu_);
+    // Wake for the next run even when it has been fully claimed by the time
+    // this thread gets a CPU, and go back to the spin: a worker that only
+    // woke for a run with work left would sleep through a burst of short
+    // back-to-back runs, leaving the caller to run them alone.
+    const std::uint64_t parked_gen = RunGeneration();
+    work_cv_.wait(lock, [this, parked_gen] {
+      return stop_.load(std::memory_order_relaxed) || RunHasWork() ||
+             RunGeneration() != parked_gen;
+    });
+    if (stop_.load(std::memory_order_relaxed)) {
+      return;
     }
-    task();
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      --in_flight_;
-      // Only the last finisher of a drained queue signals waiters; notifying
-      // after every task stampedes every Wait()er awake (thundering herd).
-      if (in_flight_ == 0 && next_ >= queue_.size()) {
-        done_cv_.notify_all();
-      }
-    }
+    // Woken by a ParallelRun: help it, then spin again.
   }
-}
-
-void ThreadPool::Wait() {
-  std::unique_lock<std::mutex> lock(mu_);
-  done_cv_.wait(lock, [this] { return next_ >= queue_.size() && in_flight_ == 0; });
 }
 
 void ThreadPool::InjectFault(Status fault) {

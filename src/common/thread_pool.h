@@ -1,19 +1,16 @@
-// Fixed-size worker pool with two parallel-for primitives.
+// Fixed-size worker pool with one dispatch primitive.
 //
 // This is the execution substrate for the CPU-side kernels: the fused MoE
 // operator partitions expert weight matrices into tasks and the pool's workers
-// drain them (statically or through the dynamic TaskQueue, see task_queue.h).
+// drain them (statically or dynamically, see ScheduleKind in
+// src/cpu/moe_cpu.h).
 //
-// Two dispatch paths exist:
-//
-//   * Submit()/ParallelFor() — the general path. Submit funnels a type-erased
-//     closure through a mutex-guarded queue; ParallelFor layers a shared
-//     atomic cursor on top of ParallelRun.
-//   * ParallelRun() — the hot path used by the MoE decode loop. The work is
-//     described by one function pointer + context pointer; workers claim index
-//     chunks from a generation-tagged atomic cursor. A complete dispatch
-//     performs zero heap allocations and never takes the queue mutex (the
-//     pool mutex is touched once, empty, to publish the wakeup).
+// ParallelRun() is the only way work reaches the workers. The work is
+// described by one function pointer + context pointer; workers claim index
+// chunks from a generation-tagged atomic cursor. A complete dispatch performs
+// zero heap allocations (the pool mutex is touched once, empty, to publish the
+// wakeup). ParallelFor() is a std::function convenience on top of it for
+// one-shot builds off the hot path.
 //
 // ParallelRun protocol (all state lives in pool members, so late workers can
 // never dereference a dead stack frame):
@@ -30,9 +27,9 @@
 //   * The caller participates, then spins until `run_done_ == n`, then flips
 //     the generation back to even.
 //
-// Idle workers yield-spin for kSpinBudget (spin_wait.h) on an open run or a
-// queued task before they park on the condvar, so the back-to-back
-// dispatches of a decode step find them awake. A parked worker wakes on the
+// Idle workers yield-spin for kSpinBudget (spin_wait.h) on an open run before
+// they park on the condvar, so the back-to-back dispatches of a decode step
+// find them awake. A parked worker wakes on the
 // next change of run generation, whether or not that run still has work
 // when it gets the CPU, and returns to its spin.
 
@@ -76,9 +73,6 @@ class ThreadPool {
 
   std::size_t num_threads() const { return threads_.size(); }
 
-  // Enqueues one task; returns immediately.
-  void Submit(std::function<void()> fn);
-
   // Runs fn(i) for i in [0, n) across the pool and blocks until all complete.
   // The calling thread participates. fn receives (index).
   void ParallelFor(std::size_t n, const std::function<void(std::size_t)>& fn);
@@ -96,9 +90,6 @@ class ThreadPool {
   // index per-worker scratch (the caller of ParallelRun maps -1 to the extra
   // slot num_threads).
   int CurrentSlot() const;
-
-  // Blocks until every submitted task has finished.
-  void Wait();
 
   // --- Fault injection -------------------------------------------------------
   // Chaos hook: latches a sticky fault that the owner of the pool (the
@@ -129,13 +120,8 @@ class ThreadPool {
   std::vector<std::thread> threads_;
   std::mutex mu_;
   std::condition_variable work_cv_;
-  std::condition_variable done_cv_;
-  std::vector<std::function<void()>> queue_;
-  std::size_t next_ = 0;  // index of next task to run in queue_
-  std::size_t in_flight_ = 0;
+  std::condition_variable started_cv_;
   std::size_t started_ = 0;  // workers past their setup
-  // Written under mu_; atomic so spinning workers can poll them lock-free.
-  std::atomic<std::size_t> queued_{0};  // queue_.size() - next_
   std::atomic<bool> stop_{false};
 
   // ParallelRun slot; see the protocol note at the top of the file.
@@ -145,9 +131,9 @@ class ThreadPool {
   // worker on every chunk retire while the caller spins reading it. When the
   // two shared the line with each other (and with the read-mostly descriptor
   // fields), each retire invalidated every in-flight claim and each claim
-  // stalled the caller's completion spin — visible as a mid-size-n dispatch
-  // cliff in BENCH_moe_hotpath.json (n=256 cost ~2.3x n=64/n=1024, where the
-  // claim and retire rates peak together). Each contended word gets a private
+  // stalled the caller's completion spin — visible as a mid-size-n cliff in
+  // the per-task cost of empty-task runs (n=256 cost ~2.3x n=64/n=1024, where
+  // the claim and retire rates peak together). Each contended word gets a private
   // line; the descriptor fields (written once per run, read-only during it)
   // share a third.
   std::mutex run_mu_;  // serializes ParallelRun callers only

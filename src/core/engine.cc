@@ -226,7 +226,7 @@ void HybridEngine::EnqueueForward(DecodeBuffers* bufs, std::int64_t m, bool allo
                       static_cast<std::size_t>(config_.hidden) * sizeof(float));
         }
       },
-      options_.gpu_micro_per_op, -1});
+      -1});
 
   for (int l = 0; l < config_.num_layers; ++l) {
     const LayerWeights* lw = &weights_->layers[static_cast<std::size_t>(l)];
@@ -243,7 +243,7 @@ void HybridEngine::EnqueueForward(DecodeBuffers* bufs, std::int64_t m, bool allo
                     bufs->normed.f32() + t * config_.hidden, config_.hidden);
           }
         },
-        options_.gpu_micro_per_op, l});
+        l});
     stream_->Launch(KernelDesc{
         "attention",
         [this, bufs, pw, l, live, batched] {
@@ -271,7 +271,7 @@ void HybridEngine::EnqueueForward(DecodeBuffers* bufs, std::int64_t m, bool allo
           }
           AddInPlace(bufs->x.f32(), bufs->attn_out.f32(), rows * config_.hidden);
         },
-        options_.gpu_micro_per_op, l});
+        l});
 
     // FFN norm writes I_k into the parity buffer for MoE layers.
     float* ffn_in = moe_layer ? bufs->ffn_in[p].f32() : bufs->normed.f32();
@@ -284,7 +284,7 @@ void HybridEngine::EnqueueForward(DecodeBuffers* bufs, std::int64_t m, bool allo
                     ffn_in + t * config_.hidden, config_.hidden);
           }
         },
-        options_.gpu_micro_per_op, l});
+        l});
 
     if (!moe_layer) {
       stream_->Launch(KernelDesc{
@@ -293,7 +293,7 @@ void HybridEngine::EnqueueForward(DecodeBuffers* bufs, std::int64_t m, bool allo
             DenseFfnAdd(pw->ffn_gate, pw->ffn_up, pw->ffn_down, ffn_in, live(), config_.hidden,
                         &bufs->ffn_scratch, bufs->x.f32());
           },
-          options_.gpu_micro_per_op, l});
+          l});
       continue;
     }
 
@@ -308,7 +308,7 @@ void HybridEngine::EnqueueForward(DecodeBuffers* bufs, std::int64_t m, bool allo
           ComputeRouting(config_, pw->router, lw->router_bias, ffn_in, live(),
                          &bufs->gating_scratch, &bufs->routing[p]);
         },
-        options_.gpu_micro_per_op, l});
+        l});
 
     // Submit: push immediate (and deferred) routed-expert work to the CPU.
     // One request covers the whole row batch — this is the amortization a
@@ -381,7 +381,7 @@ void HybridEngine::EnqueueForward(DecodeBuffers* bufs, std::int64_t m, bool allo
                         &bufs->ffn_scratch, bufs->moe_gpu_out.f32());
           }
         },
-        options_.gpu_micro_per_op, l});
+        l});
 
     // Sync: wait for the immediate batch. FIFO completion implies the
     // previous layer's deferred batch is also done.
@@ -401,7 +401,7 @@ void HybridEngine::EnqueueForward(DecodeBuffers* bufs, std::int64_t m, bool allo
             AddInPlace(bufs->x.f32(), bufs->defer_out[1 - p].f32(), rows * config_.hidden);
           }
         },
-        options_.gpu_micro_per_op, l});
+        l});
   }
 
   stream_->Launch(KernelDesc{
@@ -415,7 +415,7 @@ void HybridEngine::EnqueueForward(DecodeBuffers* bufs, std::int64_t m, bool allo
         packed_->lm_head().Apply(bufs->normed.f32(), rows, config_.hidden, bufs->logits.f32(),
                                  config_.vocab);
       },
-      options_.gpu_micro_per_op, -1});
+      -1});
 }
 
 void HybridEngine::WarmSegment(const DecodeBuffers* bufs, std::int64_t rows, bool batched,

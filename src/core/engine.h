@@ -124,9 +124,6 @@ struct EngineOptions {
   // routed-expert work (the Fiddler/llama.cpp round-trip): no shared-expert
   // overlap, no deferral window. Baseline engines set this.
   bool async_overlap = true;
-  // Micro kernel launches counted per logical GPU op (framework
-  // decomposition granularity; feeds the Fig. 4 launch statistics).
-  int gpu_micro_per_op = 1;
   // Optional expert-activation profiler (core/profiling.h). When set, every
   // MoE layer's routing decisions are recorded — the offline-profiling hook
   // for popularity-based placement. Must outlive the engine.

@@ -2,11 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
+#include <queue>
 #include <vector>
 
 #include "src/common/logging.h"
 #include "src/common/rng.h"
-#include "src/common/task_queue.h"
 #include "src/model/attention.h"
 
 namespace ktx {
@@ -211,11 +212,51 @@ double PrefillImbalanceFactor(const MoeModelConfig& model, std::int64_t tokens, 
   if (costs.empty()) {
     return 1.0;
   }
-  const double makespan = TaskQueue::SimulateMakespan(
-      costs, static_cast<std::size_t>(threads),
-      dynamic_sched ? ScheduleKind::kDynamic : ScheduleKind::kStatic);
+  const double makespan =
+      SimulateMakespan(costs, static_cast<std::size_t>(threads), dynamic_sched);
   const double ideal = total_cost / threads;
   return std::max(1.0, makespan / ideal);
+}
+
+double SimulateMakespan(const std::vector<double>& costs, std::size_t num_threads, bool dynamic) {
+  if (costs.empty() || num_threads == 0) {
+    return 0.0;
+  }
+  if (!dynamic) {
+    // Contiguous block partition: each worker runs one slab of
+    // ceil(n / threads) tasks.
+    const std::size_t n = costs.size();
+    const std::size_t blocks = std::min(num_threads, n);
+    const std::size_t per = (n + blocks - 1) / blocks;
+    double makespan = 0.0;
+    for (std::size_t b = 0; b < blocks; ++b) {
+      double sum = 0.0;
+      const std::size_t lo = b * per;
+      const std::size_t hi = std::min(n, lo + per);
+      for (std::size_t i = lo; i < hi; ++i) {
+        sum += costs[i];
+      }
+      makespan = std::max(makespan, sum);
+    }
+    return makespan;
+  }
+  // Dynamic: list scheduling — each worker grabs the next task when it frees
+  // up. Simulated with a min-heap of worker completion times.
+  std::priority_queue<double, std::vector<double>, std::greater<>> workers;
+  for (std::size_t t = 0; t < num_threads; ++t) {
+    workers.push(0.0);
+  }
+  for (double c : costs) {
+    const double start = workers.top();
+    workers.pop();
+    workers.push(start + c);
+  }
+  double makespan = 0.0;
+  while (!workers.empty()) {
+    makespan = std::max(makespan, workers.top());
+    workers.pop();
+  }
+  return makespan;
 }
 
 SimReport SimulateDecode(const StrategySpec& s, const SimWorkload& w) {

@@ -15,8 +15,10 @@
 #ifndef KTX_SRC_CORE_STRATEGY_SIM_H_
 #define KTX_SRC_CORE_STRATEGY_SIM_H_
 
+#include <cstddef>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "src/model/config.h"
 #include "src/sim/cost_model.h"
@@ -109,6 +111,12 @@ int ChooseDeferredExperts(const SimWorkload& workload);
 // (§3.2: dynamic scheduling recovers up to 1.83x of this.)
 double PrefillImbalanceFactor(const MoeModelConfig& model, std::int64_t tokens, double skew,
                               int threads, bool dynamic_sched, std::uint64_t seed);
+
+// The makespan (in cost units) `num_threads` workers achieve over tasks of the
+// given costs: a contiguous block partition by task index when `dynamic` is
+// false, list scheduling (each worker takes the next task when it frees up)
+// when true.
+double SimulateMakespan(const std::vector<double>& costs, std::size_t num_threads, bool dynamic);
 
 }  // namespace ktx
 

@@ -8,13 +8,6 @@ namespace ktx {
 
 float Silu(float x) { return x / (1.0f + std::exp(-x)); }
 
-float Gelu(float x) {
-  // tanh approximation (matches common framework defaults).
-  constexpr float kC0 = 0.7978845608028654f;  // sqrt(2/pi)
-  constexpr float kC1 = 0.044715f;
-  return 0.5f * x * (1.0f + std::tanh(kC0 * (x + kC1 * x * x * x)));
-}
-
 void SiluMul(const float* gate, const float* up, float* out, std::int64_t n) {
   for (std::int64_t i = 0; i < n; ++i) {
     out[i] = Silu(gate[i]) * up[i];

@@ -13,7 +13,6 @@ namespace ktx {
 void SiluMul(const float* gate, const float* up, float* out, std::int64_t n);
 
 float Silu(float x);
-float Gelu(float x);
 
 // In-place numerically-stable softmax over n values.
 void Softmax(float* x, std::int64_t n);

@@ -114,10 +114,10 @@ void UnpackInt4Tile(const std::uint8_t* packed, TileReg* tile);
 
 // Worst-case |y - y_exact| for one quantized-GEMM output element: row `nrow`
 // of `w` against activation row `x` (length k). Per k-block, weight rounding
-// contributes 0.5 * scale_w * sum|x| (the per-element MaxQuantError bound of
-// quant.h applied to the packed per-(row, k-block) scales) and the kernels'
-// int8 activation quantization contributes 0.5 * (amax_x / 127) * sum|w_hat|
-// over the dequantized weights. This is the documented SNR budget for the
+// contributes 0.5 * scale_w * sum|x| (rounding moves each weight by at most
+// half its per-(row, k-block) scale) and the kernels' int8 activation
+// quantization contributes 0.5 * (amax_x / 127) * sum|w_hat| over the
+// dequantized weights. This is the documented SNR budget for the
 // 4-bit cold-expert path: tests assert the quantized GEMM, and the
 // end-to-end cold-expert logits, stay inside the accumulated bound.
 // `w` must be quantized (kI8 or kI4). O(n * k): test/diagnostic use.

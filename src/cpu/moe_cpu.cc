@@ -665,7 +665,7 @@ void CpuMoe::Forward(const float* x, std::int64_t tokens, const MoeRouting& rout
     pool_->ParallelRun(&ChainedBody, ws, static_cast<std::size_t>(total), /*chunk=*/1);
   } else {
     // Static: three barrier-separated phases, each block-partitioned exactly
-    // like TaskQueue::Run(kStatic) / SimulateMakespan.
+    // like SimulateMakespan(kStatic) charges it.
     const auto run_phase = [&](ThreadPool::RunFn body, std::int64_t base, std::int64_t n) {
       if (n == 0) {
         return;

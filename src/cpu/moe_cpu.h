@@ -55,7 +55,6 @@
 #include <vector>
 
 #include "src/common/status.h"
-#include "src/common/task_queue.h"
 #include "src/common/thread_pool.h"
 #include "src/cpu/gemm.h"
 #include "src/cpu/layout.h"
@@ -118,6 +117,16 @@ struct MoeRouting {
 
   int id(std::int64_t t, int slot) const { return expert_ids[t * top_k + slot]; }
   float weight(std::int64_t t, int slot) const { return weights[t * top_k + slot]; }
+};
+
+// How a Forward() call partitions its task graph over the pool. Prefill's
+// expert histogram is highly imbalanced, so a static block partition strands
+// a hot expert's bands on one worker; the dynamic schedule lets free workers
+// take the next band (up to 1.83x prefill, Fig. 14 'd'). The DES charges the
+// same two policies at paper scale (SimulateMakespan, strategy_sim.h).
+enum class ScheduleKind {
+  kStatic,   // contiguous block partition by task index
+  kDynamic,  // shared atomic cursor; threads grab the next subtask when free
 };
 
 struct MoeOptions {

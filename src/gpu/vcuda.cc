@@ -118,7 +118,6 @@ void VStream::RunNode(const VGraph::Node& node, bool replayed) {
     stats.host_funcs.fetch_add(1);
   } else if (!replayed) {
     stats.logical_launches.fetch_add(1);
-    stats.micro_launches.fetch_add(node.kernel.micro_kernels);
   }
   if (node.kernel.fn) {
     node.kernel.fn();

@@ -7,8 +7,10 @@
 //   * CUDA graphs: stream capture records the op sequence instead of running
 //     it; an instantiated graph replays the whole sequence with a single
 //     launch, which is how the entire decode step collapses into one launch;
-//   * launch statistics (kernel launches, micro-kernel decomposition, host
-//     funcs, graph replays) — the quantities behind Fig. 4.
+//   * launch statistics (logical kernel launches, host funcs, graph replays)
+//     — the quantities behind Fig. 4; the micro-kernel fan-out per logical op
+//     that Fig. 4's eager baselines pay is modelled only by the DES, in its
+//     StrategySpec (src/core/strategy_sim.h).
 //
 // There is no GPU here: a kernel is a named host function that runs on the
 // stream's worker thread. What this preserves from real CUDA is the
@@ -41,23 +43,19 @@
 
 namespace ktx {
 
-// A logical GPU operation. `micro_kernels` models framework decomposition
-// granularity: one logical op in a PyTorch-style stack fans out into many
-// real kernel launches (Fig. 4: Fiddler issues >7000 launches per token,
-// llama.cpp ~3000 after fusion).
+// A logical GPU operation: one launch on the stream, or one node of a
+// captured graph.
 struct KernelDesc {
   // A string literal (static storage): launching, capturing, replaying and
   // tracing copy only the pointer, so naming an op never allocates. It is the
   // op's vgpu span name.
   const char* name = "";
   std::function<void()> fn;  // functional body; may be empty
-  int micro_kernels = 1;
   int layer = -1;  // model layer, the vgpu span's "layer" arg; -1 = none
 };
 
 struct LaunchStats {
   std::atomic<std::int64_t> logical_launches{0};
-  std::atomic<std::int64_t> micro_launches{0};
   std::atomic<std::int64_t> host_funcs{0};
   std::atomic<std::int64_t> graph_launches{0};
   std::atomic<std::int64_t> graph_replayed_nodes{0};

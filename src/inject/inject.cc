@@ -301,8 +301,11 @@ StatusOr<EngineOptions> EngineOptionsFromYaml(const std::string& yaml) {
     if (cls == "FusedMoE") {
       KTX_RETURN_IF_ERROR(ApplyFusedMoeKwargs(rule.replace, &options));
     } else if (cls == "MarlinLinear") {
-      if (auto it = rule.replace.kwargs.find("data_type"); it != rule.replace.kwargs.end()) {
-        KTX_ASSIGN_OR_RETURN(options.gpu_weight_dtype, ParseDataType(it->second));
+      for (const auto& [key, value] : rule.replace.kwargs) {
+        if (key != "data_type") {
+          return InvalidArgumentError("unknown MarlinLinear kwarg: " + key);
+        }
+        KTX_ASSIGN_OR_RETURN(options.gpu_weight_dtype, ParseDataType(value));
       }
     } else if (cls == "FlashInferMLA" || cls == "FlashInferAttention") {
       // Attention always executes on the (virtual) GPU; nothing to configure.

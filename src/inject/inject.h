@@ -105,10 +105,10 @@ StatusOr<InjectionReport> ApplyRules(Module* root, const std::vector<InjectionRu
 //                            q4_0) -> cpu_weight_dtype
 //                 n_deferred_experts: <int>
 //                 numa: tensor_parallel | naive | single | expert_parallel
-//   MarlinLinear: data_type -> gpu_weight_dtype
+//   MarlinLinear: data_type -> gpu_weight_dtype (its only kwarg)
 //   FlashInferMLA, FlashInferAttention: nothing to configure
-// Unknown replacement classes and FusedMoE kwargs are rejected so typos fail
-// loudly.
+// Unknown replacement classes and FusedMoE/MarlinLinear kwargs are rejected so
+// typos fail loudly.
 StatusOr<EngineOptions> EngineOptionsFromYaml(const std::string& yaml);
 
 }  // namespace ktx

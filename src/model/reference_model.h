@@ -39,7 +39,6 @@ class RefModel {
 
   const MoeModelConfig& config() const { return config_; }
   const ModelWeights& weights() const { return *weights_; }
-  std::shared_ptr<const ModelWeights> weights_ptr() const { return weights_; }
 
   // Processes `tokens` starting at cache->position(); returns logits
   // [tokens.size(), vocab] and advances the cache.

@@ -28,12 +28,6 @@ StatusOr<TpExperts> TpExperts::Build(const std::vector<Tensor>& gate,
   return tp;
 }
 
-void TpExperts::ChargeArena(NumaArena* arena) const {
-  for (int s = 0; s < shards(); ++s) {
-    arena->Charge(s, shard(s).total_bytes());
-  }
-}
-
 namespace {
 
 // The expert shards CpuMoe runs for a placement mode. Single-socket,

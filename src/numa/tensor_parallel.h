@@ -24,7 +24,7 @@
 
 #include "src/common/status.h"
 #include "src/cpu/moe_cpu.h"
-#include "src/numa/topology.h"
+#include "src/sim/cost_model.h"
 
 namespace ktx {
 
@@ -48,9 +48,6 @@ class TpExperts {
   }
   std::int64_t hidden() const { return hidden_; }
   std::int64_t inter_per_shard() const { return inter_per_shard_; }
-
-  // Bytes resident on each shard's node (for placement reports).
-  void ChargeArena(NumaArena* arena) const;
 
  private:
   std::vector<std::shared_ptr<const PackedExperts>> shards_;

@@ -26,8 +26,4 @@ GpuSpec RTX4080_16GB() {
   return spec;
 }
 
-MachineSpec PaperTestbedA100() { return MachineSpec{Xeon8452Y(), A100_40GB(), PcieSpec{}}; }
-
-MachineSpec PaperTestbed4080() { return MachineSpec{Xeon8452Y(), RTX4080_16GB(), PcieSpec{}}; }
-
 }  // namespace ktx

@@ -45,25 +45,10 @@ struct PcieSpec {
   double latency_us = 8.0;   // per-transfer fixed cost
 };
 
-// Per-strategy host->GPU kernel-launch behaviour (Fig. 4).
-struct LaunchSpec {
-  double per_launch_us = 5.0;  // serial occupancy of the GPU front-end
-  bool graphs = false;         // true: whole decode step replays as one graph
-  double graph_replay_us = 3.0;  // one-time cost to replay the captured graph
-};
-
-struct MachineSpec {
-  CpuSpec cpu;
-  GpuSpec gpu;
-  PcieSpec pcie;
-};
-
 // The paper's testbed presets.
 CpuSpec Xeon8452Y();
 GpuSpec A100_40GB();
 GpuSpec RTX4080_16GB();
-MachineSpec PaperTestbedA100();
-MachineSpec PaperTestbed4080();
 
 }  // namespace ktx
 

@@ -2,8 +2,8 @@
 //
 // BF16/FP16 are stored as raw 16-bit patterns with explicit conversion
 // helpers so the code never depends on compiler-specific _Float16 support.
-// Int4 is always group-quantized and packed two-per-byte (see quant.h); it has
-// no standalone scalar representation.
+// Int4 is always group-quantized and packed two-per-byte (the expert tile packs
+// of src/cpu/layout.h); it has no standalone scalar representation.
 
 #ifndef KTX_SRC_TENSOR_DTYPE_H_
 #define KTX_SRC_TENSOR_DTYPE_H_

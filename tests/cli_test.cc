@@ -113,6 +113,23 @@ TEST(CliTest, InjectFailsOnARuleTheEngineCannotRun) {
   std::remove(path);
 }
 
+TEST(CliTest, InjectFailsOnAnUnknownMarlinLinearKwarg) {
+  SKIP_WITHOUT_CLI();
+  const char* path = "cli_test_marlin_typo_rules.yaml";
+  FILE* f = fopen(path, "w");
+  ASSERT_NE(f, nullptr);
+  fputs("- match:\n    class: torch.nn.Linear\n  replace:\n"
+        "    class: operators.linear.MarlinLinear\n    device: \"cuda:0\"\n"
+        "    kwargs:\n      data_tpye: \"Int8\"\n",
+        f);
+  fclose(f);
+  const RunResult r = RunCli(std::string("inject --rules ") + path + " --model ds3");
+  EXPECT_EQ(r.exit_code, 1);
+  EXPECT_NE(r.output.find("data_tpye"), std::string::npos) << r.output;
+  EXPECT_EQ(r.output.find("engine: cpu="), std::string::npos) << r.output;
+  std::remove(path);
+}
+
 
 TEST(CliTest, EvalReportsPerplexityAndDivergence) {
   SKIP_WITHOUT_CLI();

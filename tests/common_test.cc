@@ -16,8 +16,8 @@
 #include "src/common/queues.h"
 #include "src/common/rng.h"
 #include "src/common/status.h"
-#include "src/common/task_queue.h"
 #include "src/common/thread_pool.h"
+#include "tests/run_once_per_thread.h"
 
 namespace ktx {
 namespace {
@@ -207,38 +207,23 @@ TEST(ThreadPoolTest, ParallelForCoversAllIndices) {
   }
 }
 
-TEST(ThreadPoolTest, SubmitAndWait) {
-  ThreadPool pool(2);
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.Submit([&] { counter.fetch_add(1); });
-  }
-  pool.Wait();
-  EXPECT_EQ(counter.load(), 100);
-}
-
 TEST(ThreadPoolTest, PinnedWorkersTakeOneCpuEachFromTheMask) {
   cpu_set_t process_mask;
   CPU_ZERO(&process_mask);
   ASSERT_EQ(sched_getaffinity(0, sizeof(process_mask), &process_mask), 0);
   const std::size_t cpus = AffinityCpuCount();
   EXPECT_EQ(cpus, static_cast<std::size_t>(CPU_COUNT(&process_mask)));
-  ThreadPool pool(cpus, /*pin_workers=*/true);
-  std::vector<cpu_set_t> masks(cpus);
-  std::atomic<std::size_t> arrived{0};
-  for (std::size_t i = 0; i < cpus; ++i) {
-    // Each task waits for the others, so each worker runs exactly one.
-    pool.Submit([&] {
-      cpu_set_t& mask = masks[static_cast<std::size_t>(pool.CurrentSlot())];
+  // A pool of one runs every ParallelRun inline on the caller, so take at
+  // least two workers (on one CPU both pin to it).
+  ThreadPool pool(std::max<std::size_t>(cpus, 2), /*pin_workers=*/true);
+  std::vector<cpu_set_t> masks(pool.num_threads());
+  RunOncePerThread(pool, [&masks](int slot) {
+    if (slot >= 0) {
+      cpu_set_t& mask = masks[static_cast<std::size_t>(slot)];
       CPU_ZERO(&mask);
       pthread_getaffinity_np(pthread_self(), sizeof(mask), &mask);
-      arrived.fetch_add(1);
-      while (arrived.load() < cpus) {
-        std::this_thread::yield();
-      }
-    });
-  }
-  pool.Wait();
+    }
+  });
   cpu_set_t covered;
   CPU_ZERO(&covered);
   for (const cpu_set_t& mask : masks) {
@@ -271,50 +256,6 @@ TEST(ThreadPoolTest, FaultLatchIsStickyUntilTaken) {
   // Taking clears the latch.
   EXPECT_FALSE(pool.has_fault());
   EXPECT_TRUE(pool.TakeFault().ok());
-}
-
-TEST(TaskQueueTest, RunsEveryTaskOnce) {
-  ThreadPool pool(3);
-  TaskQueue q(&pool);
-  std::vector<std::atomic<int>> hits(64);
-  std::vector<SubTask> tasks;
-  for (std::size_t i = 0; i < hits.size(); ++i) {
-    tasks.push_back(SubTask{[&hits, i] { hits[i].fetch_add(1); }, 1.0});
-  }
-  q.Run(std::move(tasks), ScheduleKind::kDynamic);
-  for (auto& h : hits) {
-    EXPECT_EQ(h.load(), 1);
-  }
-}
-
-TEST(TaskQueueTest, StaticScheduleAlsoRunsAll) {
-  ThreadPool pool(3);
-  TaskQueue q(&pool);
-  std::atomic<int> count{0};
-  std::vector<SubTask> tasks;
-  for (int i = 0; i < 50; ++i) {
-    tasks.push_back(SubTask{[&count] { count.fetch_add(1); }, 1.0});
-  }
-  q.Run(std::move(tasks), ScheduleKind::kStatic);
-  EXPECT_EQ(count.load(), 50);
-}
-
-TEST(TaskQueueTest, DynamicBeatsStaticOnImbalance) {
-  // One heavy task among many light ones: the static block partition strands
-  // the heavy task with light ones on one worker; dynamic spreads the rest.
-  std::vector<double> costs(32, 1.0);
-  costs[0] = 30.0;  // hot expert
-  const double fixed = TaskQueue::SimulateMakespan(costs, 8, ScheduleKind::kStatic);
-  const double dynamic = TaskQueue::SimulateMakespan(costs, 8, ScheduleKind::kDynamic);
-  EXPECT_LT(dynamic, fixed);
-  EXPECT_GE(dynamic, 30.0);  // cannot beat the critical path
-}
-
-TEST(TaskQueueTest, BalancedWorkloadNearlyEqual) {
-  std::vector<double> costs(64, 1.0);
-  const double fixed = TaskQueue::SimulateMakespan(costs, 8, ScheduleKind::kStatic);
-  const double dynamic = TaskQueue::SimulateMakespan(costs, 8, ScheduleKind::kDynamic);
-  EXPECT_DOUBLE_EQ(fixed, dynamic);
 }
 
 TEST(RngTest, DeterministicStreams) {

@@ -156,14 +156,14 @@ TEST(HybridEngineTest, GraphReplayedOncePerDecodeStep) {
   EngineFixture f(TinyMoeConfig());
   auto engine = f.MakeEngine();
   engine->Prefill({1, 2});
-  const std::int64_t launches_after_prefill = engine->device().stats().micro_launches.load();
+  const std::int64_t launches_after_prefill = engine->device().stats().logical_launches.load();
   EXPECT_GT(launches_after_prefill, 0);
 
   for (int i = 0; i < 5; ++i) {
     engine->DecodeStep(40 + i);
   }
   // Decode adds only graph replays — zero additional per-kernel launches.
-  EXPECT_EQ(engine->device().stats().micro_launches.load(), launches_after_prefill);
+  EXPECT_EQ(engine->device().stats().logical_launches.load(), launches_after_prefill);
   EXPECT_EQ(engine->device().stats().graph_launches.load(), 5);
   EXPECT_GT(engine->device().stats().graph_replayed_nodes.load(), 0);
 }
@@ -174,9 +174,9 @@ TEST(HybridEngineTest, EagerDecodePaysPerKernelLaunches) {
   opts.use_cuda_graph = false;
   auto engine = f.MakeEngine(opts);
   engine->Prefill({1, 2});
-  const std::int64_t before = engine->device().stats().micro_launches.load();
+  const std::int64_t before = engine->device().stats().logical_launches.load();
   engine->DecodeStep(3);
-  const std::int64_t per_step = engine->device().stats().micro_launches.load() - before;
+  const std::int64_t per_step = engine->device().stats().logical_launches.load() - before;
   // Every layer contributes several kernels when not captured.
   EXPECT_GE(per_step, static_cast<std::int64_t>(f.config.num_layers) * 4);
   EXPECT_EQ(engine->device().stats().graph_launches.load(), 0);
@@ -194,6 +194,43 @@ TEST(HybridEngineTest, NumaModesAgreeFunctionally) {
   const Tensor la = a->Prefill(prompt);
   const Tensor lb = b->Prefill(prompt);
   EXPECT_LT(RelativeError(la, lb), 5e-3f);
+}
+
+TEST(HybridEngineTest, FlatNumaModesAndOneShardAreBitIdentical) {
+  // Single-socket, naive-interleaved and expert-parallel placements run the
+  // flat PackedExperts::Pack weights, which is PackShards(1); tensor
+  // parallelism over one shard runs PackShards(1) too. So all four are one
+  // code path and their logits match bit for bit, eager or graph-replayed.
+  EngineFixture f(TinyMoeConfig());
+  const std::vector<int> prompt{4, 5, 6, 7};
+  const std::vector<int> tokens{11, 22, 33};
+  std::vector<Tensor> want;  // prefill logits, then one per decode token
+  for (const bool graph : {true, false}) {
+    for (const NumaMode mode : {NumaMode::kSingleSocket, NumaMode::kNaiveInterleaved,
+                                NumaMode::kExpertParallel, NumaMode::kTensorParallel}) {
+      SCOPED_TRACE("mode " + std::to_string(static_cast<int>(mode)) + " graph " +
+                   std::to_string(graph));
+      EngineOptions opts;
+      opts.numa_mode = mode;
+      opts.numa_shards = 1;
+      opts.use_cuda_graph = graph;
+      auto engine = f.MakeEngine(opts);
+      std::vector<Tensor> got{engine->Prefill(prompt)};
+      for (const int t : tokens) {
+        got.push_back(engine->DecodeStep(t));
+      }
+      if (want.empty()) {
+        want = std::move(got);
+        continue;
+      }
+      ASSERT_EQ(got.size(), want.size());
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        ASSERT_EQ(got[i].byte_size(), want[i].byte_size());
+        EXPECT_EQ(std::memcmp(got[i].f32(), want[i].f32(), want[i].byte_size()), 0)
+            << (i == 0 ? "prefill" : "decode step " + std::to_string(i));
+      }
+    }
+  }
 }
 
 TEST(HybridEngineTest, QuantizedEnginesTrackReference) {

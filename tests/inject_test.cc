@@ -288,7 +288,6 @@ void ExpectSameOptions(const EngineOptions& got, const EngineOptions& want) {
   EXPECT_EQ(got.max_batch, want.max_batch);
   EXPECT_EQ(got.max_sessions, want.max_sessions);
   EXPECT_EQ(got.async_overlap, want.async_overlap);
-  EXPECT_EQ(got.gpu_micro_per_op, want.gpu_micro_per_op);
   EXPECT_EQ(got.profiler, want.profiler);
 }
 
@@ -355,6 +354,23 @@ TEST(InjectTest, EngineOptionsRejectUnknownClassAndKwargs) {
   EXPECT_FALSE(EngineOptionsFromYaml("- match:\n    class: X\n  replace:\n    class: "
                                      "FusedMoE\n    kwargs:\n      bogus: 1\n")
                    .ok());
+}
+
+TEST(InjectTest, EngineOptionsRejectUnknownMarlinLinearKwargs) {
+  const std::string rule =
+      "- match:\n    class: torch.nn.Linear\n"
+      "  replace:\n    class: operators.linear.MarlinLinear\n    device: \"cuda:0\"\n"
+      "    kwargs:\n";
+  auto good = EngineOptionsFromYaml(rule + "      data_type: \"Int8\"\n");
+  ASSERT_TRUE(good.ok()) << good.status().ToString();
+  EXPECT_EQ(good->gpu_weight_dtype, DType::kI8);
+
+  // A misspelled data_type must not silently leave the default in place.
+  auto typo = EngineOptionsFromYaml(rule + "      data_tpye: \"Int8\"\n");
+  ASSERT_FALSE(typo.ok());
+  EXPECT_EQ(typo.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(typo.status().message().find("data_tpye"), std::string::npos)
+      << typo.status().ToString();
 }
 
 TEST(InjectTest, YamlConfiguredEngineRuns) {

@@ -1,8 +1,7 @@
 // Tests for the CPU execution substrate introduced for the zero-allocation
 // decode hot path: ThreadPool::ParallelRun (generation-tagged lock-free
-// cursor), the POD TaskDesc path of TaskQueue, and the chained (cross-phase)
-// MoE schedule — including bit-identity of Forward outputs across schedules,
-// thread counts, and workspace reuse.
+// cursor) and the chained (cross-phase) MoE schedule — including bit-identity
+// of Forward outputs across schedules, thread counts, and workspace reuse.
 
 #include <gtest/gtest.h>
 
@@ -12,7 +11,6 @@
 #include <vector>
 
 #include "src/common/rng.h"
-#include "src/common/task_queue.h"
 #include "src/common/thread_pool.h"
 #include "src/cpu/moe_cpu.h"
 
@@ -90,62 +88,6 @@ TEST(ParallelRunTest, CurrentSlotIdentifiesWorkersAndCaller) {
   pool.ParallelRun(&SlotBody, &ctx, 512, /*chunk=*/1);
   EXPECT_EQ(bad.load(), 0);
   EXPECT_EQ(executed.load(), 512);
-}
-
-// ----------------------------- TaskQueue (POD path) -------------------------
-
-struct DescCtx {
-  std::atomic<int>* runs;
-  double* out;
-};
-
-void DescBody(void* ctx, const TaskDesc& task) {
-  auto* c = static_cast<DescCtx*>(ctx);
-  // Adversarial skew: the busy work scales with the descriptor's cost tag.
-  volatile double sink = 0.0;
-  for (std::int64_t i = 0; i < task.i1; ++i) {
-    sink = sink + 1.0;
-  }
-  c->out[task.i0] = static_cast<double>(task.i0) * 2.0 + static_cast<double>(task.tag);
-  c->runs[task.i0].fetch_add(1, std::memory_order_relaxed);
-}
-
-TEST(TaskQueueTest, DescriptorPathMatchesAcrossSchedulesUnderCostSkew) {
-  constexpr std::size_t kTasks = 96;
-  for (auto schedule : {ScheduleKind::kStatic, ScheduleKind::kDynamic}) {
-    ThreadPool pool(4);
-    TaskQueue queue(&pool);
-    std::vector<std::atomic<int>> runs(kTasks);
-    std::vector<double> out(kTasks, 0.0);
-    DescCtx ctx{runs.data(), out.data()};
-    std::vector<TaskDesc> descs(kTasks);
-    for (std::size_t i = 0; i < kTasks; ++i) {
-      descs[i].fn = &DescBody;
-      descs[i].ctx = &ctx;
-      descs[i].i0 = static_cast<std::int64_t>(i);
-      // One pathological task 1000x heavier than the rest.
-      descs[i].i1 = i == 0 ? 200000 : 200;
-      descs[i].tag = static_cast<std::int32_t>(i % 7);
-      descs[i].cost = i == 0 ? 1000.0 : 1.0;
-    }
-    queue.Run(descs.data(), kTasks, schedule);
-    for (std::size_t i = 0; i < kTasks; ++i) {
-      ASSERT_EQ(runs[i].load(), 1) << "schedule=" << static_cast<int>(schedule) << " i=" << i;
-      ASSERT_EQ(out[i],
-                static_cast<double>(i) * 2.0 + static_cast<double>(i % 7));
-    }
-  }
-}
-
-TEST(TaskQueueTest, DynamicScheduleWinsOnSkewedCostsInSimulation) {
-  // The analytic counterpart of the skew above: a contiguous static partition
-  // stacks the heavy task with its neighbors, dynamic list scheduling does not.
-  std::vector<double> costs(64, 1.0);
-  costs[0] = 100.0;
-  const double stat = TaskQueue::SimulateMakespan(costs, 4, ScheduleKind::kStatic);
-  const double dyn = TaskQueue::SimulateMakespan(costs, 4, ScheduleKind::kDynamic);
-  EXPECT_LT(dyn, stat);
-  EXPECT_GE(dyn, 100.0);  // the heavy task lower-bounds any schedule
 }
 
 // --------------------- Chained MoE schedule stress --------------------------

@@ -8,48 +8,9 @@
 
 #include "src/common/rng.h"
 #include "src/numa/tensor_parallel.h"
-#include "src/numa/topology.h"
 
 namespace ktx {
 namespace {
-
-TEST(TopologyTest, FromCpuSpecHasTwoNodes) {
-  const NumaTopology topo = NumaTopology::FromCpuSpec(Xeon8452Y());
-  EXPECT_EQ(topo.num_nodes(), 2);
-  EXPECT_EQ(topo.node(0).local_bw_gbs, 220.0);
-  EXPECT_EQ(topo.remote_bw_gbs(), 125.0);
-}
-
-TEST(TopologyTest, EffectiveBandwidthDelegation) {
-  const NumaTopology topo = NumaTopology::FromCpuSpec(Xeon8452Y());
-  EXPECT_GT(topo.EffectiveBandwidthGbs(NumaMode::kTensorParallel, 8),
-            topo.EffectiveBandwidthGbs(NumaMode::kNaiveInterleaved, 8));
-}
-
-TEST(EpPlacementTest, RoundRobinBalancesStatically) {
-  const EpPlacement p = EpPlacement::RoundRobin(8, 2);
-  int node0 = 0;
-  for (int e = 0; e < 8; ++e) {
-    node0 += p.node_of(e) == 0 ? 1 : 0;
-  }
-  EXPECT_EQ(node0, 4);
-}
-
-TEST(EpPlacementTest, MaxLoadDetectsSkew) {
-  const EpPlacement p = EpPlacement::RoundRobin(8, 2);
-  EXPECT_EQ(p.MaxLoad({0, 1, 2, 3}), 2);        // perfectly split
-  EXPECT_EQ(p.MaxLoad({0, 2, 4, 6}), 4);        // all on node 0
-}
-
-TEST(NumaArenaTest, ImbalanceRatio) {
-  NumaArena arena(2);
-  arena.Charge(0, 100);
-  arena.Charge(1, 100);
-  EXPECT_DOUBLE_EQ(arena.ImbalanceRatio(), 1.0);
-  arena.Charge(0, 200);
-  EXPECT_NEAR(arena.ImbalanceRatio(), 300.0 / 200.0, 1e-12);
-  EXPECT_EQ(arena.total_bytes(), 400u);
-}
 
 class TpFixture : public ::testing::Test {
  protected:
@@ -122,15 +83,6 @@ TEST_F(TpFixture, TpMatchesFlatExecution) {
   // Same math, different partitioning/accumulation order (and per-shard
   // bf16 tiles), so near-equal.
   EXPECT_LT(RelativeError(a, b), 5e-3f);
-}
-
-TEST_F(TpFixture, ChargeArenaIsBalanced) {
-  auto tp = TpExperts::Build(gate_, up_, down_, DType::kBF16, 2);
-  ASSERT_TRUE(tp.ok());
-  NumaArena arena(2);
-  tp->ChargeArena(&arena);
-  EXPECT_NEAR(arena.ImbalanceRatio(), 1.0, 1e-9);
-  EXPECT_GT(arena.total_bytes(), 0u);
 }
 
 TEST_F(TpFixture, RejectsUnalignedShardSlices) {

@@ -20,6 +20,7 @@
 #include "src/core/engine.h"
 #include "src/model/config.h"
 #include "src/model/weights.h"
+#include "tests/run_once_per_thread.h"
 
 namespace ktx {
 namespace {
@@ -51,24 +52,27 @@ TEST(ParkingTest, IdleEngineSleeps) {
   EXPECT_LT(idle_cpu, 0.05) << "an idle engine burned " << idle_cpu << " CPU-s in 0.5 s";
 }
 
-TEST(ParkingTest, SpinningWorkersPickUpSubmittedTasks) {
-  // Right after a ParallelRun the workers are inside their spin. A Submit()ed
-  // task must wake one of them through the spin predicate, not wait for the
-  // spin budget to run out and the worker to reach its condvar.
+TEST(ParkingTest, SpinningWorkersPickUpTheNextRun) {
+  // Right after a ParallelRun the workers are inside their spin. The next run
+  // must be claimed by one of them through the spin predicate, not wait for
+  // the spin budget to run out and the worker to reach its condvar.
   ThreadPool pool(2);
   std::vector<std::int64_t> latency_ns;
   for (int trial = 0; trial < 21; ++trial) {
     pool.ParallelRun([](void*, std::size_t, std::size_t) {}, nullptr, 64, 1);
-    std::atomic<std::int64_t> ran_ns{0};
-    const std::int64_t submit_ns = SteadyNowNanos();
-    pool.Submit([&ran_ns] { ran_ns.store(SteadyNowNanos()); });
-    pool.Wait();
-    latency_ns.push_back(ran_ns.load() - submit_ns);
+    std::vector<std::int64_t> claim_ns(pool.num_threads());
+    const std::int64_t open_ns = SteadyNowNanos();
+    RunOncePerThread(pool, [&claim_ns](int slot) {
+      if (slot >= 0) {
+        claim_ns[static_cast<std::size_t>(slot)] = SteadyNowNanos();
+      }
+    });
+    latency_ns.push_back(*std::min_element(claim_ns.begin(), claim_ns.end()) - open_ns);
   }
   std::nth_element(latency_ns.begin(), latency_ns.begin() + 10, latency_ns.end());
   const auto budget_ns = std::chrono::nanoseconds(kSpinBudget).count();
   EXPECT_LT(latency_ns[10], budget_ns / 2)
-      << "median Submit-to-run latency " << latency_ns[10] << " ns";
+      << "median open-to-worker-claim latency " << latency_ns[10] << " ns";
 }
 
 double ThreadClockMicros(clockid_t clock) {
@@ -86,18 +90,11 @@ TEST(ParkingTest, EveryWorkerWokenByARunSpinsAgain) {
   // thread clock while this thread sleeps.
   ThreadPool pool(2);
   std::vector<clockid_t> clocks(pool.num_threads());
-  std::atomic<std::size_t> arrived{0};
-  for (std::size_t i = 0; i < clocks.size(); ++i) {
-    // Each task waits for the other, so each worker runs exactly one.
-    pool.Submit([&] {
-      pthread_getcpuclockid(pthread_self(), &clocks[static_cast<std::size_t>(pool.CurrentSlot())]);
-      arrived.fetch_add(1);
-      while (arrived.load() < clocks.size()) {
-        std::this_thread::yield();
-      }
-    });
-  }
-  pool.Wait();
+  RunOncePerThread(pool, [&clocks](int slot) {
+    if (slot >= 0) {
+      pthread_getcpuclockid(pthread_self(), &clocks[static_cast<std::size_t>(slot)]);
+    }
+  });
   std::vector<double> laziest_us;  // per run: the least CPU any worker spent
   for (int trial = 0; trial < 21; ++trial) {
     // Past the spin budget both workers are parked.

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "src/core/strategy_sim.h"
 
 namespace ktx {
@@ -221,6 +223,31 @@ TEST(StrategySimTest, DynamicSchedulingWorthPaperBand) {
   const double gain = fixed / dynamic;
   EXPECT_GT(gain, 1.4);
   EXPECT_LT(gain, 2.1);
+}
+
+TEST(ScheduleTest, DynamicBeatsStaticOnImbalance) {
+  // One heavy task among many light ones: the static block partition strands
+  // the heavy task with light ones on one worker; dynamic spreads the rest.
+  struct Case {
+    std::size_t tasks;
+    std::size_t threads;
+    double heavy;
+  };
+  for (const Case c : {Case{32, 8, 30.0}, Case{64, 4, 100.0}}) {
+    std::vector<double> costs(c.tasks, 1.0);
+    costs[0] = c.heavy;  // hot expert
+    const double fixed = SimulateMakespan(costs, c.threads, /*dynamic=*/false);
+    const double dynamic = SimulateMakespan(costs, c.threads, /*dynamic=*/true);
+    EXPECT_LT(dynamic, fixed) << c.tasks << " tasks on " << c.threads << " threads";
+    EXPECT_GE(dynamic, c.heavy);  // cannot beat the critical path
+  }
+}
+
+TEST(ScheduleTest, BalancedWorkloadNearlyEqual) {
+  std::vector<double> costs(64, 1.0);
+  const double fixed = SimulateMakespan(costs, 8, /*dynamic=*/false);
+  const double dynamic = SimulateMakespan(costs, 8, /*dynamic=*/true);
+  EXPECT_DOUBLE_EQ(fixed, dynamic);
 }
 
 TEST(StrategySimTest, TimelineRenderable) {

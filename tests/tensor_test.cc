@@ -4,7 +4,6 @@
 
 #include "src/common/rng.h"
 #include "src/tensor/dtype.h"
-#include "src/tensor/quant.h"
 #include "src/tensor/tensor.h"
 
 namespace ktx {
@@ -140,81 +139,6 @@ TEST(MetricsTest, IdenticalTensors) {
   EXPECT_EQ(RelativeError(a, a), 0.0f);
   EXPECT_NEAR(CosineSimilarity(a, a), 1.0, 1e-12);
 }
-
-TEST(QuantTest, Int8RoundTripErrorBound) {
-  Rng rng(11);
-  Tensor w = Tensor::Randn({8, 256}, rng);
-  auto q = Quantize(w, DType::kI8, 128);
-  ASSERT_TRUE(q.ok());
-  Tensor back = Dequantize(*q);
-  EXPECT_LE(MaxAbsDiff(back, w), MaxQuantError(*q) + 1e-6f);
-  EXPECT_LT(RelativeError(back, w), 0.01f);
-}
-
-TEST(QuantTest, Int4RoundTripErrorBound) {
-  Rng rng(12);
-  Tensor w = Tensor::Randn({8, 256}, rng);
-  auto q = Quantize(w, DType::kI4, 64);
-  ASSERT_TRUE(q.ok());
-  Tensor back = Dequantize(*q);
-  EXPECT_LE(MaxAbsDiff(back, w), MaxQuantError(*q) + 1e-6f);
-  EXPECT_LT(RelativeError(back, w), 0.12f);
-}
-
-TEST(QuantTest, RejectsOddColumnsForInt4) {
-  Tensor w({2, 3}, DType::kF32);
-  EXPECT_FALSE(Quantize(w, DType::kI4).ok());
-}
-
-TEST(QuantTest, RejectsNonF32) {
-  Rng rng(1);
-  Tensor w = Tensor::Randn({2, 4}, rng).ToBF16();
-  EXPECT_FALSE(Quantize(w, DType::kI8).ok());
-}
-
-TEST(QuantTest, TailGroupHandled) {
-  Rng rng(13);
-  Tensor w = Tensor::Randn({4, 200}, rng);  // 200 = 128 + 72 tail
-  auto q = Quantize(w, DType::kI8, 128);
-  ASSERT_TRUE(q.ok());
-  EXPECT_EQ(q->groups_per_row(), 2);
-  Tensor back = Dequantize(*q);
-  EXPECT_LT(RelativeError(back, w), 0.01f);
-}
-
-TEST(QuantTest, Int4PackUnpackExact) {
-  std::int8_t vals[8] = {-8, -7, -1, 0, 1, 3, 7, -3};
-  std::uint8_t packed[4];
-  PackInt4Row(vals, 8, packed);
-  std::int8_t out[8];
-  UnpackInt4Row(packed, 8, out);
-  for (int i = 0; i < 8; ++i) {
-    EXPECT_EQ(out[i], vals[i]) << i;
-  }
-}
-
-TEST(QuantTest, ZeroMatrixQuantizesToZero) {
-  Tensor w({4, 64}, DType::kF32);
-  auto q = Quantize(w, DType::kI8, 64);
-  ASSERT_TRUE(q.ok());
-  Tensor back = Dequantize(*q);
-  EXPECT_EQ(MaxAbsDiff(back, w), 0.0f);
-}
-
-// Property sweep: quantization error scales with the group max.
-class QuantGroupSweep : public ::testing::TestWithParam<int> {};
-
-TEST_P(QuantGroupSweep, ErrorWithinBound) {
-  const int group = GetParam();
-  Rng rng(100 + group);
-  Tensor w = Tensor::Randn({6, 384}, rng, 2.0f);
-  auto q = Quantize(w, DType::kI8, group);
-  ASSERT_TRUE(q.ok());
-  Tensor back = Dequantize(*q);
-  EXPECT_LE(MaxAbsDiff(back, w), MaxQuantError(*q) + 1e-6f);
-}
-
-INSTANTIATE_TEST_SUITE_P(Groups, QuantGroupSweep, ::testing::Values(32, 64, 128, 256, 384));
 
 }  // namespace
 }  // namespace ktx

@@ -216,7 +216,7 @@ TEST(TraceAllocTest, TracedGraphReplayAllocatesNothingExtra) {
   VStream stream(&dev);
   stream.BeginCapture();
   for (int layer = 0; layer < 4; ++layer) {
-    stream.Launch(KernelDesc{"kernel", [] {}, 1, layer});
+    stream.Launch(KernelDesc{"kernel", [] {}, layer});
     stream.LaunchHostFunc([] {});
   }
   const VGraph graph = stream.EndCapture();

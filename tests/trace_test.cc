@@ -8,6 +8,7 @@
 #include <atomic>
 #include <cstring>
 #include <string>
+#include <thread>
 
 #include <gtest/gtest.h>
 
@@ -160,11 +161,11 @@ TEST_F(TraceTest, ConcurrentEmissionFromPoolWorkersIsComplete) {
   constexpr int kPerIndex = 4;
   constexpr std::size_t kIndices = 512;
   ThreadPool pool(4);
-  // Emit from pool workers while the main thread repeatedly snapshots: the
+  // Emit from pool workers while a reader thread repeatedly snapshots: the
   // race TSan must bless — single-writer rings, seqlock-guarded export.
   std::atomic<bool> done{false};
   std::atomic<std::int64_t> emitted{0};
-  pool.Submit([&] {
+  std::thread reader([&] {
     while (!done.load(std::memory_order_relaxed)) {
       (void)trace::TakeSnapshot();
     }
@@ -177,7 +178,7 @@ TEST_F(TraceTest, ConcurrentEmissionFromPoolWorkersIsComplete) {
     });
   }
   done.store(true, std::memory_order_relaxed);
-  pool.Wait();
+  reader.join();
   const trace::Snapshot snap = trace::TakeSnapshot();
   // Emissions were spread over >= 1 rings well under capacity: nothing drops.
   EXPECT_EQ(snap.dropped, 0);
@@ -196,9 +197,7 @@ TEST_F(TraceTest, ThreadIndicesAreDenseAndStable) {
   EXPECT_GE(mine, 0);
   EXPECT_EQ(mine, trace::CurrentThreadIndex());
   int other = -1;
-  ThreadPool pool(1);
-  pool.Submit([&] { other = trace::CurrentThreadIndex(); });
-  pool.Wait();
+  std::thread([&] { other = trace::CurrentThreadIndex(); }).join();
   EXPECT_GE(other, 0);
   EXPECT_NE(other, mine);
 }

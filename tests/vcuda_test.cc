@@ -10,11 +10,10 @@
 namespace ktx {
 namespace {
 
-KernelDesc Kernel(const char* name, std::function<void()> fn, int micro = 1) {
+KernelDesc Kernel(const char* name, std::function<void()> fn) {
   KernelDesc k;
   k.name = name;
   k.fn = std::move(fn);
-  k.micro_kernels = micro;
   return k;
 }
 
@@ -74,15 +73,14 @@ TEST(VStreamTest, HostFuncRunsInStreamOrder) {
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
 }
 
-TEST(VStreamTest, StatsCountLaunchesAndMicroKernels) {
+TEST(VStreamTest, StatsCountLaunchesAndHostFuncs) {
   VDevice dev;
   VStream stream(&dev);
-  stream.Launch(Kernel("fat", [] {}, /*micro=*/15));
-  stream.Launch(Kernel("thin", [] {}, /*micro=*/1));
+  stream.Launch(Kernel("a", [] {}));
+  stream.Launch(Kernel("b", [] {}));
   stream.LaunchHostFunc([] {});
   stream.Synchronize();
   EXPECT_EQ(dev.stats().logical_launches.load(), 2);
-  EXPECT_EQ(dev.stats().micro_launches.load(), 16);
   EXPECT_EQ(dev.stats().host_funcs.load(), 1);
 }
 
@@ -117,7 +115,7 @@ TEST(VGraphTest, ReplayExecutesAllNodesWithOneGraphLaunch) {
   EXPECT_EQ(dev.stats().graph_launches.load(), 2);
   EXPECT_EQ(dev.stats().graph_replayed_nodes.load(), 10);
   // Replayed kernels do not pay per-launch overhead.
-  EXPECT_EQ(dev.stats().micro_launches.load(), 0);
+  EXPECT_EQ(dev.stats().logical_launches.load(), 0);
 }
 
 TEST(VGraphTest, HostFuncsInsideGraphRunInOrder) {
