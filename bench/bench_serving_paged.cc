@@ -1,5 +1,5 @@
-// A shared paged KV pool + prefix sharing vs contiguous per-session caches
-// (kv_pool_blocks = 0: each session a private block of max_seq rows), at a
+// A paged KV pool + prefix sharing vs contiguous per-session caches (a pool
+// of 2 blocks of max_seq rows: each session one contiguous block), at a
 // FIXED KV byte budget.
 //
 // What paging buys (vLLM-style block tables + ref-counted prefix sharing):
@@ -38,9 +38,11 @@
 
 namespace {
 
+constexpr std::int64_t kMaxSeq = 512;
+
 ktx::MoeModelConfig BenchConfig() {
   ktx::MoeModelConfig c = ktx::TinyMoeConfig();
-  c.max_seq = 512;
+  c.max_seq = kMaxSeq;
   c.num_layers = 9;
   c.first_dense_layers = 1;
   c.hidden = 16;
@@ -59,7 +61,7 @@ constexpr std::int64_t kBlockSize = 16;
 constexpr std::int64_t kSharedPrefixTokens = 256;
 constexpr std::int64_t kSuffixTokens = 8;
 // The fixed budget: exactly TWO contiguous max_seq contexts' worth of rows.
-constexpr std::int64_t kBudgetRows = 2 * 512;
+constexpr std::int64_t kBudgetRows = 2 * kMaxSeq;
 constexpr int kBurstRequests = 12;
 
 // 256 shared tokens, then a per-request suffix (distinct from request 0 on):
@@ -89,6 +91,16 @@ ktx::EngineOptions BaseEngineOptions() {
   eopts.max_batch = 8;
   eopts.cpu_threads = 2;
   eopts.numa_mode = ktx::NumaMode::kSingleSocket;
+  return eopts;
+}
+
+// Each session one max_seq block: the same bytes and the same one-run layout
+// as a contiguous cache, and no prompt ever fills a block the prefix cache
+// could share.
+ktx::EngineOptions ContiguousEngineOptions() {
+  ktx::EngineOptions eopts = BaseEngineOptions();
+  eopts.kv_pool_blocks = kBudgetRows / kMaxSeq;  // 2 contexts
+  eopts.kv_block_size = kMaxSeq;
   return eopts;
 }
 
@@ -181,7 +193,7 @@ int main() {
       std::make_shared<const ktx::ModelWeights>(ktx::ModelWeights::Generate(config, 7));
 
   // --- burst: admitted concurrency at fixed KV bytes ------------------------
-  ktx::HybridEngine contiguous_engine(config, weights, BaseEngineOptions());
+  ktx::HybridEngine contiguous_engine(config, weights, ContiguousEngineOptions());
   ktx::HybridEngine paged_engine(config, weights, PagedEngineOptions());
   const int contiguous_cap = static_cast<int>(kBudgetRows / config.max_seq);  // = 2
   const BurstOutcome contiguous =
@@ -192,7 +204,7 @@ int main() {
       static_cast<double>(paged.peak_concurrency) / contiguous.peak_concurrency;
 
   // --- sequential: prefix-hit TTFT ------------------------------------------
-  ktx::HybridEngine contiguous_ttft_engine(config, weights, BaseEngineOptions());
+  ktx::HybridEngine contiguous_ttft_engine(config, weights, ContiguousEngineOptions());
   ktx::HybridEngine paged_ttft_engine(config, weights, PagedEngineOptions());
   const TtftOutcome contiguous_ttft = RunTtftProbe(&contiguous_ttft_engine, config.vocab);
   const TtftOutcome paged_ttft = RunTtftProbe(&paged_ttft_engine, config.vocab);

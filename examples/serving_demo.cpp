@@ -51,8 +51,8 @@ int main(int argc, char** argv) {
   // Per-(layer, expert) activation counts, for the hottest-experts line.
   ktx::ExpertProfiler profiler(config.num_moe_layers(), config.num_experts);
   options.profiler = &profiler;
-  // Paged KV with prefix caching: repeated prompts share prefix blocks
-  // copy-on-write.
+  // A 512-block KV pool with prefix caching: repeated prompts map the same
+  // full prefix blocks.
   options.kv_pool_blocks = 512;
   options.kv_block_size = 16;
   ktx::HybridEngine engine(config, weights, options);

@@ -36,16 +36,19 @@ std::vector<int> AffinityCpus() {
 
 }  // namespace
 
-ThreadPool::ThreadPool(std::size_t num_threads, bool pin_workers) {
-  const std::size_t n = std::max<std::size_t>(1, num_threads);
+ThreadPool::ThreadPool(std::size_t num_threads, bool pin_workers)
+    : num_threads_(std::max<std::size_t>(1, num_threads)) {
+  // A pool of one runs every ParallelRun inline on the caller, so it starts
+  // no worker at all.
+  const std::size_t workers = num_threads_ == 1 ? 0 : num_threads_;
   const std::vector<int> cpus = pin_workers ? AffinityCpus() : std::vector<int>{};
-  threads_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
+  threads_.reserve(workers);
+  for (std::size_t i = 0; i < workers; ++i) {
     const int cpu = cpus.empty() ? -1 : cpus[i % cpus.size()];
     threads_.emplace_back([this, i, cpu] { WorkerLoop(i, cpu); });
   }
   std::unique_lock<std::mutex> lock(mu_);
-  started_cv_.wait(lock, [this, n] { return started_ == n; });
+  started_cv_.wait(lock, [this, workers] { return started_ == workers; });
 }
 
 ThreadPool::~ThreadPool() {
@@ -110,7 +113,7 @@ void ThreadPool::ParallelRun(RunFn fn, void* ctx, std::size_t n, std::size_t chu
     return;
   }
   chunk = std::max<std::size_t>(1, chunk);
-  if (threads_.size() == 1 || n <= chunk) {
+  if (threads_.empty() || n <= chunk) {
     fn(ctx, 0, n);
     return;
   }

@@ -58,7 +58,8 @@ class ThreadPool {
   // Creates `num_threads` workers (>=1) and returns once every worker has
   // finished its one-time setup (tracer registration, which allocates), so
   // no setup work lands inside a caller's later allocation-free window.
-  // Workers are joined on destruction.
+  // Workers are joined on destruction. A pool of one starts no thread: its
+  // caller runs every ParallelRun inline.
   //
   // With `pin_workers`, worker i binds itself to the i-th CPU (wrapping) of
   // the creating thread's affinity mask. A scheduler that does not balance
@@ -71,7 +72,7 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  std::size_t num_threads() const { return threads_.size(); }
+  std::size_t num_threads() const { return num_threads_; }
 
   // Runs fn(i) for i in [0, n) across the pool and blocks until all complete.
   // The calling thread participates. fn receives (index).
@@ -117,7 +118,8 @@ class ThreadPool {
   // closes (the parked workers' wakeup predicate).
   std::uint64_t RunGeneration() const;
 
-  std::vector<std::thread> threads_;
+  std::size_t num_threads_;
+  std::vector<std::thread> threads_;  // empty for a pool of one
   std::mutex mu_;
   std::condition_variable work_cv_;
   std::condition_variable started_cv_;

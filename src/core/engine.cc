@@ -12,7 +12,6 @@
 #include "src/common/trace.h"
 #include "src/cpu/activation.h"
 #include "src/model/attention.h"
-#include "src/model/serialize.h"
 
 namespace ktx {
 
@@ -122,24 +121,22 @@ HybridEngine::HybridEngine(MoeModelConfig config, std::shared_ptr<const ModelWei
     calibration_ = CalibrateOrLoad(cal);
     options_.moe.dispatch = &calibration_.table;
   }
-  if (options_.kv_pool_blocks != 0) {
-    KvPoolOptions pool_opts;
-    pool_opts.block_size = options_.kv_block_size;
-    if (options_.kv_pool_blocks > 0) {
-      pool_opts.num_blocks = options_.kv_pool_blocks;
-    } else {
-      // Auto-size: one full context per potential session — the private
-      // worst case in bytes, but committed lazily and shareable.
-      const std::int64_t contexts =
-          std::max<std::int64_t>(1, options_.max_sessions > 0 ? options_.max_sessions
-                                                              : options_.max_batch);
-      const std::int64_t per_context =
-          (config_.max_seq + pool_opts.block_size - 1) / pool_opts.block_size;
-      pool_opts.num_blocks = contexts * per_context;
-    }
-    kv_pool_ = std::make_unique<KvBlockPool>(config_, pool_opts);
+  // One block pool holds every session's KV. Auto-size (kv_pool_blocks <= 0):
+  // one full max_seq context per potential session, committed lazily.
+  KvPoolOptions pool_opts;
+  pool_opts.block_size = options_.kv_block_size;
+  if (options_.kv_pool_blocks > 0) {
+    pool_opts.num_blocks = options_.kv_pool_blocks;
+  } else {
+    const std::int64_t contexts =
+        std::max<std::int64_t>(1, options_.max_sessions > 0 ? options_.max_sessions
+                                                            : options_.max_batch);
+    const std::int64_t per_context =
+        (config_.max_seq + pool_opts.block_size - 1) / pool_opts.block_size;
+    pool_opts.num_blocks = contexts * per_context;
   }
-  sessions_.push_back(NewKvCache());
+  kv_pool_ = std::make_unique<KvBlockPool>(config_, pool_opts);
+  sessions_.push_back(std::make_unique<KvCache>(config_, kv_pool_.get()));
   active_cache_ = sessions_[0].get();
   stream_ = std::make_unique<VStream>(&device_);
   pool_ = std::make_unique<ThreadPool>(static_cast<std::size_t>(options_.cpu_threads));
@@ -152,11 +149,6 @@ HybridEngine::HybridEngine(MoeModelConfig config, std::shared_ptr<const ModelWei
   // Pre-size the MoE forward workspaces at the decode shape so the steady
   // decode loop performs zero heap allocations from the first token.
   service_->Reserve(std::max<std::int64_t>(8, options_.max_batch), /*max_slots=*/config_.top_k);
-}
-
-std::unique_ptr<KvCache> HybridEngine::NewKvCache() const {
-  return kv_pool_ != nullptr ? std::make_unique<KvCache>(config_, kv_pool_.get())
-                             : std::make_unique<KvCache>(config_);
 }
 
 HybridEngine::~HybridEngine() {
@@ -470,8 +462,8 @@ StatusOr<std::int64_t> HybridEngine::PrefillChunk(PrefillCursor* cursor) {
   KTX_CHECK_GE(m, 1);
   KTX_TRACE_SPAN_ARG("engine", "prefill_chunk", "tokens", m);
   // StartPrefill reserved every block the prompt needs; this is a no-op
-  // unless the caller decoded this session mid-cursor (then it may COW or
-  // allocate — or fail recoverably, leaving the cursor resumable).
+  // unless the caller decoded this session mid-cursor (then it may allocate
+  // — or fail recoverably, leaving the cursor resumable).
   KTX_RETURN_IF_ERROR(cache->PrepareAppend(m).WithContext("prefill chunk"));
   DecodeBuffers bufs(config_, m);
   for (std::int64_t t = 0; t < m; ++t) {
@@ -490,7 +482,7 @@ StatusOr<std::int64_t> HybridEngine::PrefillChunk(PrefillCursor* cursor) {
   // Publish every newly-completed full prompt block to the pool's prefix
   // cache (hash chain indexes == block-table indexes: hashes are only
   // computed for prompts that started at position 0).
-  if (kv_pool_ != nullptr && options_.enable_prefix_cache) {
+  if (options_.enable_prefix_cache) {
     const std::int64_t bs = kv_pool_->block_size();
     while (cursor->registered_blocks_ <
                static_cast<std::int64_t>(cursor->block_hashes_.size()) &&
@@ -645,19 +637,8 @@ StatusOr<int> HybridEngine::TryCreateSession() {
                                   "max_sessions=" + std::to_string(options_.max_sessions) +
                                   " bound");
   }
-  sessions_.push_back(NewKvCache());
+  sessions_.push_back(std::make_unique<KvCache>(config_, kv_pool_.get()));
   return static_cast<int>(sessions_.size()) - 1;
-}
-
-StatusOr<int> HybridEngine::TryForkSession(int parent) {
-  KTX_RETURN_IF_ERROR(ValidateSession(parent).WithContext("fork"));
-  KTX_ASSIGN_OR_RETURN(const int child, TryCreateSession());
-  const Status cloned =
-      sessions_[static_cast<std::size_t>(child)]->CloneFrom(
-          *sessions_[static_cast<std::size_t>(parent)]);
-  // Same engine => same geometry; a private child's block is already reserved.
-  KTX_CHECK(cloned.ok()) << cloned.ToString();
-  return child;
 }
 
 Status HybridEngine::ValidateSession(int session) const {
@@ -674,11 +655,6 @@ std::int64_t HybridEngine::KvRemaining(int session) const {
 
 std::int64_t HybridEngine::KvBlocksNeeded(int session, std::int64_t tokens) const {
   return sessions_.at(static_cast<std::size_t>(session))->BlocksNeededFor(tokens);
-}
-
-StatusOr<std::string> HybridEngine::TrySaveKv(int session) const {
-  KTX_RETURN_IF_ERROR(ValidateSession(session).WithContext("save_kv"));
-  return SerializeKvState(config_, *sessions_[static_cast<std::size_t>(session)]);
 }
 
 void HybridEngine::InjectSessionFault(int session, Status fault, int after_polls) {
@@ -741,7 +717,7 @@ StatusOr<PrefillCursor> HybridEngine::StartPrefill(int session, std::vector<int>
   cursor.session_ = session;
   cursor.tokens_ = std::move(tokens);
 
-  // Shared pool + empty session: adopt the longest cached prefix. Reuse length is
+  // Empty session: adopt the longest cached prefix. Reuse length is
   // floored to a multiple of BOTH the block size (only whole blocks are
   // shareable) and the prefill chunk (chunk offsets decide tokens-per-expert
   // and therefore the ARI kernel kind, so the suffix must land on the same
@@ -749,7 +725,7 @@ StatusOr<PrefillCursor> HybridEngine::StartPrefill(int session, std::vector<int>
   // and capped strictly below the prompt length so the final token always
   // runs and produces logits.
   std::int64_t adopted = 0;
-  if (kv_pool_ != nullptr && options_.enable_prefix_cache && cache.position() == 0) {
+  if (options_.enable_prefix_cache && cache.position() == 0) {
     const std::int64_t bs = kv_pool_->block_size();
     cursor.block_hashes_ = HashTokenBlocks(cursor.tokens_, bs);
     const std::vector<std::int32_t> match = kv_pool_->MatchPrefix(cursor.block_hashes_);
@@ -846,17 +822,15 @@ StatusOr<Tensor> HybridEngine::TryDecodeBatch(const std::vector<SessionToken>& b
   // Per-row CanAdvance is optimistic when rows share the pool: N rows that
   // each need a block can all pass with < N free blocks. Validate the step's
   // aggregate block demand before any row mutates anything.
-  if (kv_paged()) {
-    std::int64_t need = 0;
-    for (const SessionToken& row : batch) {
-      need += sessions_[static_cast<std::size_t>(row.session)]->BlocksNeededFor(1);
-    }
-    if (need > kv_pool_->available_blocks()) {
-      return ResourceExhaustedError(
-                 "kv block pool exhausted: step needs " + std::to_string(need) +
-                 " blocks, pool has " + std::to_string(kv_pool_->available_blocks()))
-          .WithContext("decode");
-    }
+  std::int64_t need = 0;
+  for (const SessionToken& row : batch) {
+    need += sessions_[static_cast<std::size_t>(row.session)]->BlocksNeededFor(1);
+  }
+  if (need > kv_pool_->available_blocks()) {
+    return ResourceExhaustedError(
+               "kv block pool exhausted: step needs " + std::to_string(need) +
+               " blocks, pool has " + std::to_string(kv_pool_->available_blocks()))
+        .WithContext("decode");
   }
   KTX_RETURN_IF_ERROR(TakeBackendFault().WithContext("decode"));
   return RunDecodeBatch(batch);

@@ -91,24 +91,23 @@ struct EngineOptions {
   std::string kernel_profile_path;
   // Tokens per prefill chunk.
   std::int64_t prefill_chunk = 256;
-  // KV block pool. 0 = private storage: each session owns a one-block pool
-  // of max_seq rows, reserved when the session is created. > 0 = all
-  // sessions draw fixed-size blocks from one shared KvBlockPool of this many
-  // blocks, handed out as contexts grow and shared across sessions for
-  // common prompt prefixes (copy-on-write on divergence). -1 = auto-size the
-  // shared pool: one full max_seq context's worth of blocks per potential
-  // session (max_sessions, else max_batch) — the same worst-case bytes as
-  // private storage, but shareable. Either way the storage is reserved, not
-  // committed: the OS commits a KV page when a row in it is first written
-  // (kv_block_pool.h), so resident memory follows the rows written, not this
-  // count. Rows once written stay committed until the pool is destroyed.
+  // KV block pool: every session draws fixed-size blocks from one
+  // KvBlockPool, handed out as contexts grow and shared across sessions for
+  // common prompt prefixes. > 0 = a pool of this many blocks. <= 0 =
+  // auto-size: one full max_seq context's worth of blocks per potential
+  // session (max_sessions, else max_batch). Past that, the Try* paths return
+  // kResourceExhausted. The storage is reserved, not committed: the OS
+  // commits a KV page when a row in it is first written (kv_block_pool.h),
+  // so resident memory follows the rows written, not this count. Rows once
+  // written stay committed until the pool is destroyed.
   std::int64_t kv_pool_blocks = 0;
-  // Tokens per KV block (shared pool only).
+  // Tokens per KV block. Any block size, max_seq included, gives the same
+  // output bits.
   std::int64_t kv_block_size = 16;
-  // Shared pool: register full prompt blocks in the pool's prefix cache so
-  // later prompts sharing a prefix skip that much prefill (a ref-count bump
-  // instead of forward work). Reused prefixes are bit-identical to recompute
-  // because reuse lengths are floored to prefill-chunk boundaries.
+  // Register full prompt blocks in the pool's prefix cache so later prompts
+  // sharing a prefix skip that much prefill (a ref-count bump instead of
+  // forward work). Reused prefixes are bit-identical to recompute because
+  // reuse lengths are floored to lcm(kv_block_size, prefill_chunk).
   bool enable_prefix_cache = true;
   // Upper bound on DecodeBatch width (continuous-batching slot count). Also
   // floors moe.ari_threshold so the fallback (uncalibrated) decode dispatch
@@ -144,9 +143,9 @@ struct EngineCounters {
   // Routed-expert requests submitted to the CPU service. One per MoE layer
   // per decode step regardless of batch width (two with deferral).
   std::int64_t moe_requests = 0;
-  // Prefix-cache reuse (shared pool): StartPrefill calls that adopted >= 1
-  // cached block, and the total prompt tokens served from the cache instead
-  // of prefill compute.
+  // Prefix-cache reuse: StartPrefill calls that adopted >= 1 cached block,
+  // and the total prompt tokens served from the cache instead of prefill
+  // compute.
   std::int64_t prefix_cache_hits = 0;
   std::int64_t prefix_tokens_reused = 0;
 };
@@ -241,12 +240,6 @@ class HybridEngine {
   StatusOr<Tensor> TryPrefill(int session, const std::vector<int>& tokens);
   StatusOr<Tensor> TryDecodeBatch(const std::vector<SessionToken>& batch);
   StatusOr<int> TryCreateSession();
-  // Creates a new session whose KV state is `parent`'s at its current
-  // position. With a shared pool the child shares blocks (O(block-table) time
-  // and zero new rows until divergence, which copy-on-writes); with private
-  // storage it copies rows into its own block. The sibling decodes
-  // independently of the parent from then on.
-  StatusOr<int> TryForkSession(int parent);
 
   // --- Resumable prefill (stall-free serving) -------------------------------
   // StartPrefill validates everything TryPrefill would — session id, token
@@ -272,27 +265,18 @@ class HybridEngine {
   StatusOr<std::int64_t> TryPrefillNext(PrefillCursor* cursor);
 
   // KV-cache positions left before `session`'s cache runs out (a decode step
-  // needs >= 1). With a shared pool this is capped by what the pool can
-  // still supply, so it varies with other sessions' occupancy. The serving
-  // loop checks this each sweep and retires exhausted requests with finish
-  // reason `kv_exhausted`.
+  // needs >= 1). This is capped by what the pool can still supply, so it
+  // varies with other sessions' occupancy. The serving loop checks this each
+  // sweep and retires exhausted requests with finish reason `kv_exhausted`.
   std::int64_t KvRemaining(int session) const;
-  // Pool blocks a `tokens`-row append to `session` would consume right now
-  // (new blocks plus a copy-on-write of a shared tail). With
-  // kv_pool()->available_blocks() this lets the serving loop budget a whole
-  // decode sweep against the shared pool before issuing it — rows can each
+  // Pool blocks a `tokens`-row append to `session` would consume right now.
+  // With kv_pool()->available_blocks() this lets the serving loop budget a
+  // whole decode sweep against the pool before issuing it — rows can each
   // pass KvRemaining individually yet not fit together.
   std::int64_t KvBlocksNeeded(int session, std::int64_t tokens) const;
 
-  // Shared-pool introspection. kv_paged() is false and kv_pool() null when
-  // every session owns private storage (kv_pool_blocks == 0).
-  bool kv_paged() const { return kv_pool_ != nullptr; }
+  // The block pool every session draws from (never null).
   const KvBlockPool* kv_pool() const { return kv_pool_.get(); }
-
-  // Serializes `session`'s live rows into a storage-agnostic KTXV blob
-  // (model/serialize.h): the rows by logical position, whatever blocks hold
-  // them, so two sessions' KV can be compared byte for byte.
-  StatusOr<std::string> TrySaveKv(int session) const;
 
   // Session-attributed fault injection (chaos testing): arms a fault on the
   // device fault plan under a per-session key. The serving loop polls
@@ -316,9 +300,9 @@ class HybridEngine {
   void SetDeferral(int n_deferred);
 
   // --- Sessions -------------------------------------------------------------
-  // Each session owns an independent KV cache over the shared weights and
-  // captured decode graph; DecodeBatch advances up to max_batch of them per
-  // replay. Session 0 always exists.
+  // Each session is a KV block table in the engine's pool, over the shared
+  // weights and captured decode graph; DecodeBatch advances up to max_batch
+  // of them per replay. Session 0 always exists.
   int CreateSession();
   void Reset() { Reset(0); }
   void Reset(int session);
@@ -340,7 +324,6 @@ class HybridEngine {
 
   void BuildCpuExperts();
   Status ValidateSession(int session) const;
-  std::unique_ptr<KvCache> NewKvCache() const;
   // Runs the cursor's next chunk (tokens validated and KV rows reserved by
   // StartPrefill). Returns the number of prompt tokens advanced; on error
   // (backend fault surfaced mid-step, KV overflow) the cursor and the
@@ -389,7 +372,7 @@ class HybridEngine {
   std::shared_ptr<const NumaMoe> numa_moe_;
   std::unique_ptr<AsyncMoeService> service_;
 
-  std::unique_ptr<KvBlockPool> kv_pool_;  // null = private per-session storage
+  std::unique_ptr<KvBlockPool> kv_pool_;  // every session's KV blocks
   std::vector<std::unique_ptr<KvCache>> sessions_;
   KvCache* active_cache_ = nullptr;  // read by captured kernels at exec time
   EngineCounters counters_;

@@ -1,6 +1,5 @@
 #include "src/model/kv_block_pool.h"
 
-#include <cstring>
 #include <limits>
 #include <string>
 
@@ -78,7 +77,6 @@ KvBlockPool::Stats KvBlockPool::stats() const {
   s.cached_blocks = static_cast<std::int64_t>(prefix_cache_.size());
   s.evictable_blocks = available_blocks() - free_blocks();
   s.blocks_in_use = blocks_in_use();
-  s.cow_copies = cow_copies_;
   s.evictions = evictions_;
   s.prefix_lookups = prefix_lookups_;
   s.prefix_hits = prefix_hits_;
@@ -150,22 +148,6 @@ std::vector<const Tensor*> KvBlockPool::storage() const {
     }
   }
   return tensors;
-}
-
-void KvBlockPool::CopyBlockRows(std::int32_t src, std::int32_t dst, std::int64_t rows) {
-  KTX_CHECK(rows >= 0 && rows <= block_size());
-  auto copy = [&](std::vector<Tensor>& stream) {
-    for (Tensor& t : stream) {
-      const std::int64_t dim = t.dim(1);
-      std::memcpy(t.f32() + dst * block_size() * dim, t.f32() + src * block_size() * dim,
-                  static_cast<std::size_t>(rows * dim) * sizeof(float));
-    }
-  };
-  copy(gqa_k_);
-  copy(gqa_v_);
-  copy(mla_ckv_);
-  copy(mla_krope_);
-  KTX_TRACE_INSTANT_ARG("kv", "cow_copy", "rows", rows);
 }
 
 void KvBlockPool::RegisterPrefix(std::uint64_t hash, std::int32_t block) {

@@ -3,28 +3,28 @@
 // A pool owns KV storage: per layer, one tensor of
 // [num_blocks * block_size, row_dim] rows for each cached stream (K and V for
 // GQA; the joint latent c_kv and the decoupled-RoPE key for MLA). Sessions
-// hold *block tables* — lists of block ids. A pool shared by an engine's
-// sessions hands out blocks as contexts actually grow, and the same physical
-// block can back the shared prefix of many sessions at once; a private cache
-// owns a pool of one max_seq-row block (kv_cache.h).
+// hold *block tables* — lists of block ids. An engine builds one pool and
+// every session draws from it: blocks are handed out as contexts actually
+// grow, and the same physical block can back the shared prompt prefix of
+// many sessions at once. A RefModel cache owns a pool of one max_seq-row
+// block (kv_cache.h).
 //
 // Memory commit: the row tensors sit on Tensor::ZeroPages storage, so the
 // pool reserves address space up front and the OS commits a page (zero-
 // filled) only when a row in it is first written. A pool's resident size is
 // the pages its sessions have written, not num_blocks * block bytes, and the
-// same holds for a private max_seq block, which commits only up to its
+// same holds for an owned max_seq block, which commits only up to its
 // position. The commit is one-way: a block returned to the free list keeps
 // its pages (the LIFO free list hands the warm ones out first). The unit is
 // a page, not a block: a block smaller than a page shares pages with its
-// neighbours, and COW copies and KTXV restores commit what they write like
-// any append. Every other allocation in the engine keeps heap storage
+// neighbours. Every other allocation in the engine keeps heap storage
 // (align.h says why).
 //
 // Ref counting: a block's count is the number of block-table references
 // (sessions) plus one if the prefix cache holds it. Unref to zero returns the
-// block to the free list. Copy-on-write is the caller's (KvCache's) job: it
-// copies a block before writing into one with ref_count > 1; the pool only
-// provides CopyBlockRows.
+// block to the free list. Shared blocks are only ever read: only full prompt
+// blocks are registered, and sessions adopt whole blocks, so no session
+// appends into a block another one maps and nothing is copied on write.
 //
 // Prefix cache: full blocks of *prompt* tokens are registered under a chained
 // token hash (hash of block i commits to every token in blocks [0, i]), so a
@@ -73,7 +73,9 @@ class KvBlockPool {
     std::int64_t cached_blocks = 0;     // registered in the prefix cache
     std::int64_t evictable_blocks = 0;  // cached AND referenced only by the cache
     std::int64_t blocks_in_use = 0;     // total - free
-    std::int64_t cow_copies = 0;        // lifetime copy-on-write block copies
+    // Always 0: no block is ever copied on write (shared blocks are full
+    // and read-only). Kept because perfbench reports it as kv.cow_copies.
+    std::int64_t cow_copies = 0;
     std::int64_t evictions = 0;         // lifetime prefix-cache evictions
     std::int64_t prefix_lookups = 0;    // MatchPrefix calls with >= 1 full block
     std::int64_t prefix_hits = 0;       // lookups that matched >= 1 block
@@ -99,10 +101,6 @@ class KvBlockPool {
   StatusOr<std::int32_t> AllocBlock();
   void Ref(std::int32_t block);
   void Unref(std::int32_t block);
-
-  // Copies the first `rows` rows of src into dst across every layer and
-  // stream (the COW primitive).
-  void CopyBlockRows(std::int32_t src, std::int32_t dst, std::int64_t rows);
 
   // --- prefix cache ---------------------------------------------------------
   // Registers `block` under the chained hash. The cache takes its own
@@ -148,12 +146,9 @@ class KvBlockPool {
   std::unordered_map<std::uint64_t, CacheEntry> prefix_cache_;   // hash -> block
   std::unordered_map<std::int32_t, std::uint64_t> block_hash_;   // reverse map
   std::uint64_t lru_clock_ = 0;
-  std::int64_t cow_copies_ = 0;
   std::int64_t evictions_ = 0;
   std::int64_t prefix_lookups_ = 0;
   std::int64_t prefix_hits_ = 0;
-
-  friend class KvCache;  // bumps cow_copies_ from PrepareAppend
 };
 
 }  // namespace ktx

@@ -6,21 +6,19 @@
 // DeepSeek's KV footprint small enough for long local contexts.
 //
 // Rows live in fixed-size blocks of a KvBlockPool; the cache holds a *block
-// table* (block ids, in position order). There is one storage path and two
-// ways to get a pool:
+// table* (block ids, in position order). There is one storage path:
 //
-//   * Private: KvCache(config) owns a pool of ONE block of max_seq rows and
-//     reserves it up front — the address space and layout of a contiguous
-//     max_seq cache, writable to max_seq without any PrepareAppend. Its
-//     memory still commits page by page as rows are written.
-//   * Shared: KvCache(config, pool) draws blocks from an engine-wide pool
-//     lazily, block by block, as the context grows (PrepareAppend); a block's
-//     pages commit when its rows are first written, and stay committed when
-//     it returns to the pool. Blocks are ref-counted, so many sessions can
-//     map the same physical blocks for a shared prompt prefix (AdoptPrefix /
-//     CloneFrom); the first append into a shared partial block triggers a
-//     copy-on-write so divergence never corrupts a sibling or the pool's
-//     prefix cache.
+//   * KvCache(config, pool) draws blocks from a pool it does not own, block
+//     by block, as the context grows (PrepareAppend). This is every engine
+//     session: the engine builds one pool and all its sessions share it. A
+//     block's pages commit when its rows are first written, and stay
+//     committed when it returns to the pool. Blocks are ref-counted, so many
+//     sessions can map the same physical blocks for a shared prompt prefix
+//     (AdoptPrefix). Only full blocks are shared, so every append lands in a
+//     block this cache alone maps.
+//   * KvCache(config) owns a pool of ONE block of max_seq rows and reserves
+//     it up front, writable to max_seq without any PrepareAppend. RefModel,
+//     the numerical oracle, uses it.
 //
 // Attention reads and writes rows through KvLayerView, which performs the
 // block-table indirection per row and exposes physically-contiguous runs for
@@ -62,8 +60,8 @@ class KvLayerView {
   float* k_rope_row(std::int64_t pos) const { return k_rope_ + phys(pos) * rope_; }
 
   // Length of the physically-contiguous run starting at pos, capped at
-  // `end` and at the end of pos's block (the whole window for a private
-  // max_seq block). Lets windowed GEMMs (MLA latent up-projections) run block
+  // `end` and at the end of pos's block (the whole window for a max_seq
+  // block). Lets windowed GEMMs (MLA latent up-projections) run block
   // by block with zero gathers.
   std::int64_t run_length(std::int64_t pos, std::int64_t end) const {
     const std::int64_t left = end - pos;
@@ -116,9 +114,9 @@ class KvLayerView {
 
 class KvCache {
  public:
-  // Private storage: an owned one-block pool of max_seq rows, reserved now.
+  // An owned one-block pool of max_seq rows, reserved now.
   explicit KvCache(const MoeModelConfig& config);
-  // Shared storage: blocks drawn lazily from `pool` (not owned).
+  // Blocks drawn lazily from `pool` (not owned).
   KvCache(const MoeModelConfig& config, KvBlockPool* pool);
   ~KvCache() { ReleaseBlocks(); }
 
@@ -133,20 +131,18 @@ class KvCache {
   std::int64_t max_seq() const { return max_seq_; }
   // Positions left before this session runs out of room: the max_seq bound,
   // further capped by what the pool can still supply (tail-block slack +
-  // free/evictable blocks, minus one block when the next append must
-  // copy-on-write a shared tail). With a shared pool this value varies with
-  // other sessions' occupancy.
+  // free/evictable blocks). With a shared pool this value varies with other
+  // sessions' occupancy.
   std::int64_t remaining() const;
   bool CanAdvance(std::int64_t tokens) const { return tokens <= remaining(); }
 
   // Ensures rows [position, position+tokens) are writable: checks the
-  // max_seq bound, copy-on-writes a shared tail block, and allocates any
-  // missing blocks from the pool. Recoverable: kResourceExhausted leaves the
-  // position untouched (already-allocated blocks stay reserved in the table
-  // and are reclaimed on Reset).
+  // max_seq bound and allocates any missing blocks from the pool.
+  // Recoverable: kResourceExhausted leaves the position untouched
+  // (already-allocated blocks stay reserved in the table and are reclaimed
+  // on Reset).
   Status PrepareAppend(std::int64_t tokens);
-  // Pool blocks PrepareAppend(tokens) would consume right now (new blocks
-  // plus a copy-on-write block if the shared tail forces one). Lets callers
+  // Pool blocks PrepareAppend(tokens) would consume right now. Lets callers
   // validate a multi-session step against the shared pool's aggregate before
   // mutating anything.
   std::int64_t BlocksNeededFor(std::int64_t tokens) const;
@@ -160,7 +156,7 @@ class KvCache {
         << ")";
     position_ += tokens;
   }
-  // Returns every block to the pool (a private block is re-reserved by the
+  // Returns every block to the pool (an owned block is re-reserved by the
   // next PrepareAppend).
   void Reset() {
     ReleaseBlocks();
@@ -172,11 +168,6 @@ class KvCache {
   // no blocks: refs each block and sets the position. tokens must equal
   // blocks.size() * block_size (only whole blocks are shareable).
   void AdoptPrefix(const std::vector<std::int32_t>& blocks, std::int64_t tokens);
-  // Forks `parent` into this empty (position 0) cache. On the same pool the
-  // fork shares blocks (ref bump, O(blocks); the first divergent append
-  // copy-on-writes); across pools it copies rows [0, position) through the
-  // layer views. Geometry must match.
-  Status CloneFrom(const KvCache& parent);
   const std::vector<std::int32_t>& block_table() const { return block_table_; }
 
   // Rows currently writable without further allocation.
@@ -188,16 +179,12 @@ class KvCache {
   std::size_t BytesPerPosition() const { return pool_->bytes_per_position(); }
 
  private:
-  // True when the block holding `position_` is partially filled and shared,
-  // so the next append must copy it first.
-  bool SharedTail() const;
   void ReleaseBlocks();
 
-  std::unique_ptr<KvBlockPool> owned_pool_;  // private storage only
+  std::unique_ptr<KvBlockPool> owned_pool_;  // KvCache(config) only
   KvBlockPool* pool_ = nullptr;              // owned_pool_ or the shared pool
   std::vector<std::int32_t> block_table_;
 
-  int num_layers_ = 0;
   std::int64_t kv_dim_ = 0;
   std::int64_t lora_ = 0;
   std::int64_t rope_ = 0;

@@ -291,125 +291,6 @@ StatusOr<ModelFile> DeserializeModel(const std::string& bytes) {
   return file;
 }
 
-namespace {
-
-constexpr char kKvMagic[4] = {'K', 'T', 'X', 'V'};
-constexpr std::uint32_t kKvVersion = 1;
-
-// Row dimensions per cached stream for the config's attention kind. Streams
-// the kind does not use have dimension 0 and contribute no bytes.
-struct KvDims {
-  std::int64_t kv = 0;    // GQA k and v
-  std::int64_t lora = 0;  // MLA ckv
-  std::int64_t rope = 0;  // MLA k_rope
-};
-
-KvDims KvDimsFor(const MoeModelConfig& c) {
-  KvDims d;
-  if (c.attention == AttentionKind::kMla) {
-    d.lora = c.kv_lora_rank;
-    d.rope = c.rope_dim;
-  } else {
-    d.kv = c.num_kv_heads * c.head_dim;
-  }
-  return d;
-}
-
-}  // namespace
-
-std::string SerializeKvState(const MoeModelConfig& config, const KvCache& cache) {
-  std::string out;
-  PutBytes(&out, kKvMagic, sizeof(kKvMagic));
-  Put<std::uint32_t>(&out, kKvVersion);
-  Put<std::uint8_t>(&out, static_cast<std::uint8_t>(config.attention));
-  Put<std::int64_t>(&out, static_cast<std::int64_t>(config.num_layers));
-  const KvDims dims = KvDimsFor(config);
-  Put<std::int64_t>(&out, dims.kv);
-  Put<std::int64_t>(&out, dims.lora);
-  Put<std::int64_t>(&out, dims.rope);
-  const std::int64_t position = cache.position();
-  Put<std::int64_t>(&out, position);
-  // Row-by-row gather through the view: the block-table indirection (if any)
-  // dissolves here, making the bytes storage-agnostic.
-  auto put_rows = [&](const KvLayerView& view, float* (KvLayerView::*row)(std::int64_t) const,
-                      std::int64_t dim) {
-    for (std::int64_t p = 0; p < position; ++p) {
-      PutBytes(&out, (view.*row)(p), static_cast<std::size_t>(dim) * sizeof(float));
-    }
-  };
-  for (int l = 0; l < config.num_layers; ++l) {
-    const KvLayerView view = cache.layer(l);
-    if (config.attention == AttentionKind::kMla) {
-      put_rows(view, &KvLayerView::ckv_row, dims.lora);
-      put_rows(view, &KvLayerView::k_rope_row, dims.rope);
-    } else {
-      put_rows(view, &KvLayerView::k_row, dims.kv);
-      put_rows(view, &KvLayerView::v_row, dims.kv);
-    }
-  }
-  return out;
-}
-
-Status DeserializeKvState(const std::string& bytes, const MoeModelConfig& config,
-                          KvCache* cache) {
-  KTX_CHECK(cache != nullptr);
-  if (cache->position() != 0) {
-    return FailedPreconditionError("kv-state restore expects an empty cache, found position " +
-                                   std::to_string(cache->position()));
-  }
-  Cursor in{bytes};
-  char magic[4];
-  KTX_RETURN_IF_ERROR(in.Read(magic, sizeof(magic)));
-  if (std::memcmp(magic, kKvMagic, sizeof(kKvMagic)) != 0) {
-    return InvalidArgumentError("not a KTXV kv-state blob (bad magic)");
-  }
-  KTX_ASSIGN_OR_RETURN(std::uint32_t version, in.Get<std::uint32_t>());
-  if (version != kKvVersion) {
-    return InvalidArgumentError("unsupported kv-state version " + std::to_string(version));
-  }
-  KTX_ASSIGN_OR_RETURN(std::uint8_t attention, in.Get<std::uint8_t>());
-  KTX_ASSIGN_OR_RETURN(std::int64_t num_layers, in.Get<std::int64_t>());
-  const KvDims dims = KvDimsFor(config);
-  std::int64_t file_dims[3];
-  for (std::int64_t& d : file_dims) {
-    KTX_ASSIGN_OR_RETURN(d, in.Get<std::int64_t>());
-  }
-  if (attention != static_cast<std::uint8_t>(config.attention) ||
-      num_layers != config.num_layers || file_dims[0] != dims.kv ||
-      file_dims[1] != dims.lora || file_dims[2] != dims.rope) {
-    return InvalidArgumentError("kv-state geometry does not match the target config");
-  }
-  KTX_ASSIGN_OR_RETURN(std::int64_t position, in.Get<std::int64_t>());
-  if (position < 0 || position > cache->max_seq()) {
-    return InvalidArgumentError("kv-state position " + std::to_string(position) +
-                                " does not fit the target cache");
-  }
-  KTX_RETURN_IF_ERROR(cache->PrepareAppend(position).WithContext("kv-state restore"));
-  auto get_rows = [&](const KvLayerView& view, float* (KvLayerView::*row)(std::int64_t) const,
-                      std::int64_t dim) -> Status {
-    const std::size_t row_bytes = static_cast<std::size_t>(dim) * sizeof(float);
-    for (std::int64_t p = 0; p < position; ++p) {
-      KTX_RETURN_IF_ERROR(in.Read((view.*row)(p), row_bytes));
-    }
-    return OkStatus();
-  };
-  for (int l = 0; l < config.num_layers; ++l) {
-    const KvLayerView view = cache->layer(l);
-    if (config.attention == AttentionKind::kMla) {
-      KTX_RETURN_IF_ERROR(get_rows(view, &KvLayerView::ckv_row, dims.lora));
-      KTX_RETURN_IF_ERROR(get_rows(view, &KvLayerView::k_rope_row, dims.rope));
-    } else {
-      KTX_RETURN_IF_ERROR(get_rows(view, &KvLayerView::k_row, dims.kv));
-      KTX_RETURN_IF_ERROR(get_rows(view, &KvLayerView::v_row, dims.kv));
-    }
-  }
-  if (in.pos != bytes.size()) {
-    return InvalidArgumentError("trailing garbage after kv-state payload");
-  }
-  cache->Advance(position);
-  return OkStatus();
-}
-
 Status SaveModel(const std::string& path, const MoeModelConfig& config,
                  const ModelWeights& weights) {
   const std::string bytes = SerializeModel(config, weights);

@@ -353,14 +353,14 @@ bool ServingLoop::AdmitPending(std::size_t index) {
   // no prefill work here: AdvancePrefill spends the sweep's budget on it.
   auto cursor = engine_->StartPrefill(active.session, active.request.prompt);
   if (!cursor.ok()) {
-    // A shared pool is drawn on by every session: a block-reservation failure
+    // The block pool is drawn on by every session: a block-reservation failure
     // while other requests are in flight is back-pressure, not doom — their
     // retirements return blocks. Such a request re-queues unadmitted at the
     // head and this sweep stops admitting (the scheduler re-picks it by key
     // next sweep); it only fails kv_exhausted when nothing in flight could
     // free blocks for it.
     const bool exhausted = cursor.status().code() == StatusCode::kResourceExhausted;
-    if (exhausted && engine_->kv_paged() && !(prefilling_.empty() && active_.empty())) {
+    if (exhausted && !(prefilling_.empty() && active_.empty())) {
       RequeueAtHead(std::move(active));
       return false;
     }
@@ -586,7 +586,7 @@ void ServingLoop::SweepFailures() {
     }
     ++i;
   }
-  if (!engine_->kv_paged() || active_.empty()) {
+  if (active_.empty()) {
     return;
   }
   // Aggregate pool check: rows sharing one block pool can each have room for
@@ -613,9 +613,6 @@ void ServingLoop::SweepFailures() {
 
 void ServingLoop::SampleKvStats() {
   stats_.prefix_tokens_reused = engine_->counters().prefix_tokens_reused;
-  if (!engine_->kv_paged()) {
-    return;
-  }
   const KvBlockPool::Stats pool = engine_->kv_pool()->stats();
   KTX_TRACE_COUNTER("kv", "blocks_in_use", pool.blocks_in_use);
   stats_.kv_blocks_in_use = std::max(stats_.kv_blocks_in_use, pool.blocks_in_use);

@@ -217,14 +217,13 @@ class ServingLoop {
     // stall-free bench asserts on.
     LatencyHistogram ttft_s;
     LatencyHistogram tbt_s;
-    // Shared KV pool telemetry, sampled once per sweep (all zero when every
-    // session owns private storage). prefix_tokens_reused counts prompt
-    // tokens served from the pool's prefix cache instead of prefill compute;
-    // prefix_hit_rate is cache hits over lookups (one lookup per empty-start
-    // prompt with >= 1 full block). kv_blocks_in_use is the PEAK pool
-    // occupancy observed, and kv_utilization that peak over the pool's total
-    // blocks — the capacity-planning pair: high utilization with low hit rate
-    // means the pool is sized for genuinely distinct contexts.
+    // KV block pool telemetry, sampled once per sweep. prefix_tokens_reused
+    // counts prompt tokens served from the pool's prefix cache instead of
+    // prefill compute; prefix_hit_rate is cache hits over lookups (one lookup
+    // per empty-start prompt with >= 1 full block). kv_blocks_in_use is the
+    // PEAK pool occupancy observed, and kv_utilization that peak over the
+    // pool's total blocks — the capacity-planning pair: high utilization with
+    // low hit rate means the pool is sized for genuinely distinct contexts.
     std::int64_t prefix_tokens_reused = 0;
     double prefix_hit_rate = 0.0;
     std::int64_t kv_blocks_in_use = 0;
@@ -347,11 +346,10 @@ class ServingLoop {
   int BestQueuedIndex() const;
 
   // Fills free slots from the queue in scheduling order. Admission is gated
-  // on real KV headroom: private storage sizes every session to max_seq, but
-  // a shared pool is drawn on by every session, so a request whose
-  // (post-prefix-sharing) block reservation fails while other rows are in
-  // flight is put back to retry after retirements free blocks; it only fails
-  // kv_exhausted when nothing in flight could ever unblock it.
+  // on real KV headroom: the block pool is drawn on by every session, so a
+  // request whose (post-prefix-sharing) block reservation fails while other
+  // rows are in flight is put back to retry after retirements free blocks; it
+  // only fails kv_exhausted when nothing in flight could ever unblock it.
   void AdmitWaiting();
   // Admits queue_[index] into a free slot (erases it from the queue) as a
   // prefilling row: validates the prompt and reserves its KV, but runs no
@@ -379,14 +377,14 @@ class ServingLoop {
   // Retires rows whose deadline expired or whose session has an injected
   // backend fault (prefilling and decoding rows), or whose KV cache has no
   // room for the next token (decoding rows) — leaving batch siblings
-  // untouched. A shared pool gets a second, aggregate pass: rows sharing one
-  // block pool can each have room individually yet not fit together, so the
+  // untouched. A second, aggregate pass follows: rows sharing the block
+  // pool can each have room individually yet not fit together, so the
   // youngest rows (least sunk work) retire kv_exhausted until the sweep's
   // total block need fits the pool.
   void SweepFailures();
   // Folds the engine's prefix-cache counters and the pool's occupancy into
-  // stats_ (peak-tracking for blocks in use). No-op without a shared pool
-  // except for prefix_tokens_reused, which mirrors the engine counter.
+  // stats_ (peak-tracking for blocks in use); prefix_tokens_reused mirrors
+  // the engine counter.
   void SampleKvStats();
   // Closes the row's open lifecycle span (if any) and opens `phase` on its
   // request track; phase == nullptr just closes. No-ops when tracing is off.

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <filesystem>
 #include <numeric>
 #include <thread>
 #include <vector>
@@ -204,6 +205,34 @@ TEST(ThreadPoolTest, ParallelForCoversAllIndices) {
   pool.ParallelFor(hits.size(), [&](std::size_t i) { hits[i].fetch_add(1); });
   for (auto& h : hits) {
     EXPECT_EQ(h.load(), 1);
+  }
+}
+
+// Threads of this process, counted from /proc/self/task.
+std::size_t ProcessThreadCount() {
+  std::size_t count = 0;
+  for (const auto& entry : std::filesystem::directory_iterator("/proc/self/task")) {
+    (void)entry;
+    ++count;
+  }
+  return count;
+}
+
+TEST(ThreadPoolTest, APoolOfOneStartsNoThread) {
+  const std::size_t before = ProcessThreadCount();
+  {
+    ThreadPool pool(1);
+    EXPECT_EQ(ProcessThreadCount(), before);
+    EXPECT_EQ(pool.num_threads(), 1u);
+    EXPECT_EQ(pool.CurrentSlot(), -1);
+    std::atomic<int> counter{0};
+    pool.ParallelFor(16, [&](std::size_t) { counter.fetch_add(1); });
+    EXPECT_EQ(counter.load(), 16);
+  }
+  {
+    ThreadPool pool(2);
+    EXPECT_EQ(ProcessThreadCount(), before + 2);
+    EXPECT_EQ(pool.num_threads(), 2u);
   }
 }
 

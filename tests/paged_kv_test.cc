@@ -1,13 +1,12 @@
-// Paged KV cache: block pool mechanics, shared-pool vs private-block
-// bit-identity, shared-prefix reuse, copy-on-write and cross-pool forking,
-// cross-storage KV-state round-trips, memory committed on first write, and
+// Paged KV cache: block pool mechanics, block-size bit-invariance, pool
+// sizing, shared-prefix reuse, memory committed on first write, and
 // recoverable pool exhaustion.
 //
-// The load-bearing guarantee throughout is tolerance ZERO: a shared pool is a
-// memory layout change, so every logit a shared-pool engine produces must be
-// bitwise identical to a private-storage engine's (each session one max_seq
-// block) — across GQA and MLA attention, deferral depths, graph on/off, and
-// shared-prefix sessions.
+// The load-bearing guarantee throughout is tolerance ZERO: block layout is a
+// memory layout change, so every logit an engine produces must be bitwise
+// identical whatever its kv_block_size — max_seq, one contiguous run per
+// session, included — across GQA and MLA attention, deferral depths, graph
+// on/off, and shared-prefix sessions.
 
 #include <gtest/gtest.h>
 
@@ -18,7 +17,6 @@
 #include <vector>
 
 #include "src/core/engine.h"
-#include "src/model/serialize.h"
 
 namespace ktx {
 namespace {
@@ -107,53 +105,87 @@ TEST(KvBlockPoolTest, PrefixCacheMatchesLongestRunAndEvictsLru) {
   EXPECT_LE(pool.MatchPrefix(hashes).size(), 1u);
 }
 
-// --- paged vs contiguous bit-identity ---------------------------------------
+// --- block-size bit-invariance ----------------------------------------------
 
-TEST(PagedKvTest, MatchesContiguousBitwiseAcrossConfigs) {
+// True when two logits tensors hold the same bytes.
+bool SameBits(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() && std::memcmp(a.raw(), b.raw(), a.byte_size()) == 0;
+}
+
+TEST(PagedKvTest, AnyBlockSizeGivesTheSameBits) {
   // GQA and MLA, deferral on/off, graph on/off — the full shape matrix the
-  // attention rewrite touches. Logits must agree to the bit at every step,
-  // including steps that cross block boundaries (block_size 4, 10 decodes).
+  // attention rewrite touches. Block sizes 4 and 16 split each context into
+  // runs (the prompts and decodes cross several boundaries), and two
+  // sessions growing in turn interleave their blocks in the pool, so a
+  // table's runs are not physically adjacent; max_seq keeps each context
+  // one contiguous run. Every prefill's and decode's logits must be the
+  // same bytes for all three.
   struct Case {
-    const char* name;
     MoeModelConfig config;
     int deferred;
     bool graph;
   };
-  const std::vector<Case> cases = {
-      {"gqa", TinyMoeConfig(), 0, true},
-      {"gqa-nograph", TinyMoeConfig(), 0, false},
-      {"gqa-deferral", TinyMoeConfig(), 1, true},
-      {"mla", TinyMlaConfig(), 0, true},
-      {"mla-nograph", TinyMlaConfig(), 0, false},
-      {"mla-deferral", TinyMlaConfig(), 2, true},
-  };
-  for (const Case& c : cases) {
-    SCOPED_TRACE(c.name);
-    const auto weights = WeightsFor(c.config);
-    EngineOptions base;
-    base.n_deferred = c.deferred;
-    base.use_cuda_graph = c.graph;
-    EngineOptions paged = base;
-    paged.kv_pool_blocks = -1;  // auto-size
-    paged.kv_block_size = 4;
-    HybridEngine contiguous(c.config, weights, base);
-    HybridEngine paged_engine(c.config, weights, paged);
-    ASSERT_TRUE(paged_engine.kv_paged());
-    ASSERT_FALSE(contiguous.kv_paged());
-
-    const std::vector<int> prompt = {5, 6, 7, 8, 9, 10};
-    const Tensor ref_prefill = contiguous.Prefill(prompt);
-    const Tensor got_prefill = paged_engine.Prefill(prompt);
-    EXPECT_EQ(MaxAbsDiff(got_prefill, ref_prefill), 0.0f) << "prefill";
-
-    int token = 3;
-    for (int step = 0; step < 10; ++step) {
-      const Tensor ref = contiguous.DecodeStep(token);
-      const Tensor got = paged_engine.DecodeStep(token);
-      EXPECT_EQ(MaxAbsDiff(got, ref), 0.0f) << "decode step " << step;
-      token = (token + 7) % c.config.vocab;
+  std::vector<Case> cases;
+  for (const MoeModelConfig& config : {TinyMoeConfig(), TinyMlaConfig()}) {
+    for (int deferred : {0, 1}) {
+      for (bool graph : {true, false}) {
+        cases.push_back({config, deferred, graph});
+      }
     }
   }
+  const std::vector<std::vector<int>> prompts = {
+      {5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18},
+      {40, 41, 42, 43, 44, 45, 46, 47, 48, 49, 50}};
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.config.name + " deferred " + std::to_string(c.deferred) +
+                 (c.graph ? " graph" : " eager"));
+    const auto weights = WeightsFor(c.config);
+    // Per block size: both prefills, then each decode step, in call order.
+    std::vector<std::vector<Tensor>> logits;
+    for (std::int64_t block_size : {std::int64_t{4}, std::int64_t{16}, c.config.max_seq}) {
+      EngineOptions opts;
+      opts.n_deferred = c.deferred;
+      opts.use_cuda_graph = c.graph;
+      opts.kv_block_size = block_size;
+      HybridEngine engine(c.config, weights, opts);
+      const int second = engine.CreateSession();
+      logits.emplace_back();
+      logits.back().push_back(engine.Prefill(0, prompts[0]));
+      logits.back().push_back(engine.Prefill(second, prompts[1]));
+      int token = 3;
+      for (int step = 0; step < 10; ++step) {
+        logits.back().push_back(engine.DecodeStep(step % 2 == 0 ? 0 : second, token));
+        token = (token + 7) % c.config.vocab;
+      }
+    }
+    for (std::size_t v = 1; v < logits.size(); ++v) {
+      for (std::size_t i = 0; i < logits[0].size(); ++i) {
+        EXPECT_TRUE(SameBits(logits[v][i], logits[0][i]))
+            << (i < 2 ? "prefill " : "decode call ") << i << ", block-size variant " << v;
+      }
+    }
+  }
+}
+
+// --- pool sizing -------------------------------------------------------------
+
+TEST(PagedKvTest, DefaultPoolHoldsOneFullContextPerPotentialSession) {
+  // Every engine builds one pool. Auto-sized, it holds max_batch full
+  // max_seq contexts, or max_sessions of them when that bound is set.
+  const MoeModelConfig config = TinyMoeConfig();
+  const auto weights = WeightsFor(config);
+  EngineOptions opts;
+  opts.kv_block_size = 24;  // does not divide max_seq 128: 6 blocks per context
+  const std::int64_t per_context = (config.max_seq + 23) / 24;
+  {
+    HybridEngine engine(config, weights, opts);
+    ASSERT_NE(engine.kv_pool(), nullptr);
+    EXPECT_EQ(engine.kv_pool()->num_blocks(), opts.max_batch * per_context);
+    EXPECT_EQ(engine.kv_pool()->block_size(), 24);
+  }
+  opts.max_sessions = 3;
+  HybridEngine engine(config, weights, opts);
+  EXPECT_EQ(engine.kv_pool()->num_blocks(), 3 * per_context);
 }
 
 TEST(PagedKvTest, BlockTableGrowthNeverRecapturesTheGraph) {
@@ -185,10 +217,12 @@ TEST(PagedKvTest, SharedPrefixReuseSkipsPrefillAndStaysBitIdentical) {
   opts.kv_block_size = 4;
   opts.prefill_chunk = 4;  // reuse unit = lcm(4, 4) = 4 tokens
   HybridEngine engine(config, weights, opts);
-  // The baseline must chunk prefill identically: chunk boundaries decide
-  // tokens-per-expert and thus kernel-kind bits (the very reason reuse
-  // lengths are floored to the chunk grid).
+  // The baseline keeps each session's KV in one max_seq block and must chunk
+  // prefill identically: chunk boundaries decide tokens-per-expert and thus
+  // kernel-kind bits (the very reason reuse lengths are floored to the chunk
+  // grid).
   EngineOptions contiguous_opts;
+  contiguous_opts.kv_block_size = config.max_seq;
   contiguous_opts.prefill_chunk = 4;
   HybridEngine contiguous(config, weights, contiguous_opts);
 
@@ -210,7 +244,7 @@ TEST(PagedKvTest, SharedPrefixReuseSkipsPrefillAndStaysBitIdentical) {
   EXPECT_EQ(MaxAbsDiff(second, ref), 0.0f);
   EXPECT_EQ(engine.counters().prefix_cache_hits, 1);
   EXPECT_EQ(engine.counters().prefix_tokens_reused, 8);
-  // 2 shared blocks + each session's private tail block: 4 in use, not 6.
+  // 2 shared blocks + each session's own tail block: 4 in use, not 6.
   EXPECT_EQ(engine.kv_pool()->stats().blocks_in_use, 4);
 
   // Both sessions decode on, bit-identical to the contiguous engine.
@@ -223,152 +257,6 @@ TEST(PagedKvTest, SharedPrefixReuseSkipsPrefillAndStaysBitIdentical) {
     EXPECT_EQ(MaxAbsDiff(b, want), 0.0f) << "shared session step " << step;
     token = (token + 5) % config.vocab;
   }
-}
-
-// --- copy-on-write forking --------------------------------------------------
-
-TEST(PagedKvTest, ForkSharesBlocksAndCowsOnDivergence) {
-  // Fork a prefilled session and drive parent and child apart. The paged
-  // fork is a block-table copy (plus COW of the shared partial tail on first
-  // append); both lineages must match a contiguous engine doing the same.
-  const MoeModelConfig config = TinyMlaConfig();  // exercise the MLA streams
-  const auto weights = WeightsFor(config);
-  EngineOptions paged_opts;
-  paged_opts.kv_pool_blocks = 32;
-  paged_opts.kv_block_size = 4;
-  HybridEngine paged(config, weights, paged_opts);
-  HybridEngine contiguous(config, weights, EngineOptions{});
-
-  const std::vector<int> prompt = {3, 1, 4, 1, 5, 9};  // 6 tokens: partial tail
-  paged.Prefill(0, prompt);
-  contiguous.Prefill(0, prompt);
-  const auto paged_child = paged.TryForkSession(0);
-  const auto contig_child = contiguous.TryForkSession(0);
-  ASSERT_TRUE(paged_child.ok());
-  ASSERT_TRUE(contig_child.ok());
-  ASSERT_EQ(paged.position(*paged_child), 6);
-
-  // Divergent continuations: parent takes one token stream, child another.
-  const std::int64_t cow_before = paged.kv_pool()->stats().cow_copies;
-  int parent_token = 8;
-  int child_token = 42;
-  for (int step = 0; step < 6; ++step) {
-    const Tensor want_parent = contiguous.DecodeStep(0, parent_token);
-    const Tensor got_parent = paged.DecodeStep(0, parent_token);
-    EXPECT_EQ(MaxAbsDiff(got_parent, want_parent), 0.0f) << "parent step " << step;
-    const Tensor want_child = contiguous.DecodeStep(*contig_child, child_token);
-    const Tensor got_child = paged.DecodeStep(*paged_child, child_token);
-    EXPECT_EQ(MaxAbsDiff(got_child, want_child), 0.0f) << "child step " << step;
-    parent_token = (parent_token + 3) % config.vocab;
-    child_token = (child_token + 11) % config.vocab;
-  }
-  // The shared partial tail block (6 % 4 = 2 rows) forced at least one
-  // copy-on-write when the lineages first appended into it.
-  EXPECT_GT(paged.kv_pool()->stats().cow_copies, cow_before);
-}
-
-TEST(PagedKvTest, PrivateForkCopiesRowsThenDivergesAlone) {
-  // With private storage (kv_pool_blocks = 0) every session owns its own
-  // one-block pool, so a fork copies the parent's rows across pools. The
-  // child must equal the parent row for row, then decode on without touching
-  // a parent row; both lineages must match an unforked twin engine.
-  for (const MoeModelConfig& config : {TinyMoeConfig(), TinyMlaConfig()}) {
-    SCOPED_TRACE(config.name);
-    const auto weights = WeightsFor(config);
-    HybridEngine engine(config, weights, EngineOptions{});
-    HybridEngine twin(config, weights, EngineOptions{});
-    ASSERT_FALSE(engine.kv_paged());
-
-    const std::vector<int> prompt = {3, 1, 4, 1, 5, 9, 2};
-    engine.Prefill(0, prompt);
-    twin.Prefill(0, prompt);
-    const auto child = engine.TryForkSession(0);
-    ASSERT_TRUE(child.ok());
-    ASSERT_EQ(engine.position(*child), engine.position(0));
-    const auto parent_rows = engine.TrySaveKv(0);
-    const auto child_rows = engine.TrySaveKv(*child);
-    ASSERT_TRUE(parent_rows.ok() && child_rows.ok());
-    // Compared as bools: a mismatch would otherwise print both blobs.
-    EXPECT_TRUE(*child_rows == *parent_rows) << "the fork differs from its parent";
-
-    int token = 42;
-    for (int step = 0; step < 4; ++step) {
-      engine.DecodeStep(*child, token);
-      token = (token + 11) % config.vocab;
-    }
-    EXPECT_TRUE(*engine.TrySaveKv(0) == *parent_rows) << "the child's decode wrote a parent row";
-
-    const Tensor want = twin.DecodeStep(0, 8);
-    EXPECT_EQ(MaxAbsDiff(engine.DecodeStep(0, 8), want), 0.0f);
-  }
-}
-
-// --- KV-state serialization across storage modes ----------------------------
-
-TEST(PagedKvTest, KvStateRoundTripsAcrossStorageModes) {
-  // Serialize a paged cache (including one with a shared-prefix block table),
-  // restore into a contiguous cache, and require (a) bit-identical bytes on
-  // re-serialization and (b) bit-identical logits when both caches keep
-  // decoding — storage layout must never leak into the stream.
-  for (const MoeModelConfig& config : {TinyMoeConfig(), TinyMlaConfig()}) {
-    SCOPED_TRACE(config.name);
-    const auto weights = WeightsFor(config);
-    RefModel model(config, weights);
-    KvBlockPool pool(config, {/*block_size=*/4, /*num_blocks=*/16});
-
-    KvCache paged(config, &pool);
-    const std::vector<int> prompt = {2, 7, 1, 8, 2, 8};
-    model.Forward(prompt, &paged);
-    const std::string bytes = SerializeKvState(config, paged);
-
-    // A forked cache shares the parent's blocks — same logical rows, so the
-    // serialized stream must be byte-identical.
-    KvCache shared(config, &pool);
-    ASSERT_TRUE(shared.CloneFrom(paged).ok());
-    EXPECT_EQ(SerializeKvState(config, shared), bytes);
-
-    KvCache contiguous(config);
-    ASSERT_TRUE(DeserializeKvState(bytes, config, &contiguous).ok());
-    EXPECT_EQ(contiguous.position(), paged.position());
-    EXPECT_EQ(SerializeKvState(config, contiguous), bytes);
-
-    const Tensor from_paged = model.Forward({9}, &paged);
-    const Tensor from_contiguous = model.Forward({9}, &contiguous);
-    EXPECT_EQ(MaxAbsDiff(from_paged, from_contiguous), 0.0f);
-
-    // Round-trip the other way: contiguous bytes into a fresh paged cache.
-    KvCache repaged(config, &pool);
-    const std::string bytes2 = SerializeKvState(config, contiguous);
-    ASSERT_TRUE(DeserializeKvState(bytes2, config, &repaged).ok());
-    EXPECT_EQ(SerializeKvState(config, repaged), bytes2);
-  }
-}
-
-TEST(PagedKvTest, KvStateRestoreRejectsCorruptAndMismatched) {
-  const MoeModelConfig config = TinyMoeConfig();
-  const auto weights = WeightsFor(config);
-  RefModel model(config, weights);
-  KvCache cache(config);
-  model.Forward({1, 2, 3}, &cache);
-  const std::string bytes = SerializeKvState(config, cache);
-
-  KvCache fresh(config);
-  EXPECT_EQ(DeserializeKvState("KTXQ garbage", config, &fresh).code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(DeserializeKvState(bytes.substr(0, bytes.size() - 5), config, &fresh).code(),
-            StatusCode::kOutOfRange);  // truncated mid-payload
-  // Geometry mismatch: MLA blob into a GQA-configured cache.
-  KvCache mla_cache(TinyMlaConfig());
-  RefModel mla_model(TinyMlaConfig(), WeightsFor(TinyMlaConfig()));
-  mla_model.Forward({1, 2, 3}, &mla_cache);
-  EXPECT_EQ(DeserializeKvState(SerializeKvState(TinyMlaConfig(), mla_cache), config, &fresh)
-                .code(),
-            StatusCode::kInvalidArgument);
-  // Restoring into a non-empty cache is a caller error, not data corruption.
-  EXPECT_EQ(DeserializeKvState(bytes, config, &cache).code(),
-            StatusCode::kFailedPrecondition);
-  // And the pristine blob still restores fine afterwards.
-  EXPECT_TRUE(DeserializeKvState(bytes, config, &fresh).ok());
 }
 
 // --- memory commit ----------------------------------------------------------
@@ -431,9 +319,9 @@ TEST(PagedKvTest, SharedPoolCommitsOnlyTheBlocksSessionsWrite) {
   EXPECT_EQ(ResidentPagesPerTensor(pool), after_first);
 }
 
-TEST(PagedKvTest, PrivateBlockCommitsOnlyUpToItsPosition) {
-  // kv_pool_blocks = 0 storage: one max_seq-row block per cache, reserved at
-  // construction, committed as rows are written.
+TEST(PagedKvTest, OwnedBlockCommitsOnlyUpToItsPosition) {
+  // KvCache(config), RefModel's storage: one owned max_seq-row block,
+  // reserved at construction, committed as rows are written.
   const MoeModelConfig config = SmallMoeConfig();
   KvCache cache(config);
   const std::int64_t kv_dim = config.num_kv_heads * config.head_dim;

@@ -43,12 +43,11 @@ TEST(SerializeTest, RoundTripPreservesEverything) {
 
 TEST(SerializeTest, LoadedModelComputesIdenticalLogits) {
   const MoeModelConfig config = TinyMlaConfig();
-  const ModelWeights original = ModelWeights::Generate(config, 7);
+  ModelWeights original = ModelWeights::Generate(config, 7);
   auto loaded = DeserializeModel(SerializeModel(config, original));
   ASSERT_TRUE(loaded.ok());
 
-  const RefModel ref_a(config, std::make_shared<const ModelWeights>(std::move(
-                                   const_cast<ModelWeights&>(original))));
+  const RefModel ref_a(config, std::make_shared<const ModelWeights>(std::move(original)));
   const RefModel ref_b(loaded->config,
                        std::make_shared<const ModelWeights>(std::move(loaded->weights)));
   KvCache ca(config);

@@ -1,8 +1,8 @@
 // Randomized differential serving test.
 //
-// Every seed builds one serving scenario from a seeded Rng: KV storage (a
-// shared block pool small enough to force pool-pressure requeues and
-// kv_exhausted finishes, or private per-session storage), decode graphs on or
+// Every seed builds one serving scenario from a seeded Rng: the KV block
+// pool (one small enough to force pool-pressure requeues and kv_exhausted
+// finishes, or the engine's default auto-sized one), decode graphs on or
 // off, Expert Deferral on or off, GQA or MLA attention, one of the two
 // scheduling policies, a finite or unbounded prefill budget, and a request mix
 // with shared prompt prefixes, priorities, deadlines, EOS tokens and seeded
@@ -14,12 +14,12 @@
 //   1. every submitted id gets exactly one terminal result;
 //   2. an OK stream equals its solo run (tokens and finish reason), and a
 //      non-OK stream is a prefix of it;
-//   3. after RunToCompletion the shared pool holds only cache-only blocks
+//   3. after RunToCompletion the pool holds only cache-only blocks
 //      (every block still in use is an evictable prefix-cache entry);
 //   4. queue_seconds <= time_to_first_token_s <= total_seconds.
 //
 // Invariant 2 is bit-identity at tolerance 0: batching, chunked prefill,
-// prefix adoption, copy-on-write and requeues change when work runs, never
+// prefix adoption, block size and requeues change when work runs, never
 // what it computes. Deadlines make some outcomes timing-dependent; the
 // invariants hold for every outcome.
 
@@ -106,8 +106,9 @@ Scenario MakeScenario(std::uint64_t seed) {
   s.engine.use_cuda_graph = Coin(rng, 0.5);
   s.engine.n_deferred = Coin(rng, 0.5) ? 1 : 0;
   if (Coin(rng, 0.5)) {
-    // Shared pool: 6-16 blocks of 4 rows. A long prompt plus its generation
+    // A small pool: 6-16 blocks of 4 rows. A long prompt plus its generation
     // needs up to 9 blocks, so pressure, requeues and kv_exhausted are common.
+    // Otherwise the default pool: max_batch contexts of 16-row blocks.
     s.engine.kv_block_size = 4;
     s.engine.kv_pool_blocks = Pick(rng, 6, 16);
   }
@@ -117,7 +118,7 @@ Scenario MakeScenario(std::uint64_t seed) {
   const std::int64_t budgets[] = {4, 8, 16, kUnboundedPrefillBudget};
   s.serving.prefill_budget_tokens = budgets[Pick(rng, 0, 3)];
 
-  // A few shared prefixes so the prefix cache (shared pool) gets hits.
+  // A few shared prefixes so the prefix cache gets hits.
   std::vector<std::vector<int>> prefixes(2);
   for (auto& prefix : prefixes) {
     prefix.resize(static_cast<std::size_t>(Pick(rng, 4, 12)));
@@ -166,9 +167,12 @@ void RunScenario(std::uint64_t seed, Coverage* coverage) {
   const auto weights =
       std::make_shared<const ModelWeights>(ModelWeights::Generate(s.config, 60));
 
-  // Solo references on a private-storage engine with the same numerics knobs.
+  // Solo references with the same numerics knobs, each session's KV in one
+  // max_seq block and no prefix reuse.
   EngineOptions solo_options = s.engine;
   solo_options.kv_pool_blocks = 0;
+  solo_options.kv_block_size = s.config.max_seq;
+  solo_options.enable_prefix_cache = false;
   HybridEngine solo(s.config, weights, solo_options);
   Rng eos_rng(seed ^ 0x5eedULL);
   std::vector<Expected> expected;
@@ -243,12 +247,10 @@ void RunScenario(std::uint64_t seed, Coverage* coverage) {
     ++coverage->finishes[r.finish_reason];
   }
 
-  // 3. The shared pool drains to cache-only references.
-  if (engine.kv_paged()) {
-    const KvBlockPool::Stats pool = engine.kv_pool()->stats();
-    EXPECT_EQ(pool.blocks_in_use, pool.evictable_blocks);
-    EXPECT_EQ(pool.cached_blocks, pool.evictable_blocks);
-  }
+  // 3. The pool drains to cache-only references.
+  const KvBlockPool::Stats pool = engine.kv_pool()->stats();
+  EXPECT_EQ(pool.blocks_in_use, pool.evictable_blocks);
+  EXPECT_EQ(pool.cached_blocks, pool.evictable_blocks);
 
   ++coverage->scenarios;
   coverage->requests += static_cast<int>(s.requests.size());
