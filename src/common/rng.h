@@ -11,6 +11,18 @@
 
 namespace ktx {
 
+// Box-Muller with libm: the standard normal for the uniform pair (u1, u2),
+// with u1 clamped away from 0. Rng::NextGaussian returns it, and the SIMD
+// spellings of FillGaussian (src/tensor/gaussian.h) fall back to it, so the
+// expression lives only here.
+inline float BoxMuller(double u1, double u2) {
+  if (u1 < 1e-300) {
+    u1 = 1e-300;
+  }
+  return static_cast<float>(std::sqrt(-2.0 * std::log(u1)) *
+                            std::cos(2.0 * 3.14159265358979323846 * u2));
+}
+
 // SplitMix64: tiny, high-quality 64-bit generator, ideal for seeding.
 class SplitMix64 {
  public:
@@ -61,13 +73,9 @@ class Rng {
 
   // Standard normal via Box-Muller (fresh pair each call; simple and stateless).
   float NextGaussian() {
-    double u1 = NextDouble();
-    double u2 = NextDouble();
-    if (u1 < 1e-300) {
-      u1 = 1e-300;
-    }
-    return static_cast<float>(std::sqrt(-2.0 * std::log(u1)) *
-                              std::cos(2.0 * 3.14159265358979323846 * u2));
+    const double u1 = NextDouble();
+    const double u2 = NextDouble();
+    return BoxMuller(u1, u2);
   }
 
   // Derives an independent stream (e.g. per expert, per layer).

@@ -97,6 +97,7 @@ struct HybridEngine::DecodeBuffers {
 HybridEngine::HybridEngine(MoeModelConfig config, std::shared_ptr<const ModelWeights> weights,
                            EngineOptions options)
     : config_(std::move(config)), weights_(std::move(weights)), options_(options) {
+  KTX_TRACE_SPAN("engine", "build");
   KTX_CHECK(weights_ != nullptr);
   KTX_CHECK_GE(options_.n_deferred, 0);
   // §4.2: keep at least 2 immediate experts for model stability.
@@ -142,8 +143,11 @@ HybridEngine::HybridEngine(MoeModelConfig config, std::shared_ptr<const ModelWei
   pool_ = std::make_unique<ThreadPool>(static_cast<std::size_t>(options_.cpu_threads));
   // The vGPU plane's weights, packed once for the registry's f32 kernel; the
   // kernels run every projection over all live rows in one GEMM.
-  packed_ = std::make_unique<const PackedModelWeights>(config_, *weights_,
-                                                       ResolveProjectionVariant());
+  {
+    KTX_TRACE_SPAN_ARG("engine", "pack_vgpu_weights", "layers", config_.num_layers);
+    packed_ = std::make_unique<const PackedModelWeights>(config_, *weights_,
+                                                         ResolveProjectionVariant());
+  }
   BuildCpuExperts();
   service_ = std::make_unique<AsyncMoeService>(numa_moe_);
   // Pre-size the MoE forward workspaces at the decode shape so the steady
@@ -173,6 +177,7 @@ void HybridEngine::BuildCpuExperts() {
       down.push_back(lw->expert_down[static_cast<std::size_t>(e)]);
     }
   }
+  KTX_TRACE_SPAN_ARG("engine", "pack_cpu_experts", "experts", gate.size());
   NumaMoe::Options moe_opts;
   moe_opts.moe = options_.moe;
   moe_opts.mode = options_.numa_mode;

@@ -6,6 +6,7 @@
 
 #include "src/common/rng.h"
 #include "src/common/thread_pool.h"
+#include "src/common/trace.h"
 
 namespace ktx {
 
@@ -27,6 +28,7 @@ struct Stream {
   void Add(Tensor* t, std::vector<std::int64_t> shape, float stddev) {
     *t = Tensor(std::move(shape), DType::kF32);
     fills.emplace_back(t, stddev);
+    elements += t->numel();
   }
   void Init(Tensor* t, std::vector<std::int64_t> shape) {
     const float stddev = InitStddev(shape.back());
@@ -40,6 +42,7 @@ struct Stream {
 
   Rng rng;
   std::vector<std::pair<Tensor*, float>> fills;
+  std::int64_t elements = 0;
 };
 
 }  // namespace
@@ -57,6 +60,7 @@ ModelWeights ModelWeights::Generate(const MoeModelConfig& config, std::uint64_t 
   // per layer for its shared weights, then the embedding stream.
   std::vector<Stream> streams;
   streams.reserve(num_layers + 1);
+  std::int64_t expert_elements = 0;
   for (int l = 0; l < config.num_layers; ++l) {
     Stream& s = streams.emplace_back(root.Split(static_cast<std::uint64_t>(l) + 1));
     LayerWeights& lw = w.layers[static_cast<std::size_t>(l)];
@@ -104,6 +108,8 @@ ModelWeights ModelWeights::Generate(const MoeModelConfig& config, std::uint64_t 
       lw.expert_gate[e] = Tensor({config.moe_inter, hidden}, DType::kF32);
       lw.expert_up[e] = Tensor({config.moe_inter, hidden}, DType::kF32);
       lw.expert_down[e] = Tensor({hidden, config.moe_inter}, DType::kF32);
+      expert_elements +=
+          lw.expert_gate[e].numel() + lw.expert_up[e].numel() + lw.expert_down[e].numel();
     }
   }
   Stream& embedding = streams.emplace_back(root.Split(0xE0B));
@@ -120,7 +126,16 @@ ModelWeights ModelWeights::Generate(const MoeModelConfig& config, std::uint64_t 
 
   // A one-worker pool runs every task on the calling thread.
   ThreadPool pool(AffinityCpuCount(), /*pin_workers=*/true);
-  pool.ParallelFor(num_layers, [&](std::size_t l) { streams[l].Fill(); });
+  std::int64_t layer_elements = 0;
+  for (std::size_t l = 0; l < num_layers; ++l) {
+    layer_elements += streams[l].elements;
+  }
+  {
+    KTX_TRACE_SPAN_ARG("model", "generate_weights", "elements", layer_elements);
+    pool.ParallelFor(num_layers, [&](std::size_t l) { streams[l].Fill(); });
+  }
+  KTX_TRACE_SPAN_ARG("model", "generate_weights", "elements",
+                     streams[num_layers].elements + expert_elements);
   pool.ParallelFor(expert_streams + 1, [&](std::size_t i) {
     if (i == 0) {
       streams[num_layers].Fill();

@@ -5,6 +5,8 @@
 #include <numeric>
 #include <sstream>
 
+#include "src/tensor/gaussian.h"
+
 namespace ktx {
 
 namespace {
@@ -59,12 +61,7 @@ Tensor Tensor::Randn(std::vector<std::int64_t> shape, Rng& rng, float stddev, DT
   return t;
 }
 
-void Tensor::FillRandn(Rng& rng, float stddev) {
-  float* p = f32();
-  for (std::int64_t i = 0; i < numel_; ++i) {
-    p[i] = rng.NextGaussian() * stddev;
-  }
-}
+void Tensor::FillRandn(Rng& rng, float stddev) { FillGaussian(rng, stddev, f32(), numel_); }
 
 Tensor Tensor::Clone() const {
   Tensor out(shape_, dtype_);
