@@ -19,21 +19,6 @@ namespace {
 thread_local const ThreadPool* tls_pool = nullptr;
 thread_local int tls_slot = -1;
 
-// The CPUs of the calling thread's affinity mask, ascending.
-std::vector<int> AffinityCpus() {
-  std::vector<int> cpus;
-  cpu_set_t mask;
-  CPU_ZERO(&mask);
-  if (sched_getaffinity(0, sizeof(mask), &mask) == 0) {
-    for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
-      if (CPU_ISSET(cpu, &mask)) {
-        cpus.push_back(cpu);
-      }
-    }
-  }
-  return cpus;
-}
-
 }  // namespace
 
 ThreadPool::ThreadPool(std::size_t num_threads, bool pin_workers)
@@ -142,18 +127,13 @@ void ThreadPool::ParallelRun(RunFn fn, void* ctx, std::size_t n, std::size_t chu
 }
 
 void ThreadPool::WorkerLoop(std::size_t slot, int cpu) {
-  if (cpu >= 0) {
-    cpu_set_t one;
-    CPU_ZERO(&one);
-    CPU_SET(cpu, &one);
-    pthread_setaffinity_np(pthread_self(), sizeof(one), &one);  // best effort
-  }
+  PinCurrentThread(cpu);
   tls_pool = this;
   tls_slot = static_cast<int>(slot);
   {
-    char name[32];
-    std::snprintf(name, sizeof(name), "pool worker %zu", slot);
-    trace::SetCurrentThreadName(name);
+    char role[32];
+    std::snprintf(role, sizeof(role), "pool worker %zu", slot);
+    NameCurrentThread(role, cpu);
   }
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -225,6 +205,40 @@ void ThreadPool::ParallelFor(std::size_t n, const std::function<void(std::size_t
   ParallelRun(&PforBody, &ctx, n, /*chunk=*/1);
 }
 
+std::vector<int> AffinityCpus() {
+  std::vector<int> cpus;
+  cpu_set_t mask;
+  CPU_ZERO(&mask);
+  if (sched_getaffinity(0, sizeof(mask), &mask) == 0) {
+    for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
+      if (CPU_ISSET(cpu, &mask)) {
+        cpus.push_back(cpu);
+      }
+    }
+  }
+  return cpus;
+}
+
 std::size_t AffinityCpuCount() { return std::max<std::size_t>(1, AffinityCpus().size()); }
+
+void PinCurrentThread(int cpu) {
+  if (cpu < 0 || cpu >= CPU_SETSIZE) {
+    return;
+  }
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(cpu, &one);
+  pthread_setaffinity_np(pthread_self(), sizeof(one), &one);  // best effort
+}
+
+void NameCurrentThread(const char* role, int cpu) {
+  if (cpu < 0) {
+    trace::SetCurrentThreadName(role);
+    return;
+  }
+  char name[64];
+  std::snprintf(name, sizeof(name), "%s (cpu %d)", role, cpu);
+  trace::SetCurrentThreadName(name);
+}
 
 }  // namespace ktx

@@ -62,10 +62,10 @@ class ThreadPool {
   // caller runs every ParallelRun inline.
   //
   // With `pin_workers`, worker i binds itself to the i-th CPU (wrapping) of
-  // the creating thread's affinity mask. A scheduler that does not balance
-  // load across CPUs (a cpuset with load balancing off) leaves unpinned
-  // threads on their creator's CPU, where N workers share one core; a
-  // short-lived pool that must use every CPU pins.
+  // the creating thread's affinity mask before it runs any work. A scheduler
+  // that does not balance load across CPUs (a cpuset with load balancing off)
+  // leaves unpinned threads on their creator's CPU, where N workers share one
+  // core; a pool that must use every CPU pins.
   explicit ThreadPool(std::size_t num_threads, bool pin_workers = false);
   ~ThreadPool();
 
@@ -152,10 +152,22 @@ class ThreadPool {
   Status fault_;
 };
 
-// CPUs in the calling thread's affinity mask (sched_getaffinity), at least 1:
-// how many threads a one-shot parallel build can keep busy. A thread pinned to
-// one CPU gets 1, which callers take as "run serially".
+// The CPUs of the calling thread's affinity mask (sched_getaffinity),
+// ascending; empty if the mask cannot be read.
+std::vector<int> AffinityCpus();
+
+// AffinityCpus().size(), at least 1: how many threads a one-shot parallel
+// build can keep busy. A thread pinned to one CPU gets 1, which callers take
+// as "run serially".
 std::size_t AffinityCpuCount();
+
+// Binds the calling thread to `cpu`; a negative `cpu` leaves it unbound. Best
+// effort: a CPU outside the process's cpuset leaves the thread where it was.
+void PinCurrentThread(int cpu);
+
+// Names the calling thread's trace track `role`, suffixed " (cpu N)" when
+// `cpu` >= 0, so a trace shows where each thread was placed. Allocation-free.
+void NameCurrentThread(const char* role, int cpu);
 
 }  // namespace ktx
 

@@ -1,14 +1,18 @@
 #include "src/core/async_service.h"
 
+#include <sched.h>
+
 #include "src/common/logging.h"
 #include "src/common/spin_wait.h"
+#include "src/common/thread_pool.h"
 
 namespace ktx {
 
-AsyncMoeService::AsyncMoeService(std::shared_ptr<const NumaMoe> moe, std::size_t queue_capacity)
+AsyncMoeService::AsyncMoeService(std::shared_ptr<const NumaMoe> moe, std::size_t queue_capacity,
+                                 int cpu)
     : moe_(std::move(moe)), queue_(queue_capacity) {
   KTX_CHECK(moe_ != nullptr);
-  control_thread_ = std::thread([this] { ControlLoop(); });
+  control_thread_ = std::thread([this, cpu] { ControlLoop(cpu); });
 }
 
 AsyncMoeService::~AsyncMoeService() {
@@ -56,7 +60,9 @@ MoeStats AsyncMoeService::stats_snapshot() const {
   return stats_;
 }
 
-void AsyncMoeService::ControlLoop() {
+void AsyncMoeService::ControlLoop(int cpu) {
+  PinCurrentThread(cpu);
+  NameCurrentThread("moe control", cpu);
   for (;;) {
     auto request = queue_.TryPop();
     if (!request.has_value()) {
@@ -90,6 +96,7 @@ void AsyncMoeService::ControlLoop() {
             std::max(stats_.max_tokens_per_expert, local.max_tokens_per_expert);
       }
     }
+    r->cpu = sched_getcpu();
     completed_.fetch_add(1);
     r->done.store(true, std::memory_order_release);
   }

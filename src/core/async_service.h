@@ -41,6 +41,9 @@ struct MoeRequest {
   int slot_end = 0;
   float* y = nullptr;
   std::atomic<bool> done{false};
+  // The CPU the control thread ran this request on (sched_getcpu), written
+  // before done: where the engine placed its MoE control thread.
+  int cpu = -1;
 
   void Reset() { done.store(false, std::memory_order_relaxed); }
   void Wait() const {
@@ -65,9 +68,13 @@ struct MoeRequest {
 
 class AsyncMoeService {
  public:
+  static constexpr std::size_t kDefaultQueueCapacity = 256;
+
   // Takes shared ownership of the executor. `queue_capacity` bounds in-flight
-  // requests (2 per layer suffices for deferral's one-layer lookahead).
-  AsyncMoeService(std::shared_ptr<const NumaMoe> moe, std::size_t queue_capacity = 256);
+  // requests (2 per layer suffices for deferral's one-layer lookahead). `cpu`
+  // >= 0 binds the control thread to that CPU before it runs any request.
+  explicit AsyncMoeService(std::shared_ptr<const NumaMoe> moe,
+                           std::size_t queue_capacity = kDefaultQueueCapacity, int cpu = -1);
   ~AsyncMoeService();
 
   AsyncMoeService(const AsyncMoeService&) = delete;
@@ -86,7 +93,7 @@ class AsyncMoeService {
   MoeStats stats_snapshot() const;
 
  private:
-  void ControlLoop();
+  void ControlLoop(int cpu);
   // Blocks the control thread until Wake(), unless a request or stop is
   // already pending.
   void Park();

@@ -1,5 +1,7 @@
 #include "src/core/engine.h"
 
+#include <sched.h>
+
 #include <algorithm>
 #include <atomic>
 #include <cstring>
@@ -42,7 +44,10 @@ struct HybridEngine::DecodeBuffers {
   Tensor defer_out[2];    // deferred experts' output
   Tensor moe_gpu_out;     // shared experts / dense FFN output
   MoeRouting routing[2];
-  Tensor logits;  // [m, vocab]
+  // The forward's last logit_rows rows get logits: every row for decode and
+  // verify, only the final token for a prefill chunk.
+  std::int64_t logit_rows = 0;
+  Tensor logits;  // [logit_rows, vocab]
 
   // One immediate + one deferred request per layer index.
   std::vector<std::unique_ptr<MoeRequest>> imm_requests;
@@ -73,7 +78,8 @@ struct HybridEngine::DecodeBuffers {
     return status;
   }
 
-  DecodeBuffers(const MoeModelConfig& config, std::int64_t tokens) : m(tokens) {
+  DecodeBuffers(const MoeModelConfig& config, std::int64_t tokens, std::int64_t kept_logit_rows)
+      : m(tokens), logit_rows(kept_logit_rows) {
     token_ids.resize(static_cast<std::size_t>(tokens), 0);
     row_pos.resize(static_cast<std::size_t>(tokens), 0);
     row_caches.resize(static_cast<std::size_t>(tokens), nullptr);
@@ -86,7 +92,7 @@ struct HybridEngine::DecodeBuffers {
       defer_out[p] = Tensor({tokens, config.hidden}, DType::kF32);
     }
     moe_gpu_out = Tensor({tokens, config.hidden}, DType::kF32);
-    logits = Tensor({tokens, config.vocab}, DType::kF32);
+    logits = Tensor({kept_logit_rows, config.vocab}, DType::kF32);
     for (int l = 0; l < config.num_layers; ++l) {
       imm_requests.push_back(std::make_unique<MoeRequest>());
       def_requests.push_back(std::make_unique<MoeRequest>());
@@ -139,8 +145,16 @@ HybridEngine::HybridEngine(MoeModelConfig config, std::shared_ptr<const ModelWei
   kv_pool_ = std::make_unique<KvBlockPool>(config_, pool_opts);
   sessions_.push_back(std::make_unique<KvCache>(config_, kv_pool_.get()));
   active_cache_ = sessions_[0].get();
-  stream_ = std::make_unique<VStream>(&device_);
-  pool_ = std::make_unique<ThreadPool>(static_cast<std::size_t>(options_.cpu_threads));
+  // Thread placement (engine.h): the pool pins worker i to cpus[i] of this
+  // thread's mask; the control thread and the stream worker take the next
+  // two CPUs, wrapping.
+  const std::vector<int> cpus = AffinityCpus();
+  const auto pool_threads = static_cast<std::size_t>(std::max(1, options_.cpu_threads));
+  const auto place = [&cpus](std::size_t i) {
+    return cpus.empty() ? -1 : cpus[i % cpus.size()];
+  };
+  stream_ = std::make_unique<VStream>(&device_, place(pool_threads + 1));
+  pool_ = std::make_unique<ThreadPool>(pool_threads, /*pin_workers=*/true);
   // The vGPU plane's weights, packed once for the registry's f32 kernel; the
   // kernels run every projection over all live rows in one GEMM.
   {
@@ -149,7 +163,8 @@ HybridEngine::HybridEngine(MoeModelConfig config, std::shared_ptr<const ModelWei
                                                          ResolveProjectionVariant());
   }
   BuildCpuExperts();
-  service_ = std::make_unique<AsyncMoeService>(numa_moe_);
+  service_ = std::make_unique<AsyncMoeService>(
+      numa_moe_, AsyncMoeService::kDefaultQueueCapacity, place(pool_threads));
   // Pre-size the MoE forward workspaces at the decode shape so the steady
   // decode loop performs zero heap allocations from the first token.
   service_->Reserve(std::max<std::int64_t>(8, options_.max_batch), /*max_slots=*/config_.top_k);
@@ -159,6 +174,20 @@ HybridEngine::~HybridEngine() {
   // The service must outlive nothing that still submits; the stream first.
   stream_.reset();
   service_.reset();
+}
+
+HybridEngine::ThreadCpus HybridEngine::SampleThreadCpus() {
+  ThreadCpus cpus;
+  MoeRequest request;  // empty slot range: the control thread only completes it
+  // Submitted from the stream worker, the service's single producer.
+  stream_->LaunchHostFunc([this, &cpus, &request] {
+    cpus.vgpu_stream = sched_getcpu();
+    service_->Submit(&request);
+    request.Wait();
+  });
+  stream_->Synchronize();
+  cpus.moe_control = request.cpu;
+  return cpus;
 }
 
 void HybridEngine::BuildCpuExperts() {
@@ -404,13 +433,16 @@ void HybridEngine::EnqueueForward(DecodeBuffers* bufs, std::int64_t m, bool allo
   stream_->Launch(KernelDesc{
       "final_norm_lm_head",
       [this, bufs, live] {
+        // Rows are independent (linear.h), so skipping the leading ones
+        // changes no bit of the rows kept.
         const std::int64_t rows = live();
-        for (std::int64_t t = 0; t < rows; ++t) {
+        const std::int64_t first = std::max<std::int64_t>(0, rows - bufs->logit_rows);
+        for (std::int64_t t = first; t < rows; ++t) {
           RmsNorm(bufs->x.f32() + t * config_.hidden, weights_->final_norm.f32(),
                   bufs->normed.f32() + t * config_.hidden, config_.hidden);
         }
-        packed_->lm_head().Apply(bufs->normed.f32(), rows, config_.hidden, bufs->logits.f32(),
-                                 config_.vocab);
+        packed_->lm_head().Apply(bufs->normed.f32() + first * config_.hidden, rows - first,
+                                 config_.hidden, bufs->logits.f32(), config_.vocab);
       },
       -1});
 }
@@ -470,7 +502,7 @@ StatusOr<std::int64_t> HybridEngine::PrefillChunk(PrefillCursor* cursor) {
   // unless the caller decoded this session mid-cursor (then it may allocate
   // — or fail recoverably, leaving the cursor resumable).
   KTX_RETURN_IF_ERROR(cache->PrepareAppend(m).WithContext("prefill chunk"));
-  DecodeBuffers bufs(config_, m);
+  DecodeBuffers bufs(config_, m, /*kept_logit_rows=*/1);  // only the final token's are kept
   for (std::int64_t t = 0; t < m; ++t) {
     bufs.token_ids[static_cast<std::size_t>(t)] =
         cursor->tokens_[cursor->offset_ + static_cast<std::size_t>(t)];
@@ -497,7 +529,7 @@ StatusOr<std::int64_t> HybridEngine::PrefillChunk(PrefillCursor* cursor) {
       ++cursor->registered_blocks_;
     }
   }
-  cursor->last_logits_ = bufs.logits.Slice(m - 1, 1).Clone();
+  cursor->last_logits_ = std::move(bufs.logits);
   return m;
 }
 
@@ -520,7 +552,7 @@ void HybridEngine::EnsureDecodeCapacity(std::int64_t rows) {
     decode_graph_ = VGraph();
     graph_ready_ = false;
   }
-  decode_bufs_ = std::make_unique<DecodeBuffers>(config_, capacity);
+  decode_bufs_ = std::make_unique<DecodeBuffers>(config_, capacity, capacity);
   // Decode windows grow every step; reserving the longest one keeps the
   // attention kernel allocation-free for the session's whole life.
   decode_bufs_->attn_scratch.Reserve(config_, capacity, config_.max_seq);
@@ -581,6 +613,9 @@ StatusOr<Tensor> HybridEngine::RunDecodeBatch(const std::vector<SessionToken>& b
     EnqueueForward(bufs, b, /*allow_deferral=*/true, /*batched=*/true);
   }
   stream_->Synchronize();
+  // The step's tail after the stream drains (status check, row advance, the
+  // logits copy), so the step's child spans cover its wall time.
+  KTX_TRACE_SPAN("engine", "finish_step");
   KTX_RETURN_IF_ERROR(bufs->TakeAttnStatus().WithContext("decode"));
   for (std::int64_t r = 0; r < b; ++r) {
     bufs->row_caches[static_cast<std::size_t>(r)]->Advance(1);
@@ -598,7 +633,7 @@ Tensor HybridEngine::VerifyStep(int session, const std::vector<int>& tokens) {
   const std::int64_t m = static_cast<std::int64_t>(tokens.size());
   const Status prepared = cache->PrepareAppend(m);
   KTX_CHECK(prepared.ok()) << "KV cache overflow: " << prepared.ToString();
-  DecodeBuffers bufs(config_, m);
+  DecodeBuffers bufs(config_, m, m);
   for (std::int64_t t = 0; t < m; ++t) {
     bufs.token_ids[static_cast<std::size_t>(t)] = tokens[static_cast<std::size_t>(t)];
   }

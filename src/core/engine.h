@@ -41,6 +41,23 @@
 // experts overlap the next layer's attention. The last MoE layer defers
 // nothing. Functionally this implements exactly the §4.1 formula, which tests
 // verify against RefModel.
+//
+// Thread placement (§3.3's CPU plane: a control thread driving a worker pool
+// across cores). The engine computes one placement when it is built, from the
+// constructing thread's affinity mask `cpus` (ascending), with
+// n = max(1, cpu_threads) the pool size:
+//   * pool worker i takes          cpus[i % cpus.size()];
+//   * the MoE control thread takes cpus[n % cpus.size()] (it also runs tasks
+//     as ParallelRun's caller);
+//   * the vGPU stream worker takes cpus[(n + 1) % cpus.size()].
+// A mask of n + 2 or more CPUs gives every engine thread its own; a shorter
+// one wraps, so a one-CPU mask puts every thread on that CPU. A pool of one
+// starts no worker, yet the control thread and the stream worker are still
+// placed. Each thread binds itself when it starts, before it runs any work,
+// and names its trace track with its CPU ("pool worker 0 (cpu 0)"). A
+// scheduler that does not balance load across CPUs leaves unbound threads on
+// their creator's CPU, where they would share one core. Placement only
+// decides where bit-identical work runs, so it never changes an output bit.
 
 #ifndef KTX_SRC_CORE_ENGINE_H_
 #define KTX_SRC_CORE_ENGINE_H_
@@ -293,6 +310,16 @@ class HybridEngine {
   Status TakeBackendFault();
   // The CPU execution substrate (exposed for its fault-injection hook).
   ThreadPool& cpu_pool() { return *pool_; }
+
+  // Where the MoE control thread and the vGPU stream worker run, as each
+  // reports it (sched_getcpu) from inside work it executes: an empty MoE
+  // request and a host function. Pool workers report theirs from any
+  // cpu_pool() task. Drains the stream; call between steps.
+  struct ThreadCpus {
+    int moe_control = -1;
+    int vgpu_stream = -1;
+  };
+  ThreadCpus SampleThreadCpus();
 
   // Retunes the Expert Deferral depth at runtime (e.g. from the §4.2
   // heuristic as load changes). Invalidates the captured decode graph; the

@@ -1,8 +1,10 @@
 #include "src/gpu/vcuda.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "src/common/stopwatch.h"
+#include "src/common/thread_pool.h"
 #include "src/common/trace.h"
 
 namespace ktx {
@@ -46,9 +48,9 @@ bool VDevice::has_armed_faults() const {
 
 // --- VStream -----------------------------------------------------------------
 
-VStream::VStream(VDevice* device) : device_(device) {
+VStream::VStream(VDevice* device, int cpu) : device_(device) {
   KTX_CHECK(device_ != nullptr);
-  worker_ = std::thread([this] { WorkerLoop(); });
+  worker_ = std::thread([this, cpu] { WorkerLoop(cpu); });
 }
 
 VStream::~VStream() {
@@ -62,6 +64,9 @@ VStream::~VStream() {
 }
 
 void VStream::Enqueue(Op op) {
+  if (trace::IsEnabled()) {
+    op.enqueue_ns = SteadyNowNanos();
+  }
   {
     std::lock_guard<std::mutex> lock(mu_);
     queue_.push_back(std::move(op));
@@ -96,7 +101,16 @@ void VStream::LaunchHostFunc(std::function<void()> fn) {
 void VStream::Synchronize() {
   KTX_CHECK(!capturing_) << "stream synchronize during graph capture (capture violation)";
   std::unique_lock<std::mutex> lock(mu_);
+  if (queue_.empty() && !busy_) {
+    return;
+  }
   idle_cv_.wait(lock, [this] { return queue_.empty() && !busy_; });
+  const std::int64_t idle_ns = idle_ns_;
+  lock.unlock();
+  if (idle_ns > 0 && trace::IsEnabled()) {
+    trace::Emit(trace::Phase::kComplete, "handoff", "sync_wakeup", idle_ns,
+                SteadyNowNanos() - idle_ns, 0, nullptr, 0, nullptr);
+  }
 }
 
 void VStream::BeginCapture() {
@@ -157,10 +171,12 @@ void VStream::ExecuteOp(const Op& op) {
   RunNode(op.node, /*replayed=*/false);
 }
 
-void VStream::WorkerLoop() {
-  trace::SetCurrentThreadName("vgpu stream");
+void VStream::WorkerLoop(int cpu) {
+  PinCurrentThread(cpu);
+  NameCurrentThread("vgpu stream", cpu);
   for (;;) {
     Op op;
+    std::int64_t idle_since_ns = 0;
     {
       std::unique_lock<std::mutex> lock(mu_);
       work_cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
@@ -170,12 +186,21 @@ void VStream::WorkerLoop() {
       op = std::move(queue_.front());
       queue_.pop_front();
       busy_ = true;
+      idle_since_ns = std::exchange(idle_ns_, 0);
+    }
+    // An op enqueued while the worker was busy waited behind the previous
+    // op's span; one enqueued after the queue drained waited for this thread
+    // to wake up.
+    if (idle_since_ns > 0 && op.enqueue_ns > 0 && trace::IsEnabled()) {
+      trace::Emit(trace::Phase::kComplete, "handoff", "stream_pickup", op.enqueue_ns,
+                  SteadyNowNanos() - op.enqueue_ns, 0, nullptr, 0, nullptr);
     }
     ExecuteOp(op);
     {
       std::lock_guard<std::mutex> lock(mu_);
       busy_ = false;
       if (queue_.empty()) {
+        idle_ns_ = trace::IsEnabled() ? SteadyNowNanos() : 0;
         idle_cv_.notify_all();
       }
     }

@@ -21,7 +21,11 @@
 // emits one complete span in the "vgpu" category of the shared trace recorder
 // (src/common/trace.h), on the stream worker's track, so the vGPU plane shows
 // up on the same timeline as the engine and the CPU MoE — the functional
-// analogue of an Nsight Systems timeline (§2.3).
+// analogue of an Nsight Systems timeline (§2.3). The two thread hand-offs
+// around them get "handoff" spans: `handoff/stream_pickup`, from an enqueue to
+// an idle worker picking the op up (worker track), and `handoff/sync_wakeup`,
+// from the worker draining the queue to the Synchronize caller running again
+// (caller track).
 
 #ifndef KTX_SRC_GPU_VCUDA_H_
 #define KTX_SRC_GPU_VCUDA_H_
@@ -117,7 +121,8 @@ class VDevice {
 // A FIFO execution stream with its own worker thread.
 class VStream {
  public:
-  explicit VStream(VDevice* device);
+  // `cpu` >= 0 binds the worker thread to that CPU before it runs any op.
+  explicit VStream(VDevice* device, int cpu = -1);
   ~VStream();
 
   VStream(const VStream&) = delete;
@@ -145,12 +150,13 @@ class VStream {
   struct Op {
     VGraph::Node node;
     const VGraph* graph = nullptr;
+    std::int64_t enqueue_ns = 0;  // stamped only while tracing
   };
 
   // Records `node` into the pending graph while capturing, else enqueues it.
   void Submit(VGraph::Node node);
   void Enqueue(Op op);
-  void WorkerLoop();
+  void WorkerLoop(int cpu);
   // Runs `op`; a node inside its vgpu span, which with tracing off costs one
   // relaxed load.
   void ExecuteOp(const Op& op);
@@ -171,6 +177,9 @@ class VStream {
   std::deque<Op> queue_;
   bool busy_ = false;
   bool stop_ = false;
+  // When the worker last drained the queue, 0 once it picks up an op or
+  // while tracing is off (the handoff spans' anchor).
+  std::int64_t idle_ns_ = 0;
 
   bool capturing_ = false;
   VGraph pending_graph_;

@@ -296,9 +296,12 @@ bool Contains(const Interval& outer, const Interval& inner) {
   return inner.begin >= outer.begin && inner.end <= outer.end;
 }
 
-// Prints the share of each decode step's wall time that the union of vgpu/*
-// and moe/* spans (on any thread) covers: the minimum and the median over
-// the graph-replay steps, skipping the step that captured the graph.
+// Prints the share of each decode step's wall time that the union of vgpu/*,
+// moe/* and handoff/* spans (on any thread) plus engine/finish_step covers:
+// the minimum and the median over the graph-replay steps, skipping the step
+// that captured the graph. The handoff spans are the enqueue-to-stream-worker
+// pickup and the caller's wake-up from Synchronize; finish_step is the tail
+// after it, the logits copy included.
 void PrintStepCoverage(const ktx::trace::Snapshot& snap) {
   std::vector<Interval> steps;
   std::vector<Interval> captures;
@@ -314,7 +317,8 @@ void PrintStepCoverage(const ktx::trace::Snapshot& snap) {
       steps.push_back(span);
     } else if (cat == "engine" && name == "graph_capture") {
       captures.push_back(span);
-    } else if (cat == "vgpu" || cat == "moe") {
+    } else if (cat == "vgpu" || cat == "moe" || cat == "handoff" ||
+               (cat == "engine" && name == "finish_step")) {
       children.push_back(span);
     }
   }
@@ -348,7 +352,8 @@ void PrintStepCoverage(const ktx::trace::Snapshot& snap) {
     return;
   }
   std::sort(shares.begin(), shares.end());
-  std::printf("decode step coverage by vgpu/* + moe/* spans over %zu replay steps: "
+  std::printf("decode step coverage by vgpu/* + moe/* + handoff/* + engine/finish_step "
+              "spans over %zu replay steps: "
               "min %.1f%%, median %.1f%%\n",
               shares.size(), 100.0 * shares.front(), 100.0 * shares[shares.size() / 2]);
 }
